@@ -33,11 +33,10 @@ from .jordan import (
 )
 from .linalg import extend_orthonormal_rows, sym_eig
 from .posthoc import (
-    FeasibilityResult,
-    _solve_pd_in_span,
     min_trace_Q,
     posthoc_feasible_binary,
     RobustnessParams,
+    sign_reachable,
 )
 from .serialize import encode_matrix
 from .simplex import maximal_independent_subset, simplex_observables
@@ -184,27 +183,6 @@ class IterativePlan:
         }
 
 
-def _sign_reachable(
-    span: SpanBasis, target: np.ndarray, settings: Settings, seed: int
-) -> bool:
-    """Whether target = sgn(H) for some H in the span (target @ H > 0)."""
-    gens = [target @ b for b in span.basis]
-    preferred = [span.rows() @ target.ravel()]
-    value, _, stalled = _solve_pd_in_span(
-        gens,
-        settings=settings,
-        seed=seed,
-        restarts=8,
-        maxiter=600,
-        preferred=preferred,
-    )
-    if stalled:
-        raise SolverStall(
-            f"reachability check undecided (best lambda_min {value:.3e})"
-        )
-    return value > settings.feas_tol
-
-
 def _extension_batch(
     source: SpanBasis,
     into: SpanBasis,
@@ -278,7 +256,7 @@ def iterative_plan(
     rounds: list[PlanRound] = []
     cap = math.ceil(2.0 * math.log2(d)) + 3 if d > 1 else 3
     for _cycle in range(cap):
-        if _sign_reachable(span_b, o, s, seed):
+        if sign_reachable(span_b, o, settings=s, seed=seed):
             rounds.append(PlanRound(party="alice", observables=(o,)))
             return IterativePlan(
                 rounds=tuple(rounds),

@@ -18,6 +18,9 @@ from .errors import BadParams
 class Settings:
     """Package-wide tolerances.
 
+    Eigendecompositions and orthogonalization are LAPACK calls with no knob
+    of their own; with a given LAPACK build their results are deterministic.
+
     Attributes
     ----------
     sym_tol:
@@ -37,11 +40,6 @@ class Settings:
     membership_tol:
         Span-membership residual threshold, relative to max(1, ||M||_F).
         Also the default tolerance baked into span bases.
-    mgs_tol:
-        Drop threshold for the pivoted modified Gram-Schmidt orthogonalizer.
-    jacobi_tol:
-        The Jacobi eigensolver sweeps until the off-diagonal Frobenius mass
-        is below jacobi_tol * ||H||_F.
     robustness_constant:
         Additive constant c in the (2*sqrt(TrQ/lmin Q)*lmax(D) + c)*eps term
         of the robustness bound. The default 2 is the conservative value the
@@ -55,8 +53,6 @@ class Settings:
     feas_tol: float = 1e-7
     sdp_tol: float = 1e-6
     membership_tol: float = 1e-8
-    mgs_tol: float = 1e-12
-    jacobi_tol: float = 1e-13
     robustness_constant: float = 2.0
 
     def replace(self, **overrides: float) -> "Settings":

@@ -90,7 +90,7 @@ def span_basis(
     if tol is None:
         tol = s.membership_tol
     cleaned, d = _validated_family(mats, s.sym_tol)
-    q, _ = orthonormal_rows(np.array([m.ravel() for m in cleaned]), tol)
+    q = orthonormal_rows(np.array([m.ravel() for m in cleaned]), tol)
     return SpanBasis(matrix_dim=d, basis=_rows_to_basis(q, d), tol=tol)
 
 
@@ -164,7 +164,7 @@ def jordan_closure(
         if m.shape[0] != d:
             raise DimMismatch("extra generator size differs from generators")
     seeds = [np.eye(d)] + gens + extras
-    q, _ = orthonormal_rows(np.array([m.ravel() for m in seeds]), tol)
+    q = orthonormal_rows(np.array([m.ravel() for m in seeds]), tol)
     iterations = 0
     fresh_from = 0
     while True:

@@ -1,9 +1,9 @@
 """Dense symmetric linear algebra used everywhere else in the package.
 
-The eigensolver is a cyclic Jacobi iteration written out explicitly so that
-eigenvalue ordering, eigenvector signs and tie-breaking are fully deterministic
-across platforms; numpy is used for array arithmetic and for utility
-factorizations (SVD null spaces, least squares) only.
+Every factorization is a LAPACK call through numpy: ``eigh`` for symmetric
+eigendecompositions and a blocked project-and-SVD kernel for orthogonalization.
+Eigenvalue ordering, eigenvector signs and tie-breaking are fixed after the
+call, so results are deterministic for a given LAPACK build.
 """
 
 from __future__ import annotations
@@ -102,13 +102,13 @@ def _canonical_columns(vals: np.ndarray, vecs: np.ndarray) -> EigenDecomposition
 
 
 def sym_eig(h: np.ndarray, *, settings: Settings | None = None) -> EigenDecomposition:
-    """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a real symmetric matrix (LAPACK ``eigh``).
 
     Parameters
     ----------
     h:
         Real square matrix, symmetric to within ``settings.sym_tol``
-        (raises NotSymmetric otherwise). It is symmetrized before iterating.
+        (raises NotSymmetric otherwise). It is symmetrized before decomposing.
     settings:
         Tolerance bundle; defaults to the package-wide defaults.
 
@@ -118,57 +118,15 @@ def sym_eig(h: np.ndarray, *, settings: Settings | None = None) -> EigenDecompos
         ``values`` descending; ``vectors[:, i]`` is the unit eigenvector of
         ``values[i]``, sign-fixed so its first component of magnitude > 1e-12
         is positive. Ties in the eigenvalues are broken lexicographically on
-        the eigenvectors, making the output deterministic.
+        the eigenvectors, making the output deterministic for a given LAPACK
+        build.
     """
     s = settings or DEFAULTS
     a = require_symmetric(h, s.sym_tol)
-    d = a.shape[0]
-    if d == 0:
+    if a.shape[0] == 0:
         raise EmptyInput("cannot decompose an empty matrix")
-    if d == 1:
-        return EigenDecomposition(np.array([float(a[0, 0])]), np.eye(1))
-    v = np.eye(d)
-    target = s.jacobi_tol * float(np.linalg.norm(a))
-    converged = False
-    for _sweep in range(100):
-        # measure the off-diagonal mass directly: the difference-of-sums form
-        # sqrt(||A||^2 - ||diag||^2) has a cancellation floor near sqrt(eps)*||A||
-        b = a.copy()
-        np.fill_diagonal(b, 0.0)
-        off = float(np.linalg.norm(b))
-        if off <= target:
-            converged = True
-            break
-        skip = target / (d * d) if target > 0.0 else 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - sn * rq
-                a[q, :] = sn * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - sn * cq
-                a[:, q] = sn * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    if not converged:
-        raise RuntimeError("Jacobi eigensolver failed to converge in 100 sweeps")
-    return _canonical_columns(np.diag(a).copy(), v)
+    vals, vecs = np.linalg.eigh(a)
+    return _canonical_columns(vals, vecs)
 
 
 def sgn_map(h: np.ndarray, *, settings: Settings | None = None) -> SignImage:
@@ -188,92 +146,55 @@ def sgn_map(h: np.ndarray, *, settings: Settings | None = None) -> SignImage:
     return SignImage(0.5 * (m + m.T), bool(np.any(small)))
 
 
-def orthonormal_rows(
-    rows: np.ndarray, tol: float | None = None
-) -> tuple[np.ndarray, list[int]]:
-    """Pivoted modified Gram-Schmidt over the rows of a real matrix.
+# candidate rows orthogonalized per SVD: bounds the scratch array of one
+# extension so that a large batch of candidates is never stacked at once
+BLOCK_ROWS = 64
 
-    Pivots on the largest residual row each step and runs a second
-    orthogonalization pass on the accepted vector. A row is dropped once its
-    residual norm falls below ``tol * max(1, largest original row norm)``, so
-    the returned count is stable under reordering of the input rows.
 
-    Returns
-    -------
-    (q, kept):
-        ``q`` has orthonormal rows spanning the input rows; ``kept`` lists the
-        selected input indices in pivot order.
+def _extend(q: np.ndarray, rows: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, int]:
+    # the one kernel behind both public entry points, which stay separate
+    # functions so that each is timed and counted under its own name
+    thresh = tol * max([1.0] + [float(np.linalg.norm(r)) for r in rows])
+    start = q.shape[0]
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        block = np.array(rows[lo : lo + BLOCK_ROWS], dtype=float).reshape(-1, q.shape[1])
+        for _ in range(2):
+            block -= (block @ q.T) @ q
+        _, sv, vt = np.linalg.svd(block, full_matrices=False)
+        q = np.vstack([q, vt[sv > thresh]])
+    return q, q.shape[0] - start
+
+
+def orthonormal_rows(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning the rows of a real matrix.
+
+    This is :func:`extend_orthonormal_rows` started from an empty set; the
+    result is the orthonormal array alone.
     """
-    if tol is None:
-        tol = DEFAULTS.mgs_tol
-    work = np.array(rows, dtype=float, copy=True)
-    if work.ndim != 2:
-        work = work.reshape(len(work), -1)
-    n, m = work.shape
-    if n == 0:
-        return np.zeros((0, m)), []
-    thresh = tol * max(1.0, float(np.max(np.linalg.norm(work, axis=1))))
-    kept: list[int] = []
-    qs: list[np.ndarray] = []
-    remaining = list(range(n))
-    while remaining:
-        res = np.linalg.norm(work[remaining], axis=1)
-        k = int(np.argmax(res))
-        if res[k] <= thresh:
-            break
-        i = remaining.pop(k)
-        u = work[i] / np.linalg.norm(work[i])
-        for qrow in qs:
-            u = u - np.dot(qrow, u) * qrow
-        nu = float(np.linalg.norm(u))
-        if nu <= tol:
-            continue
-        u = u / nu
-        qs.append(u)
-        kept.append(i)
-        for j in remaining:
-            work[j] = work[j] - np.dot(u, work[j]) * u
-    q = np.array(qs) if qs else np.zeros((0, m))
-    return q, kept
+    work = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    return _extend(np.zeros((0, work.shape[1])), work, tol)[0]
 
 
 def extend_orthonormal_rows(
-    q: np.ndarray, rows: Sequence[np.ndarray], tol: float | None = None
+    q: np.ndarray, rows: Sequence[np.ndarray], tol: float
 ) -> tuple[np.ndarray, int]:
-    """Grow an orthonormal row set with whichever new rows extend its span.
+    """Grow an orthonormal row set with the directions new rows add to its span.
 
-    Candidates are processed in index order (deterministic merging). Each is
-    orthogonalized twice against the current set; it is accepted when the
-    residual exceeds ``tol * max(1, ||row||)``.
+    Candidates are taken in order, in blocks of at most ``BLOCK_ROWS`` rows.
+    Each block is projected off the current set twice; the right singular
+    vectors of the residual whose singular value exceeds
+    ``tol * max(1, largest candidate row norm)`` join the set.
 
-    Returns the extended orthonormal array and the number of rows accepted.
+    Returns the extended orthonormal array and the number of rows added.
     """
-    if tol is None:
-        tol = DEFAULTS.mgs_tol
-    qs = [np.asarray(r, dtype=float) for r in q]
-    width = q.shape[1] if len(qs) == 0 else qs[0].size
-    added = 0
-    for row in rows:
-        r = np.asarray(row, dtype=float).ravel()
-        scale = max(1.0, float(np.linalg.norm(r)))
-        u = r.copy()
-        for _ in range(2):
-            for qrow in qs:
-                u = u - np.dot(qrow, u) * qrow
-        nu = float(np.linalg.norm(u))
-        if nu <= tol * scale:
-            continue
-        qs.append(u / nu)
-        added += 1
-    out = np.array(qs) if qs else np.zeros((0, width))
-    return out, added
+    return _extend(np.asarray(q, dtype=float), rows, tol)
 
 
 def numerical_rank(mats: Sequence[np.ndarray], tol: float | None = None) -> int:
     """Dimension of the span of a family of equal-shaped real matrices.
 
-    Matrices are vectorized and run through the pivoted orthogonalizer; the
-    rank is the number of surviving directions. Raises EmptyInput for an empty
+    Matrices are vectorized and run through the orthogonalizer; the rank is
+    the number of directions it keeps. Raises EmptyInput for an empty
     family and DimMismatch on inconsistent shapes.
     """
     if tol is None:
@@ -288,8 +209,7 @@ def numerical_rank(mats: Sequence[np.ndarray], tol: float | None = None) -> int:
         if a.shape != shape:
             raise DimMismatch(f"shape mismatch in family: {a.shape} vs {shape}")
         rows.append(a.ravel())
-    q, _ = orthonormal_rows(np.array(rows), tol)
-    return q.shape[0]
+    return orthonormal_rows(np.array(rows), tol).shape[0]
 
 
 def realify(m: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .errors import (
     SolverStall,
     TrivialRegion,
 )
+from .jordan import SpanBasis
 from .linalg import (
     as_square_matrix,
     derealify,
@@ -304,6 +305,37 @@ def posthoc_feasible_binary(
     )
 
 
+def sign_reachable(
+    span: SpanBasis,
+    target: np.ndarray,
+    *,
+    settings: Settings | None = None,
+    seed: int = 0,
+) -> bool:
+    """Whether target = sgn(H) for some H in the span.
+
+    Searches the span for an element H with target @ H symmetric positive
+    definite, starting from the projection of the target itself. Raises
+    SolverStall when the ascent cannot decide inside the marginal band.
+    """
+    s = settings or DEFAULTS
+    gens = [target @ b for b in span.basis]
+    preferred = [span.rows() @ target.ravel()]
+    value, _, stalled = _solve_pd_in_span(
+        gens,
+        settings=s,
+        seed=seed,
+        restarts=8,
+        maxiter=600,
+        preferred=preferred,
+    )
+    if stalled:
+        raise SolverStall(
+            f"reachability check undecided (best lambda_min {value:.3e})"
+        )
+    return value > s.feas_tol
+
+
 def _require_order(u: np.ndarray, outputs: int, tol: float) -> np.ndarray:
     m = as_square_matrix(u, allow_complex=True).astype(complex)
     d = m.shape[0]
@@ -502,7 +534,7 @@ def min_trace_Q(
     for sp in span:
         span_rows.append(_embed(sp))
         span_rows.append(_embed(1j * sp))
-    q_span, _ = orthonormal_rows(np.array(span_rows), 1e-12)
+    q_span = orthonormal_rows(np.array(span_rows), 1e-12)
     dm = state.matrix.astype(complex)
     basis = _hermitian_basis(d, complex_part=not is_real)
     resid_rows = []
@@ -528,13 +560,17 @@ def min_trace_Q(
 
     # 3) realify (complex case) and set up the barrier problem
     if is_real:
-        mats = [q.real.copy() for q in q_dirs]
+        stack = np.array([q.real for q in q_dirs])
         weight = 1.0
         nu = d
     else:
-        mats = [realify(q) for q in q_dirs]
+        stack = np.array([realify(q) for q in q_dirs])
         weight = 0.5
         nu = 2 * d
+    traces = weight * np.trace(stack, axis1=1, axis2=2)
+
+    def assemble(cv: np.ndarray) -> np.ndarray:
+        return np.tensordot(cv, stack, axes=1)
 
     # strictly feasible start from the witness: Q0 = D^-1 P D^-1 scaled
     dinv = np.diag(1.0 / state.coeffs)
@@ -549,19 +585,10 @@ def min_trace_Q(
     recon = sum(c * q for c, q in zip(c0, q_dirs))
     if float(np.linalg.norm(recon - q0)) > 1e-6 * max(1.0, float(np.linalg.norm(q0))):
         raise SolverStall("feasibility witness does not parametrize into the Q subspace")
-    m0 = sum(c * b for c, b in zip(c0, mats))
-    lam0, _ = _min_eig_and_vector(np.asarray(m0), s)
+    lam0, _ = _min_eig_and_vector(assemble(c0), s)
     if lam0 <= 0.0:
         raise SolverStall("witness lost positivity during reparametrization")
     c = np.asarray(c0, dtype=float) * (2.0 / lam0)  # lambda_min(M(c)) = 2 > 1
-
-    traces = np.array([weight * np.trace(b) for b in mats])
-
-    def assemble(cv: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(mats[0])
-        for cj, b in zip(cv, mats):
-            acc += cj * b
-        return acc
 
     def is_interior(mat: np.ndarray) -> bool:
         try:
@@ -576,12 +603,9 @@ def min_trace_Q(
         for _newton in range(80):
             m_cur = assemble(c)
             k = np.linalg.inv(m_cur - np.eye(m_cur.shape[0]))
-            grad = traces - mu * np.array([np.sum(k * b) for b in mats])
-            km = [k @ b for b in mats]
-            hess = mu * np.array(
-                [[np.sum(km[i] * km[j].T) for j in range(m_dim)] for i in range(m_dim)]
-            )
-            hess = 0.5 * (hess + hess.T) + 1e-13 * np.eye(m_dim)
+            g_bar, h_bar = barrier_derivatives(k, stack)
+            grad = traces + mu * g_bar
+            hess = 0.5 * mu * (h_bar + h_bar.T) + 1e-13 * np.eye(m_dim)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError as exc:
@@ -617,6 +641,17 @@ def min_trace_Q(
         q_out = derealify(q_final)
         q_out = 0.5 * (q_out + q_out.conj().T)
     return objective, q_out
+
+
+def barrier_derivatives(k: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of -log det(sum_i c_i B_i - I) with respect to c.
+
+    ``k`` is (M - I)^-1 at the current point and ``mats`` stacks the
+    symmetric directions B_i, shape (m, n, n). Returns (g, H) with
+    g_i = -Tr(K B_i) and H_ij = Tr(K B_i K B_j), both from one stacked K B_i.
+    """
+    km = k @ mats
+    return -np.einsum("iaa->i", km), np.einsum("iab,jba->ij", km, km)
 
 
 def _logdet_shifted(m: np.ndarray) -> float:

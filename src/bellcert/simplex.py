@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DEFAULTS, Settings
 from .errors import BadDimension
-from .linalg import extend_orthonormal_rows, sgn_map
+from .linalg import sgn_map
 from .strategies import ProjectiveMeasurement, SchmidtState, Strategy
 
 
@@ -31,17 +31,12 @@ def simplex_vectors(d: int) -> np.ndarray:
         raise BadDimension("simplex vectors need dimension >= 2")
     n = d + 1
     a = np.full(n, 1.0 / np.sqrt(n))
-    rows = [a] + [np.eye(n)[x] for x in range(1, n)]
-    u, added = extend_orthonormal_rows(np.zeros((0, n)), rows, 1e-12)
-    if added != n:  # should be impossible: the rows span R^(d+1)
-        raise RuntimeError("orthonormalization lost rank while building the simplex")
-    vs = []
-    for x in range(n):
-        e = np.eye(n)[x]
-        f = e - np.dot(a, e) * a
-        f /= np.linalg.norm(f)
-        vs.append((u @ f)[1:])
-    return np.array(vs)
+    # QR with diag(R) made positive is the ordered Gram-Schmidt basis
+    q, r = np.linalg.qr(np.column_stack([a, np.eye(n)[:, 1:]]))
+    u = (q * np.sign(np.diag(r))).T
+    f = np.eye(n) - np.outer(a, a)
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    return (f @ u.T)[:, 1:]
 
 
 def simplex_observables(d: int) -> list[np.ndarray]:

@@ -1,4 +1,7 @@
-"""Shared builders for randomized test inputs. Oracles live in the tests."""
+"""Shared builders for randomized test inputs, and plain-loop reference kernels.
+
+Other oracles live in the tests.
+"""
 
 from __future__ import annotations
 
@@ -50,3 +53,30 @@ def random_projective_measurement(
 def random_schmidt_coeffs(rng: np.random.Generator, d: int) -> np.ndarray:
     lam = rng.uniform(0.35, 1.0, size=d)
     return lam / np.linalg.norm(lam)
+
+
+def gram_schmidt_rows(rows, tol: float) -> np.ndarray:
+    """Row-by-row Gram-Schmidt reference for the blocked orthogonalizer.
+
+    Rows are taken in order and orthogonalized twice against the rows kept so
+    far; a row is kept when its residual exceeds tol * max(1, largest row norm).
+    """
+    rows = [np.asarray(r, dtype=float).ravel() for r in rows]
+    thresh = tol * max([1.0] + [float(np.linalg.norm(r)) for r in rows])
+    qs: list[np.ndarray] = []
+    for r in rows:
+        u = r.copy()
+        for _ in range(2):
+            for qrow in qs:
+                u = u - np.dot(qrow, u) * qrow
+        nu = float(np.linalg.norm(u))
+        if nu > thresh:
+            qs.append(u / nu)
+    return np.array(qs) if qs else np.zeros((0, rows[0].size))
+
+
+def barrier_hessian_loop(k: np.ndarray, mats) -> np.ndarray:
+    """Reference double loop for H_ij = Tr(K B_i K B_j)."""
+    km = [k @ b for b in mats]
+    m = len(km)
+    return np.array([[np.sum(km[i] * km[j].T) for j in range(m)] for i in range(m)])

@@ -292,6 +292,14 @@ class TestRobustnessCommand:
         assert code == 2
         assert "unknown settings key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["jacobi_tol", "mgs_tol"])
+    def test_removed_solver_knobs_are_unknown_keys(self, tmp_path, capsys, key):
+        params = _write_json(tmp_path / "params.json", self.FROZEN)
+        config = _write_json(tmp_path / "config.json", {key: 1e-12})
+        code = main(["robustness", "--params", params, "--config", config])
+        assert code == 2
+        assert f"unknown settings key(s): {key}" in capsys.readouterr().err
+
 
 class TestVerifyExamplesCommand:
     def test_all_examples_pass(self, capsys):

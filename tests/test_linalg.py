@@ -5,6 +5,7 @@ import pytest
 
 from bellcert.errors import DimMismatch, EmptyInput, NotSymmetric
 from bellcert.linalg import (
+    BLOCK_ROWS,
     derealify,
     extend_orthonormal_rows,
     frobenius_inner,
@@ -15,7 +16,14 @@ from bellcert.linalg import (
     sgn_map,
     sym_eig,
 )
-from helpers import X, Z, random_orthogonal, random_reflection, random_symmetric
+from helpers import (
+    X,
+    Z,
+    gram_schmidt_rows,
+    random_orthogonal,
+    random_reflection,
+    random_symmetric,
+)
 
 
 # ---------------------------------------------------------------- sym_eig
@@ -72,6 +80,22 @@ def test_sym_eig_degenerate_identity_keeps_column_order():
     vals, vecs = sym_eig(np.eye(3))
     assert np.array_equal(vals, np.ones(3))
     assert np.array_equal(vecs, np.eye(3))
+
+
+def test_sym_eig_repeated_eigenvalue_in_rotated_basis(rng):
+    u = random_orthogonal(rng, 6)
+    spectrum = np.array([3.0, 1.0, 1.0, 1.0, -2.0, -2.0])
+    h = (u * spectrum) @ u.T
+    vals, vecs = sym_eig(h)
+    assert np.allclose(vals, spectrum, atol=1e-12)
+    assert np.allclose(vecs.T @ vecs, np.eye(6), atol=1e-12)
+    assert np.linalg.norm((vecs * vals) @ vecs.T - h) <= 1e-12 * np.linalg.norm(h)
+    for col in vecs.T:
+        first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+        assert first > 0.0
+    again = sym_eig(h)
+    assert np.array_equal(again.values, vals)
+    assert np.array_equal(again.vectors, vecs)
 
 
 def test_sym_eig_rejects_asymmetric_and_empty():
@@ -165,15 +189,68 @@ def test_numerical_rank_errors():
 
 def test_orthonormal_rows_and_extension():
     rows = np.array([v.ravel() for v in (X, Z, X + Z)])
-    q, kept = orthonormal_rows(rows, 1e-10)
+    q = orthonormal_rows(rows, 1e-10)
     assert q.shape[0] == 2
-    assert len(kept) == 2
     assert np.allclose(q @ q.T, np.eye(2), atol=1e-12)
+    assert np.allclose(rows @ q.T @ q, rows, atol=1e-12)  # spans the input
 
     q2, added = extend_orthonormal_rows(q, [Z.ravel(), np.eye(2).ravel()], 1e-10)
     assert added == 1  # Z already in span, identity is new
     assert q2.shape[0] == 3
     assert np.allclose(q2 @ q2.T, np.eye(3), atol=1e-12)
+    assert np.allclose(q2[:2], q, atol=0)  # the existing rows are kept as they are
+
+
+def _assert_same_span(rows, tol, projector_atol=1e-10):
+    """Same rank and span projector as the row-by-row reference."""
+    flat = np.array([np.ravel(r) for r in rows])
+    ref = gram_schmidt_rows(rows, tol)
+    q = orthonormal_rows(flat, tol)
+    assert q.shape == ref.shape
+    assert np.allclose(q @ q.T, np.eye(q.shape[0]), atol=1e-12)
+    assert np.allclose(q.T @ q, ref.T @ ref, atol=projector_atol)
+    return q
+
+
+def test_blocked_kernel_matches_gram_schmidt_on_dependent_rows(rng):
+    mats = [random_symmetric(rng, 4) for _ in range(5)]
+    mats += [mats[0] + mats[2], 0.5 * mats[1] - mats[3], np.zeros((4, 4))]
+    assert _assert_same_span(mats, 1e-8).shape[0] == 5
+
+
+def test_blocked_kernel_matches_gram_schmidt_across_blocks(rng):
+    base = [random_symmetric(rng, 12) for _ in range(40)]
+    coeffs = rng.standard_normal((2 * BLOCK_ROWS + 7, len(base)))
+    rows = [sum(c * b for c, b in zip(row, base)).ravel() for row in coeffs]
+    assert len(rows) > BLOCK_ROWS
+    q = _assert_same_span(rows, 1e-8)
+    assert q.shape[0] == 40
+
+    seed = orthonormal_rows(np.array([b.ravel() for b in base[:10]]), 1e-8)
+    grown, added = extend_orthonormal_rows(seed, rows, 1e-8)
+    assert added == 30
+    assert np.allclose(grown @ grown.T, np.eye(40), atol=1e-12)
+    assert np.allclose(grown.T @ grown, q.T @ q, atol=1e-10)
+
+
+def test_blocked_kernel_matches_gram_schmidt_near_threshold():
+    family = [X, X + 1e-12 * Z]
+    assert _assert_same_span(family, 1e-8).shape[0] == 1
+    # the second direction is a residual of size 1e-12 left after a
+    # cancellation of size 1, so both kernels know it only to ~1e-4
+    q = _assert_same_span(family, 1e-15, projector_atol=1e-3)
+    assert q.shape[0] == 2
+    flat = np.array([m.ravel() for m in family])
+    assert np.allclose(flat @ q.T @ q, flat, atol=1e-14)
+
+
+def test_blocked_kernel_span_is_independent_of_row_order(rng):
+    mats = [random_symmetric(rng, 5) for _ in range(6)]
+    mats.append(mats[1] - 2.0 * mats[4])
+    q = _assert_same_span(mats, 1e-8)
+    perm = rng.permutation(len(mats))
+    p = _assert_same_span([mats[i] for i in perm], 1e-8)
+    assert np.allclose(p.T @ p, q.T @ q, atol=1e-10)
 
 
 # ------------------------------------------------------------- realification

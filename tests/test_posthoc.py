@@ -28,10 +28,12 @@ from bellcert.posthoc import (
     RobustnessParams,
     analytic_family_2d,
     analytic_family_region,
+    barrier_derivatives,
     min_trace_Q,
     posthoc_feasible_binary,
     posthoc_feasible_general,
     robustness_bound,
+    sign_reachable,
     vector_recovery_bound,
 )
 from bellcert.simplex import simplex_observables
@@ -45,6 +47,8 @@ from helpers import (
     HADAMARD_DIR,
     X,
     Z,
+    barrier_hessian_loop,
+    random_symmetric,
     random_projective_measurement,
     random_schmidt_coeffs,
 )
@@ -242,7 +246,26 @@ class TestGeneralFeasibility:
         assert all(r.feasible for r in results)
 
 
+class TestSignReachable:
+    def test_diagonal_span_reaches_z_but_not_the_hadamard_direction(self):
+        span = span_basis([np.eye(2), Z])
+        assert sign_reachable(span, Z)
+        assert sign_reachable(span, -Z)
+        assert not sign_reachable(span, HADAMARD_DIR)
+
+
 class TestMinTraceCertificate:
+    def test_barrier_derivatives_match_the_reference_loop(self, rng):
+        n, m = 6, 9
+        a = rng.standard_normal((n, n))
+        k = np.linalg.inv(a @ a.T + np.eye(n))
+        mats = [random_symmetric(rng, n) for _ in range(m)]
+        ref = barrier_hessian_loop(k, mats)
+        tol = 1e-12 * float(np.max(np.abs(ref)))
+        grad, hess = barrier_derivatives(k, np.array(mats))
+        assert np.max(np.abs(hess - ref)) <= tol
+        assert np.allclose(grad, [-np.sum(k * b) for b in mats], rtol=0, atol=1e-12)
+
     def test_maximally_entangled_self_family_reaches_dimension(self):
         for d in (2, 3, 4):
             me = SchmidtState.maximally_entangled(d)
