@@ -256,7 +256,7 @@ def iterative_plan(
     rounds: list[PlanRound] = []
     cap = math.ceil(2.0 * math.log2(d)) + 3 if d > 1 else 3
     for _cycle in range(cap):
-        if sign_reachable(span_b, o, settings=s, seed=seed):
+        if sign_reachable(span_b, o, settings=s):
             rounds.append(PlanRound(party="alice", observables=(o,)))
             return IterativePlan(
                 rounds=tuple(rounds),
@@ -368,7 +368,6 @@ def certificate_report(
     strategy: Strategy,
     *,
     settings: Settings | None = None,
-    seed: int = 0,
     include_table: bool = True,
 ) -> CertificateReport:
     """Certify every extension question of a strategy against Bob's family.
@@ -401,14 +400,12 @@ def certificate_report(
     for idx in range(base, strategy.alice_questions):
         label = strategy.alice_labels[idx]
         o = strategy.alice[idx].observable()
-        feas = posthoc_feasible_binary(
-            strategy.state, bob_obs, o, settings=s, seed=seed
-        )
+        feas = posthoc_feasible_binary(strategy.state, bob_obs, o, settings=s)
         trace_q = None
         lambda_min_q = None
         if feas.feasible:
             tr, q = min_trace_Q(
-                strategy.state, bob_obs, o, outputs=2, power=1, settings=s, seed=seed
+                strategy.state, bob_obs, o, outputs=2, power=1, settings=s, feasibility=feas
             )
             qvals, _ = sym_eig(q, settings=s)
             trace_q = float(tr)

@@ -39,8 +39,6 @@ from .serialize import (
     measurements_from_json,
     read_strategy,
     state_from_json,
-    strategy_to_json_dict,
-    table_from_csv,
     table_to_csv,
     target_from_json,
     write_strategy,
@@ -98,7 +96,9 @@ def _load_json(path: str):
 
 def _parent_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized restarts")
+    p.add_argument(
+        "--seed", type=int, default=0, help="accepted but unused: verdicts are deterministic"
+    )
     p.add_argument("--config", help="JSON file of tolerance overrides")
     p.add_argument("--tol-sym", type=float, dest="tol_sym")
     p.add_argument("--tol-eig", type=float, dest="tol_eig")
@@ -244,16 +244,14 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
     binary = outputs == 2 and not np.iscomplexobj(target_matrix)
     if binary:
         obs = [m.observable() for m in refs]
-        result = posthoc_feasible_binary(
-            state, obs, target_matrix.real, settings=settings, seed=args.seed
-        )
+        result = posthoc_feasible_binary(state, obs, target_matrix.real, settings=settings)
         results = [result]
     else:
         powers = []
         for m in refs:
             powers.extend(generalized_observables(m)[1:])
         results = posthoc_feasible_general(
-            state, powers, target_matrix, outputs, settings=settings, seed=args.seed
+            state, powers, target_matrix, outputs, settings=settings
         )
 
     payload = [r.to_json_dict() for r in results]
@@ -268,7 +266,7 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
                 outputs=outputs,
                 power=r.power,
                 settings=settings,
-                seed=args.seed,
+                feasibility=r,
             )
             lam = float(np.linalg.eigvalsh(q)[0])
             trace_values.append({"power": r.power, "trace_q": tr, "lambda_min_q": lam})
@@ -312,7 +310,6 @@ def _cmd_certify(args, settings: Settings) -> int:
     report = certificate_report(
         strategy,
         settings=settings,
-        seed=args.seed,
         include_table=not args.no_table,
     )
     out = Path(args.out)
@@ -368,9 +365,7 @@ def _cmd_verify_examples(args, settings: Settings) -> int:
                 x + a * state.matrix @ state.matrix, settings=settings
             )
             worst = max(worst, float(np.max(np.abs(closed - direct.matrix))))
-            res = posthoc_feasible_binary(
-                state, [x], closed, settings=settings, seed=args.seed
-            )
+            res = posthoc_feasible_binary(state, [x], closed, settings=settings)
             feasible_all = feasible_all and res.feasible
     check("analytic-family-closed-form", worst < 1e-8, f"max err {worst:.2e}")
     check("analytic-family-feasible", feasible_all)

@@ -167,7 +167,7 @@ def jordan_closure(
     q = orthonormal_rows(np.array([m.ravel() for m in seeds]), tol)
     iterations = 0
     fresh_from = 0
-    while True:
+    while len(q) < d * (d + 1) // 2:
         mats = [0.5 * (row.reshape(d, d) + row.reshape(d, d).T) for row in q]
         n = len(mats)
         products = []

@@ -3,10 +3,12 @@
 Given a Schmidt-diagonal reference state D and reference observables A_x, an
 extra observable O is certified by exhibiting a positive definite P with
 conj(O)^l P inside span{D A_x^j D} for every power l. Ruling such a P in or
-out is a small eigenvalue-optimization problem over the span; this module
-solves it with a projected supergradient ascent, refines feasible instances
-with a log-det barrier to the minimum-trace certificate, and evaluates the
-closed-form robustness bounds that consume those certificates.
+out is a small semidefinite feasibility problem over the span; this module
+decides it deterministically with a phase-I log-det barrier that returns
+either a positive definite witness or a Farkas dual certificate, refines
+feasible instances with the same damped-Newton barrier core to the
+minimum-trace certificate, and evaluates the closed-form robustness bounds
+that consume those certificates.
 """
 
 from __future__ import annotations
@@ -43,11 +45,14 @@ class FeasibilityResult:
     Attributes
     ----------
     verdict:
-        "feasible", "infeasible", or "marginal" (certified minimum eigenvalue
-        within +/- certificate_tol of zero).
+        "feasible", "infeasible", or "marginal" (lambda_min_achieved within
+        +/- certificate_tol of zero).
     lambda_min_achieved:
-        Best minimum eigenvalue over unit-norm coefficient vectors; -inf when
-        no combination satisfies the symmetry constraint at all.
+        Minimum eigenvalue of the symmetric combination at the unit-norm
+        coefficient vector the solver returned (the witness direction when
+        feasible); -inf when no combination satisfies the symmetry constraint
+        at all. With one symmetric direction this is the exact optimum; with
+        more, the barrier stops once the verdict is settled.
     witness:
         For a feasible real check, the span element H with O H symmetric
         positive definite; for a complex check, the Hermitian positive
@@ -59,6 +64,12 @@ class FeasibilityResult:
         The feasibility threshold the verdict was decided against.
     power:
         Which power l of the target the result certifies.
+    certificate:
+        Farkas certificate, present on every infeasible verdict (and on a
+        marginal one when it was found): a symmetric positive semidefinite Z
+        with Tr Z = 1 and Tr(Z G) = 0 for every symmetric combination G of the
+        generators target @ S_k (realified 2d x 2d for the order-L check), so
+        that no such G is positive definite. None when feasible.
     """
 
     verdict: str
@@ -67,6 +78,7 @@ class FeasibilityResult:
     coefficients: np.ndarray | None
     certificate_tol: float
     power: int = 1
+    certificate: np.ndarray | None = None
 
     @property
     def feasible(self) -> bool:
@@ -82,7 +94,12 @@ class FeasibilityResult:
 
 
 # --------------------------------------------------------------------------
-# core solver: max over the unit sphere of lambda_min of a symmetric pencil
+# core solver: is some symmetric combination of the generators positive definite?
+
+# Central-path schedule shared by the phase-I and minimum-trace barriers: mu
+# shrinks by _MU_SHRINK after each centering, down to n * mu = _MU_FLOOR.
+_MU_SHRINK = 0.15
+_MU_FLOOR = 5e-10
 
 
 def _symmetric_coefficient_subspace(gens: Sequence[np.ndarray]) -> np.ndarray:
@@ -100,128 +117,123 @@ def _min_eig_and_vector(m: np.ndarray, settings: Settings) -> tuple[float, np.nd
     return float(vals[-1]), vecs[:, -1]
 
 
-@dataclass
-class _AscentOutcome:
-    value: float
-    point: np.ndarray  # coefficients in the reduced (null-space) coordinates
-    stalled: bool
+def _farkas(z: np.ndarray, mats: np.ndarray, settings: Settings) -> np.ndarray | None:
+    """Project z onto {Z : Tr(Z M_j) = 0 for all j} and scale it to unit trace.
 
-
-def _ascend_min_eig(
-    mats: Sequence[np.ndarray],
-    start: np.ndarray,
-    *,
-    settings: Settings,
-    maxiter: int,
-) -> _AscentOutcome:
-    """Maximize lambda_min(sum_j t_j mats[j]) over the unit sphere from `start`.
-
-    Projected supergradient ascent with Polyak-style level steps: the target
-    level sits `delta` above the incumbent and `delta` halves after each
-    stretch of non-improving steps.
+    Returns None unless the projection is positive definite, i.e. unless it
+    is a certificate that no combination of the M_j is positive definite.
     """
-    t = np.asarray(start, dtype=float)
-    t = t / np.linalg.norm(t)
+    flat = mats.reshape(len(mats), -1)
+    sym = 0.5 * (z + z.T)
+    coef = np.linalg.lstsq(flat.T, sym.ravel(), rcond=None)[0]
+    z = sym - np.tensordot(coef, mats, axes=1)
+    lam, _ = _min_eig_and_vector(z, settings)
+    if lam <= 0.0:
+        return None
+    return z / np.trace(z)
 
-    def value_grad(point: np.ndarray) -> tuple[float, np.ndarray]:
-        m = sum(c * b for c, b in zip(point, mats))
-        val, u = _min_eig_and_vector(m, settings)
-        grad = np.array([float(u @ b @ u) for b in mats])
-        return val, grad
 
-    best_val, _ = value_grad(t)
-    best_t = t.copy()
-    delta = 0.25 * max(1.0, abs(best_val))
-    fails = 0
-    stalled = True
-    for _it in range(maxiter):
-        val, grad = value_grad(t)
-        if val > best_val + 1e-14:
-            best_val, best_t = val, t.copy()
-            fails = 0
-        else:
-            fails += 1
-            if fails >= 10:
-                delta *= 0.5
-                fails = 0
-        if delta < 1e-12:
-            stalled = False  # converged: the level collapsed
+def _best_sign(b: np.ndarray, settings: Settings) -> tuple[float, float, np.ndarray | None]:
+    """The one-direction case: max of lambda_min(+b) and lambda_min(-b).
+
+    Returns (value, sign, certificate). When b is indefinite, the
+    certificate weights its extreme eigenvectors so that Tr(Z b) = 0.
+    """
+    vals, vecs = sym_eig(b, settings=settings)
+    hi, lo = float(vals[0]), float(vals[-1])
+    cert = None
+    if lo < 0.0 < hi:
+        u, w = vecs[:, -1], vecs[:, 0]
+        cert = (hi * np.outer(u, u) - lo * np.outer(w, w)) / (hi - lo)
+    if lo >= -hi:
+        return lo, 1.0, cert
+    return -hi, -1.0, cert
+
+
+def _phase_one(
+    mats: np.ndarray, traces: np.ndarray, settings: Settings
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Phase-I barrier for "is some sum_j t_j mats[j] positive definite?".
+
+    Solves max s subject to M(t) - s I > 0 and Tr M(t) = 1 along the central
+    path of -s - mu log det(M(t) - s I), with t = t0 + V z and V an
+    orthonormal basis of the traces' orthogonal complement. At a central
+    point Y = mu (M(t) - s I)^-1 satisfies Tr Y = 1 and Tr(Y M_j) = nu Tr M_j
+    with nu = s + n mu, so s <= s* <= nu brackets the optimum. The path is
+    followed only until the sign is settled: lambda_min(M(t)) / |t| above
+    feas_tol (witness), nu < 0 (then Y - nu I, projected, is a Farkas
+    certificate), or [s, nu] inside the +/- feas_tol |t| band (marginal).
+    Returns (lambda_min(M(t)) / |t|, t, certificate or None).
+    """
+    tol = settings.feas_tol
+    m, n = mats.shape[0], mats.shape[1]
+    t0 = traces / float(traces @ traces)
+    perp = np.linalg.svd(traces[None, :])[2][1:]  # (m - 1, m)
+    base = np.tensordot(t0, mats, axes=1)
+    stack = np.concatenate([np.tensordot(perp, mats, axes=1), -np.eye(n)[None]])
+    cost = np.zeros(m)
+    cost[-1] = -1.0
+
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+        t = t0 + x[:-1] @ perp
+        lam, _ = _min_eig_and_vector(np.tensordot(t, mats, axes=1), settings)
+        return t, float(np.linalg.norm(t)), lam
+
+    x = np.zeros(m)
+    t, norm, lam = evaluate(x)
+    x[-1] = lam - 1.0  # lambda_min(M(t0) - s I) = 1
+    mu = 1.0 / float(np.trace(np.linalg.inv(base - x[-1] * np.eye(n))))
+    value = lam / norm
+    while value <= tol:
+        x = _centre(x, cost, base, stack, mu)
+        t, norm, lam = evaluate(x)
+        value = lam / norm
+        if value > tol:
             break
-        if best_val > 100.0 * settings.feas_tol and delta < 1e-4:
-            stalled = False  # clearly feasible and polished enough
+        s, nu = float(x[-1]), float(x[-1]) + n * mu
+        if nu < 0.0:
+            slack = base + np.tensordot(x, stack, axes=1)
+            cert = _farkas(mu * np.linalg.inv(slack) - nu * np.eye(n), mats, settings)
+            if cert is not None:
+                return value, t, cert
+        if (s >= -tol * norm and nu <= tol * norm) or n * mu <= _MU_FLOOR:
+            if value < -tol:
+                raise SolverStall(
+                    f"phase-I barrier reached n*mu = {n * mu:.1e} without a "
+                    f"certificate (lambda_min {value:.3e})"
+                )
             break
-        g_tan = grad - np.dot(grad, t) * t
-        gn = float(np.linalg.norm(g_tan))
-        if gn < 1e-14:
-            stalled = False  # stationary on the sphere
-            break
-        step = (best_val + delta - val) / (gn * gn)
-        step = min(max(step, 1e-8), 10.0)
-        t = t + step * g_tan
-        t = t / np.linalg.norm(t)
-    return _AscentOutcome(value=best_val, point=best_t, stalled=stalled)
+        mu *= _MU_SHRINK
+    return value, t, None
 
 
 def _solve_pd_in_span(
-    gens: Sequence[np.ndarray],
-    *,
-    settings: Settings,
-    seed: int,
-    restarts: int,
-    maxiter: int,
-    preferred: Sequence[np.ndarray] = (),
-) -> tuple[float, np.ndarray | None, bool]:
-    """Find unit coefficients t maximizing lambda_min(sum t_k gens[k]).
+    gens: Sequence[np.ndarray], *, settings: Settings
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """Decide whether some symmetric combination of gens is positive definite.
 
     Only symmetric combinations are searched (the asymmetry null space is
-    factored out first). Returns (best value, best coefficient vector in the
-    ORIGINAL generator coordinates or None, stalled flag).
+    factored out first). Returns (lambda_min at the returned unit-norm
+    coefficient vector, that vector in the ORIGINAL generator coordinates or
+    None, Farkas certificate or None).
     """
     null = _symmetric_coefficient_subspace(gens)
     m = null.shape[1]
+    n = gens[0].shape[0]
     if m == 0:
-        return float("-inf"), None, False
-    d = gens[0].shape[0]
-    mats = []
-    for j in range(m):
-        acc = np.zeros((d, d))
-        for k, g in enumerate(gens):
-            if null[k, j] != 0.0:
-                acc += null[k, j] * g
-        mats.append(0.5 * (acc + acc.T))
-
+        return float("-inf"), None, np.eye(n) / n
+    mats = np.einsum("km,kij->mij", null, np.asarray(gens))
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+    traces = np.einsum("jaa->j", mats)
     if m == 1:
-        val_plus, _ = _min_eig_and_vector(mats[0], settings)
-        val_minus, _ = _min_eig_and_vector(-mats[0], settings)
-        if val_plus >= val_minus:
-            return val_plus, null[:, 0].copy(), False
-        return val_minus, -null[:, 0].copy(), False
-
-    starts: list[np.ndarray] = []
-    trace_dir = np.array([np.trace(b) for b in mats])
-    if np.linalg.norm(trace_dir) > 1e-12:
-        starts.append(trace_dir)
-        starts.append(-trace_dir)
-    for p in preferred:
-        reduced = null.T @ np.asarray(p, dtype=float)
-        if np.linalg.norm(reduced) > 1e-12:
-            starts.append(reduced)
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        starts.append(rng.standard_normal(m))
-
-    best = _AscentOutcome(value=float("-inf"), point=np.zeros(m), stalled=False)
-    any_stall = False
-    for s0 in starts:
-        out = _ascend_min_eig(mats, s0, settings=settings, maxiter=maxiter)
-        any_stall = any_stall or out.stalled
-        if out.value > best.value:
-            best = out
-        if best.value > 100.0 * settings.feas_tol:
-            break  # certified with clear margin; no need for more restarts
-    coeffs = null @ best.point
-    undecided = any_stall and abs(best.value) <= 10.0 * settings.feas_tol
-    return best.value, coeffs, undecided
+        value, sign, cert = _best_sign(mats[0], settings)
+        return value, sign * null[:, 0], cert
+    if float(np.linalg.norm(traces)) <= 1e-12 * max(1.0, float(np.max(np.abs(mats)))):
+        # every combination is traceless, so none is positive definite
+        value, sign, _ = _best_sign(mats[0], settings)
+        return value, sign * null[:, 0], _farkas(np.eye(n) / n, mats, settings)
+    value, t, cert = _phase_one(mats, traces, settings)
+    return value, null @ (t / np.linalg.norm(t)), cert
 
 
 def _verdict(value: float, tol: float) -> str:
@@ -252,19 +264,17 @@ def posthoc_feasible_binary(
     target: np.ndarray,
     *,
     settings: Settings | None = None,
-    seed: int = 0,
-    restarts: int = 8,
-    maxiter: int = 600,
 ) -> FeasibilityResult:
     """Decide whether a binary observable passes the post-hoc criterion.
 
     Searches span{D^2, D A_x D} for an element H with target @ H symmetric
     positive definite; existence is equivalent to the target being the matrix
     sign of some span element, i.e. to the reference strategy certifying it.
+    An infeasible verdict carries a Farkas certificate.
 
-    Raises SolverStall when the ascent exhausts its budget inside the marginal
-    band while still improving - an honest "could not decide", never silently
-    converted into a verdict.
+    Raises SolverStall when the barrier cannot settle the verdict (its Newton
+    loop fails) - an honest "could not decide", never silently converted
+    into a verdict.
     """
     s = settings or DEFAULTS
     o = require_binary_observable(target, s.eig_tol)
@@ -274,34 +284,17 @@ def posthoc_feasible_binary(
         raise DimMismatch("observable dimension does not match the state")
     span = _span_generators_real(state, refs)
     gens = [o @ sp for sp in span]
-    # prefer the D^2 direction: for honest targets O = sgn(H) the witness
-    # often sits close to the state's own density direction
-    preferred = [np.eye(len(span))[0]]
-    value, coeffs, stalled = _solve_pd_in_span(
-        gens,
-        settings=s,
-        seed=seed,
-        restarts=restarts,
-        maxiter=maxiter,
-        preferred=preferred,
-    )
-    if stalled:
-        raise SolverStall(
-            f"feasibility ascent undecided after {maxiter} iterations "
-            f"(best lambda_min {value:.3e})"
-        )
+    value, coeffs, certificate = _solve_pd_in_span(gens, settings=s)
     verdict = _verdict(value, s.feas_tol)
-    witness = None
-    if coeffs is not None and verdict != "infeasible":
-        witness = sum(c * sp for c, sp in zip(coeffs, span))
-        witness = np.asarray(witness)
+    feasible = verdict == "feasible"
     return FeasibilityResult(
         verdict=verdict,
         lambda_min_achieved=value,
-        witness=witness if verdict == "feasible" else None,
-        coefficients=coeffs if verdict == "feasible" else None,
+        witness=np.asarray(sum(c * sp for c, sp in zip(coeffs, span))) if feasible else None,
+        coefficients=coeffs if feasible else None,
         certificate_tol=s.feas_tol,
         power=1,
+        certificate=None if feasible else certificate,
     )
 
 
@@ -310,29 +303,15 @@ def sign_reachable(
     target: np.ndarray,
     *,
     settings: Settings | None = None,
-    seed: int = 0,
 ) -> bool:
     """Whether target = sgn(H) for some H in the span.
 
     Searches the span for an element H with target @ H symmetric positive
-    definite, starting from the projection of the target itself. Raises
-    SolverStall when the ascent cannot decide inside the marginal band.
+    definite; a marginal answer counts as not reachable. Raises SolverStall
+    when the barrier cannot settle the answer.
     """
     s = settings or DEFAULTS
-    gens = [target @ b for b in span.basis]
-    preferred = [span.rows() @ target.ravel()]
-    value, _, stalled = _solve_pd_in_span(
-        gens,
-        settings=s,
-        seed=seed,
-        restarts=8,
-        maxiter=600,
-        preferred=preferred,
-    )
-    if stalled:
-        raise SolverStall(
-            f"reachability check undecided (best lambda_min {value:.3e})"
-        )
+    value, _, _ = _solve_pd_in_span([target @ b for b in span.basis], settings=s)
     return value > s.feas_tol
 
 
@@ -369,9 +348,6 @@ def posthoc_feasible_general(
     outputs: int,
     *,
     settings: Settings | None = None,
-    seed: int = 0,
-    restarts: int = 8,
-    maxiter: int = 600,
 ) -> list[FeasibilityResult]:
     """Run the order-L criterion: one feasibility check per power l = 1..L-1.
 
@@ -384,12 +360,12 @@ def posthoc_feasible_general(
 
     The search realifies the complex problem ([[Re,-Im],[Im,Re]] embedding),
     which turns Hermitian positive definite into symmetric positive definite
-    and lets one real solver core serve every case.
+    and lets one real solver core serve every case; Farkas certificates are
+    therefore realified 2d x 2d matrices.
     """
     s = settings or DEFAULTS
     u = _require_order(target, outputs, s.eig_tol)
     span = _span_generators_complex(state, alice_powers)
-    n = len(span)
     results: list[FeasibilityResult] = []
     w = np.eye(u.shape[0], dtype=complex)
     ubar = u.conj()
@@ -402,24 +378,11 @@ def posthoc_feasible_general(
             base = wh @ sp
             gens.append(realify(base))
             gens.append(realify(1j * base))
-        preferred = [np.eye(2 * n)[0]]
-        value, coeffs, stalled = _solve_pd_in_span(
-            gens,
-            settings=s,
-            seed=seed,
-            restarts=restarts,
-            maxiter=maxiter,
-            preferred=preferred,
-        )
-        if stalled:
-            raise SolverStall(
-                f"feasibility ascent undecided at power {power} "
-                f"(best lambda_min {value:.3e})"
-            )
+        value, coeffs, certificate = _solve_pd_in_span(gens, settings=s)
         verdict = _verdict(value, s.feas_tol)
         witness = None
         complex_coeffs = None
-        if coeffs is not None and verdict == "feasible":
+        if verdict == "feasible":
             complex_coeffs = coeffs[0::2] + 1j * coeffs[1::2]
             p_real = sum(c * g for c, g in zip(coeffs, gens))
             witness = derealify(np.asarray(p_real))
@@ -431,6 +394,7 @@ def posthoc_feasible_general(
                 coefficients=complex_coeffs,
                 certificate_tol=s.feas_tol,
                 power=power,
+                certificate=None if verdict == "feasible" else certificate,
             )
         )
     return results
@@ -474,13 +438,17 @@ def min_trace_Q(
     power: int = 1,
     *,
     settings: Settings | None = None,
-    seed: int = 0,
+    feasibility: FeasibilityResult | None = None,
 ) -> tuple[float, np.ndarray]:
     """Minimum-trace normalized certificate for one power of the criterion.
 
     Solves min Tr Q over Hermitian Q >= I subject to conj(target)^power D Q D
     lying in span{D^2, D A D}; Q = D^{-1} P D^{-1} rescales the feasibility
     witness so the robustness bound can consume Tr Q and lambda_min(Q) = 1.
+
+    ``feasibility`` is the caller's result of the criterion at this power
+    (from posthoc_feasible_binary for a real binary target, else from
+    posthoc_feasible_general); it is computed here when not given.
 
     Raises Infeasible when the underlying criterion fails, and SolverStall if
     the barrier Newton iteration cannot make progress. The path-following is
@@ -498,36 +466,38 @@ def min_trace_Q(
     )
 
     # 1) feasibility and a strictly positive witness
-    if is_real:
-        feas = posthoc_feasible_binary(
-            state, list(alice_powers), target, settings=s, seed=seed
+    if feasibility is None:
+        if is_real:
+            feasibility = posthoc_feasible_binary(
+                state, list(alice_powers), target, settings=s
+            )
+        else:
+            feasibility = posthoc_feasible_general(
+                state, alice_powers, target, outputs, settings=s
+            )[power - 1]
+    elif feasibility.power != power:
+        raise BadParams(
+            f"feasibility result is for power {feasibility.power}, not {power}"
         )
-        witness_p = None
-        if feas.feasible:
-            o = require_binary_observable(target, s.eig_tol)
-            witness_p = o @ feas.witness
-            witness_p = 0.5 * (witness_p + witness_p.T)
-        results = [feas]
-        w_l = require_binary_observable(target, s.eig_tol).astype(complex)
+    if not feasibility.feasible:
+        raise Infeasible(
+            f"criterion infeasible at power {power}: "
+            f"lambda_min {feasibility.lambda_min_achieved:.3e} "
+            f"(verdict {feasibility.verdict})"
+        )
+    if is_real:
+        o = require_binary_observable(target, s.eig_tol)
+        witness_p = o @ feasibility.witness
+        witness_p = 0.5 * (witness_p + witness_p.T)
+        w_l = o.astype(complex)
         span = [m.astype(complex) for m in _span_generators_real(
             state, [require_binary_observable(a, s.eig_tol) for a in alice_powers]
         )]
     else:
-        all_results = posthoc_feasible_general(
-            state, alice_powers, target, outputs, settings=s, seed=seed
-        )
-        results = [r for r in all_results if r.power == power]
-        witness_p = results[0].witness
+        witness_p = feasibility.witness
         u = _require_order(target, outputs, s.eig_tol)
         w_l = np.linalg.matrix_power(u.conj(), power)
         span = _span_generators_complex(state, alice_powers)
-    result = results[0]
-    if not result.feasible:
-        raise Infeasible(
-            f"criterion infeasible at power {power}: "
-            f"lambda_min {result.lambda_min_achieved:.3e} "
-            f"(verdict {result.verdict})"
-        )
 
     # 2) affine subspace {Q Hermitian : W D Q D in span}
     span_rows = []
@@ -590,49 +560,14 @@ def min_trace_Q(
         raise SolverStall("witness lost positivity during reparametrization")
     c = np.asarray(c0, dtype=float) * (2.0 / lam0)  # lambda_min(M(c)) = 2 > 1
 
-    def is_interior(mat: np.ndarray) -> bool:
-        try:
-            np.linalg.cholesky(mat - np.eye(mat.shape[0]))
-            return True
-        except np.linalg.LinAlgError:
-            return False
-
+    # central path of Tr Q - mu log det(Q - I)
+    minus_eye = -np.eye(stack.shape[1])
     mu = max(1.0, float(traces @ c) / nu)
-    mu_floor = 5e-10
     while True:
-        for _newton in range(80):
-            m_cur = assemble(c)
-            k = np.linalg.inv(m_cur - np.eye(m_cur.shape[0]))
-            g_bar, h_bar = barrier_derivatives(k, stack)
-            grad = traces + mu * g_bar
-            hess = 0.5 * mu * (h_bar + h_bar.T) + 1e-13 * np.eye(m_dim)
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError as exc:
-                raise SolverStall("barrier Newton system is singular") from exc
-            decrement = float(-grad @ step)
-            if decrement <= 2e-11:
-                break
-            alpha = 1.0
-            f_cur = float(traces @ c) - mu * _logdet_shifted(m_cur)
-            moved = False
-            while alpha > 1e-14:
-                trial = c + alpha * step
-                m_trial = assemble(trial)
-                if is_interior(m_trial):
-                    f_trial = float(traces @ trial) - mu * _logdet_shifted(m_trial)
-                    if f_trial <= f_cur - 1e-4 * alpha * decrement:
-                        c = trial
-                        moved = True
-                        break
-                alpha *= 0.5
-            if not moved:
-                break
-        else:
-            raise SolverStall("barrier Newton loop did not converge")
-        if mu * nu <= mu_floor:
+        c = _centre(c, traces, minus_eye, stack, mu)
+        if mu * nu <= _MU_FLOOR:
             break
-        mu *= 0.15
+        mu *= _MU_SHRINK
     q_final = assemble(c)
     objective = float(weight * np.trace(q_final))
     if is_real:
@@ -644,19 +579,59 @@ def min_trace_Q(
 
 
 def barrier_derivatives(k: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of -log det(sum_i c_i B_i - I) with respect to c.
+    """Gradient and Hessian of -log det(S0 + sum_i c_i B_i) with respect to c.
 
-    ``k`` is (M - I)^-1 at the current point and ``mats`` stacks the
-    symmetric directions B_i, shape (m, n, n). Returns (g, H) with
+    ``k`` is the inverse of that slack at the current point and ``mats``
+    stacks the symmetric directions B_i, shape (m, n, n). Returns (g, H) with
     g_i = -Tr(K B_i) and H_ij = Tr(K B_i K B_j), both from one stacked K B_i.
     """
     km = k @ mats
     return -np.einsum("iaa->i", km), np.einsum("iab,jba->ij", km, km)
 
 
-def _logdet_shifted(m: np.ndarray) -> float:
-    """log det(M - I) via Cholesky; assumes M - I is positive definite."""
-    chol = np.linalg.cholesky(m - np.eye(m.shape[0]))
+def _centre(
+    x: np.ndarray, cost: np.ndarray, base: np.ndarray, stack: np.ndarray, mu: float
+) -> np.ndarray:
+    """Minimize cost @ x - mu log det S(x), S(x) = base + sum_i x_i stack[i].
+
+    Damped Newton from a strictly feasible x; the backtracking line search
+    keeps S(x) positive definite. Raises SolverStall when the loop does not
+    converge.
+    """
+    for _newton in range(80):
+        slack = base + np.tensordot(x, stack, axes=1)
+        g_bar, h_bar = barrier_derivatives(np.linalg.inv(slack), stack)
+        grad = cost + mu * g_bar
+        hess = 0.5 * mu * (h_bar + h_bar.T) + 1e-13 * np.eye(x.size)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError as exc:
+            raise SolverStall("barrier Newton system is singular") from exc
+        decrement = float(-grad @ step)
+        if decrement <= 2e-11:
+            return x
+        f_cur = float(cost @ x) - mu * _logdet(slack)
+        alpha = 1.0
+        while alpha > 1e-14:
+            trial = x + alpha * step
+            logdet = _logdet(base + np.tensordot(trial, stack, axes=1))
+            if logdet is not None and (
+                float(cost @ trial) - mu * logdet <= f_cur - 1e-4 * alpha * decrement
+            ):
+                x = trial
+                break
+            alpha *= 0.5
+        else:
+            return x
+    raise SolverStall("barrier Newton loop did not converge")
+
+
+def _logdet(m: np.ndarray) -> float | None:
+    """log det M via Cholesky; None when M is not positive definite."""
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 

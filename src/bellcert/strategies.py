@@ -9,11 +9,11 @@ matrix of Schmidt coefficients, which is how everything here is computed.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, Settings
+from .config import DEFAULTS
 from .errors import (
     BadParams,
     DimMismatch,

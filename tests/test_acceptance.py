@@ -151,7 +151,7 @@ def test_criterion_05_pair_targets_feasible_with_witnesses():
         span_mats = [dd] + [state.matrix @ a @ state.matrix for a in refs]
         basis = span_basis(span_mats)
         for (j, k), target in sorted(pair_observables(d).items()):
-            result = posthoc_feasible_binary(state, refs, target, seed=5)
+            result = posthoc_feasible_binary(state, refs, target)
             assert result.verdict == "feasible", (d, j, k)
 
             w = result.witness
@@ -168,7 +168,7 @@ def test_criterion_05_pair_targets_feasible_with_witnesses():
 def test_criterion_06_infeasible_instance_and_analytic_family():
     gamma_star = np.arctan(1.0 / np.sqrt(2.0))
     state = SchmidtState(np.array([np.cos(gamma_star), np.sin(gamma_star)]))
-    result = posthoc_feasible_binary(state, [X], HADAMARD_DIR, seed=6)
+    result = posthoc_feasible_binary(state, [X], HADAMARD_DIR)
     assert result.verdict == "infeasible"
 
     for gamma in (0.15, 0.4, gamma_star, 0.7, 0.98 * np.pi / 4):
@@ -179,7 +179,7 @@ def test_criterion_06_infeasible_instance_and_analytic_family():
             closed = analytic_family_2d(gamma, a)
             direct = sgn_map(X + a * st.matrix @ st.matrix)
             assert np.max(np.abs(closed - direct.matrix)) < 1e-8
-            res = posthoc_feasible_binary(st, [X], closed, seed=6)
+            res = posthoc_feasible_binary(st, [X], closed)
             assert res.verdict == "feasible", (gamma, frac)
 
 
@@ -293,7 +293,7 @@ def test_criterion_09_oracle_equivalence():
         state, refs, target, span_mats, gens = _random_feasibility_instance(
             rng, d, n_refs
         )
-        result = posthoc_feasible_binary(state, refs, target, seed=trial)
+        result = posthoc_feasible_binary(state, refs, target)
         oracle, exact = _oracle_max_min_eig(gens, rng)
 
         if result.verdict == "feasible":
@@ -414,6 +414,6 @@ def test_criterion_11_pipeline_counts_and_min_trace():
 
         state = SchmidtState(np.full(d, 1.0 / np.sqrt(d)))
         refs = simplex_observables(d)
-        trace, q = min_trace_Q(state, refs, refs[0], seed=11)
+        trace, q = min_trace_Q(state, refs, refs[0])
         assert abs(trace - d) <= 1e-5
         assert np.linalg.eigvalsh(q)[0] >= 1.0 - 1e-6

@@ -86,7 +86,7 @@ class TestMeasurementStrategyBuilder:
 def report():
     target = simplex_observables(3)[2]
     strat = binary_certification_strategy(target)
-    return certificate_report(strat, seed=3)
+    return certificate_report(strat)
 
 
 class TestCertificateReport:

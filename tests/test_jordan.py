@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bellcert import jordan as jordan_module
 from bellcert.errors import DimMismatch, EmptyInput
 from bellcert.jordan import (
     SpanBasis,
@@ -104,6 +105,26 @@ class TestJordanClosure:
             basis, iterations = jordan_closure(simplex_observables(d))
             assert basis.dimension == d * (d + 1) // 2
             assert iterations <= int(np.ceil(2.0 * np.log2(d)))
+
+    def test_spanning_family_runs_no_sweep_past_full_dimension(self, monkeypatch):
+        # a sweep runs only while the span is short of d(d+1)/2: seeds that
+        # already span need none, and a spanning family needs exactly one
+        # sweep per growth step, with no final sweep that finds nothing
+        sweeps = []
+        extend = jordan_module.extend_orthonormal_rows
+
+        def counting(q, rows, tol):
+            sweeps.append(len(rows))
+            return extend(q, rows, tol)
+
+        monkeypatch.setattr(jordan_module, "extend_orthonormal_rows", counting)
+        _, iterations = jordan_closure([X, Z])
+        assert (iterations, len(sweeps)) == (0, 0)
+        for d in (3, 4, 5):
+            sweeps.clear()
+            basis, iterations = jordan_closure(simplex_observables(d))
+            assert basis.dimension == d * (d + 1) // 2
+            assert len(sweeps) == iterations
 
     def test_closure_contains_generators_and_identity(self, rng):
         gens = [random_reflection(rng, 4) for _ in range(2)]

@@ -13,6 +13,7 @@ Expected values come from hand derivations frozen as literals:
 import numpy as np
 import pytest
 
+from bellcert import posthoc as posthoc_module
 from bellcert.config import DEFAULTS
 from bellcert.errors import (
     BadParams,
@@ -23,7 +24,7 @@ from bellcert.errors import (
     TrivialRegion,
 )
 from bellcert.jordan import contains, span_basis
-from bellcert.linalg import sgn_map
+from bellcert.linalg import realify, sgn_map
 from bellcert.posthoc import (
     RobustnessParams,
     analytic_family_2d,
@@ -36,7 +37,7 @@ from bellcert.posthoc import (
     sign_reachable,
     vector_recovery_bound,
 )
-from bellcert.simplex import simplex_observables
+from bellcert.simplex import degenerate_pair_3d, pair_observables, simplex_observables
 from bellcert.strategies import (
     ProjectiveMeasurement,
     SchmidtState,
@@ -50,6 +51,7 @@ from helpers import (
     barrier_hessian_loop,
     random_symmetric,
     random_projective_measurement,
+    random_reflection,
     random_schmidt_coeffs,
 )
 
@@ -133,6 +135,143 @@ class TestBinaryFeasibility:
             result = posthoc_feasible_binary(st, [X], target)
             assert result.feasible == (oracle > DEFAULTS.feas_tol)
             assert result.lambda_min_achieved == pytest.approx(oracle, abs=1e-9)
+
+    def test_sign_of_a_span_element_is_feasible_at_skewed_schmidt_spectra(self, rng):
+        # target = sgn(H) for H = sum_k c_k S_k in span{D^2, D A D}: O H = |H|,
+        # so the unit coefficient vector c / |c| has lambda_min at least
+        # min|eig H| / |c|; whenever that exceeds feas_tol the verdict must
+        # be "feasible", and no instance may be called infeasible
+        for kappa in (1.0, 1e2, 1e3):
+            proven = 0
+            for d in (3, 4, 5):
+                for _ in range(10):
+                    coeffs = kappa ** (-np.arange(d) / (d - 1))
+                    state = SchmidtState(coeffs / np.linalg.norm(coeffs))
+                    refs = [random_reflection(rng, d) for _ in range(d)]
+                    dm = state.matrix
+                    span = [dm @ dm] + [dm @ a @ dm for a in refs]
+                    c = rng.standard_normal(d + 1)
+                    vals, vecs = np.linalg.eigh(np.einsum("k,kij->ij", c, span))
+                    target = (vecs * np.sign(vals)) @ vecs.T
+                    result = posthoc_feasible_binary(state, refs, target)
+                    assert result.verdict != "infeasible", (kappa, d)
+                    if np.min(np.abs(vals)) / np.linalg.norm(c) > DEFAULTS.feas_tol:
+                        assert result.verdict == "feasible", (kappa, d)
+                        proven += 1
+            assert proven >= 27, kappa
+
+    def test_repeated_calls_are_bit_identical(self):
+        state, refs, first, _ = degenerate_pair_3d()
+        gamma = 0.45
+        st = SchmidtState(np.array([np.cos(gamma), np.sin(gamma)]))
+        for args in (
+            (state, refs, first),
+            (ME3, simplex_observables(3), pair_observables(3)[(0, 1)]),
+            (st, [X], analytic_family_2d(gamma, 0.8)),
+        ):
+            a = posthoc_feasible_binary(*args)
+            b = posthoc_feasible_binary(*args)
+            assert a.verdict == b.verdict
+            assert a.lambda_min_achieved == b.lambda_min_achieved
+            for x, y in (
+                (a.witness, b.witness),
+                (a.coefficients, b.coefficients),
+                (a.certificate, b.certificate),
+            ):
+                assert (x is None and y is None) or np.array_equal(x, y)
+
+
+def _symmetric_directions(gens) -> np.ndarray:
+    """Directions M_j spanning the symmetric combinations of gens, by SVD."""
+    asym = np.stack([(g - g.T).ravel() for g in gens], axis=1)
+    _, sv, vt = np.linalg.svd(asym)
+    rank = int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
+    dirs = np.einsum("km,kij->mij", vt[rank:].T, np.array(gens))
+    return 0.5 * (dirs + dirs.transpose(0, 2, 1))
+
+
+def assert_farkas_certificate(z, gens) -> None:
+    """Z >= 0, Tr Z = 1 and Tr(Z M_j) = 0: no symmetric combination is PD."""
+    dirs = _symmetric_directions(gens)
+    assert z is not None
+    assert np.max(np.abs(z - z.T)) <= 1e-15
+    assert np.linalg.eigvalsh(z)[0] >= -1e-12
+    assert abs(np.trace(z) - 1.0) <= 1e-12
+    if len(dirs):
+        pairing = np.einsum("ij,mij->m", z, dirs)
+        assert np.max(np.abs(pairing)) <= 1e-9 * np.max(np.abs(dirs))
+
+
+def _binary_generators(state, refs, target):
+    dm = state.matrix
+    return [target @ s for s in [dm @ dm] + [dm @ a @ dm for a in refs]]
+
+
+class TestFarkasCertificate:
+    def test_hadamard_direction(self):
+        result = posthoc_feasible_binary(ME2, [X], HADAMARD_DIR)
+        assert result.verdict == "infeasible"
+        assert_farkas_certificate(
+            result.certificate, _binary_generators(ME2, [X], HADAMARD_DIR)
+        )
+
+    def test_degenerate_pair_against_its_initial_span(self):
+        # the maximally entangled span {D^2, D A D} is the initial span
+        # {I, A} of the iterative plan, from which the target is unreachable
+        state, refs, first, _ = degenerate_pair_3d()
+        result = posthoc_feasible_binary(state, refs, first)
+        assert result.verdict == "infeasible"
+        gens = _binary_generators(state, refs, first)
+        assert len(_symmetric_directions(gens)) >= 2
+        assert_farkas_certificate(result.certificate, gens)
+
+    def test_traceless_family_gets_the_normalized_identity(self):
+        o = np.diag([1.0, 1.0, -1.0, -1.0])
+        r = np.diag([1.0, -1.0, 1.0, -1.0])
+        me4 = SchmidtState.maximally_entangled(4)
+        result = posthoc_feasible_binary(me4, [r], o)
+        assert result.verdict == "infeasible"
+        assert_farkas_certificate(result.certificate, _binary_generators(me4, [r], o))
+        assert np.max(np.abs(result.certificate - np.eye(4) / 4)) <= 1e-15
+
+    def test_random_instances(self):
+        # acceptance-09-style draws: random states, references and reflection
+        # targets; every infeasible verdict must carry a valid certificate
+        rng = np.random.default_rng(909)
+        infeasible = several_directions = 0
+        for trial in range(150):
+            d = 2 + trial % 3
+            state = SchmidtState(random_schmidt_coeffs(rng, d))
+            refs = [random_reflection(rng, d) for _ in range(1 + trial % d)]
+            target = random_reflection(rng, d)
+            result = posthoc_feasible_binary(state, refs, target)
+            if result.verdict == "infeasible":
+                gens = _binary_generators(state, refs, target)
+                assert_farkas_certificate(result.certificate, gens)
+                infeasible += 1
+                several_directions += len(_symmetric_directions(gens)) >= 2
+        assert infeasible >= 20
+        assert several_directions >= 5
+
+    def test_order_three_certificate_in_the_realified_frame(self, rng):
+        a = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 3, 3)))
+        b = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 3, 3)))
+        powers = generalized_observables(a)[1:]
+        target = generalized_observables(b)[1]
+        results = posthoc_feasible_general(ME3, powers, target, 3)
+        dm = ME3.matrix.astype(complex)
+        span = [dm @ dm] + [dm @ p @ dm for p in powers]
+        checked = 0
+        for r in results:
+            if r.verdict != "infeasible":
+                continue
+            wh = np.linalg.matrix_power(target.conj(), r.power).conj().T
+            gens = []
+            for s in span:
+                gens += [realify(wh @ s), realify(1j * wh @ s)]
+            assert_farkas_certificate(r.certificate, gens)
+            checked += 1
+        assert checked >= 1
 
 
 class TestAnalyticFamily:
@@ -313,6 +452,27 @@ class TestMinTraceCertificate:
     def test_infeasible_raises(self):
         with pytest.raises(Infeasible):
             min_trace_Q(ME2, [X], HADAMARD_DIR)
+
+    def test_reuses_the_callers_feasibility_result(self, monkeypatch):
+        st = SchmidtState(np.array([np.cos(0.5), np.sin(0.5)]))
+        feas = posthoc_feasible_binary(st, [X], X)
+        expected = min_trace_Q(st, [X], X)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("feasibility solved again")
+
+        monkeypatch.setattr(posthoc_module, "posthoc_feasible_binary", unexpected)
+        tr, q = min_trace_Q(st, [X], X, feasibility=feas)
+        assert tr == expected[0]
+        assert np.array_equal(q, expected[1])
+        with pytest.raises(Infeasible):
+            min_trace_Q(
+                ME2, [X], HADAMARD_DIR, feasibility=posthoc_feasible_general(
+                    ME2, [X.astype(complex)], HADAMARD_DIR.astype(complex), 2
+                )[0],
+            )
+        with pytest.raises(BadParams):
+            min_trace_Q(ME3, [X], X, outputs=3, power=2, feasibility=feas)
 
     def test_power_validation(self):
         with pytest.raises(BadParams):
