@@ -405,7 +405,7 @@ def certificate_report(
         lambda_min_q = None
         if feas.feasible:
             tr, q = min_trace_Q(
-                strategy.state, bob_obs, o, outputs=2, power=1, settings=s, feasibility=feas
+                strategy.state, bob_obs, o, outputs=2, power=1, settings=s
             )
             qvals, _ = sym_eig(q, settings=s)
             trace_q = float(tr)

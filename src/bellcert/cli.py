@@ -96,9 +96,6 @@ def _load_json(path: str):
 
 def _parent_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--seed", type=int, default=0, help="accepted but unused: verdicts are deterministic"
-    )
     p.add_argument("--config", help="JSON file of tolerance overrides")
     p.add_argument("--tol-sym", type=float, dest="tol_sym")
     p.add_argument("--tol-eig", type=float, dest="tol_eig")
@@ -266,7 +263,6 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
                 outputs=outputs,
                 power=r.power,
                 settings=settings,
-                feasibility=r,
             )
             lam = float(np.linalg.eigvalsh(q)[0])
             trace_values.append({"power": r.power, "trace_q": tr, "lambda_min_q": lam})

@@ -112,9 +112,8 @@ def _symmetric_coefficient_subspace(gens: Sequence[np.ndarray]) -> np.ndarray:
     return vt[rank:].T  # (n, n - rank)
 
 
-def _min_eig_and_vector(m: np.ndarray, settings: Settings) -> tuple[float, np.ndarray]:
-    vals, vecs = sym_eig(m, settings=settings)
-    return float(vals[-1]), vecs[:, -1]
+def _lambda_min(m: np.ndarray, settings: Settings) -> float:
+    return float(sym_eig(m, settings=settings)[0][-1])
 
 
 def _farkas(z: np.ndarray, mats: np.ndarray, settings: Settings) -> np.ndarray | None:
@@ -127,8 +126,7 @@ def _farkas(z: np.ndarray, mats: np.ndarray, settings: Settings) -> np.ndarray |
     sym = 0.5 * (z + z.T)
     coef = np.linalg.lstsq(flat.T, sym.ravel(), rcond=None)[0]
     z = sym - np.tensordot(coef, mats, axes=1)
-    lam, _ = _min_eig_and_vector(z, settings)
-    if lam <= 0.0:
+    if _lambda_min(z, settings) <= 0.0:
         return None
     return z / np.trace(z)
 
@@ -151,60 +149,106 @@ def _best_sign(b: np.ndarray, settings: Settings) -> tuple[float, float, np.ndar
 
 
 def _phase_one(
-    mats: np.ndarray, traces: np.ndarray, settings: Settings
+    mats: np.ndarray, settings: Settings
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Phase-I barrier for "is some sum_j t_j mats[j] positive definite?".
 
-    Solves max s subject to M(t) - s I > 0 and Tr M(t) = 1 along the central
-    path of -s - mu log det(M(t) - s I), with t = t0 + V z and V an
-    orthonormal basis of the traces' orthogonal complement. At a central
-    point Y = mu (M(t) - s I)^-1 satisfies Tr Y = 1 and Tr(Y M_j) = nu Tr M_j
-    with nu = s + n mu, so s <= s* <= nu brackets the optimum. The path is
-    followed only until the sign is settled: lambda_min(M(t)) / |t| above
-    feas_tol (witness), nu < 0 (then Y - nu I, projected, is a Farkas
-    certificate), or [s, nu] inside the +/- feas_tol |t| band (marginal).
-    Returns (lambda_min(M(t)) / |t|, t, certificate or None).
+    Runs over a Frobenius-orthonormal basis B of the span, mats =
+    U diag(sigma) B, so bounded matrices have bounded coordinates u; a point
+    is reported by its least-norm coefficients t = U (u / sigma). Follows the
+    central path of max s s.t. M(u) - s I > 0, Tr M(u) = 1, with u = u0 + V z
+    and V spanning the traces' orthogonal complement; there nu = s + n mu
+    bounds the optimum s* from above. Stops on lambda_min(M) / |t| > feas_tol
+    (witness), on nu < 0 (Y - nu I with Y = mu (M - s I)^-1, projected, is a
+    Farkas certificate), or on s >= -feas_tol |t| and nu |tau| <= feas_tol
+    (marginal: with tau_j = Tr mats[j], no unit t beats s* |tau|). Once
+    s > 0, or at the mu floor, _unit_ball_margin settles the margin.
+    Returns (lambda_min(M) / |t|, t, certificate or None).
     """
     tol = settings.feas_tol
-    m, n = mats.shape[0], mats.shape[1]
-    t0 = traces / float(traces @ traces)
-    perp = np.linalg.svd(traces[None, :])[2][1:]  # (m - 1, m)
-    base = np.tensordot(t0, mats, axes=1)
-    stack = np.concatenate([np.tensordot(perp, mats, axes=1), -np.eye(n)[None]])
-    cost = np.zeros(m)
-    cost[-1] = -1.0
+    n = mats.shape[1]
+    u_svd, sig, vt = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
+    keep = sig > 1e-12 * sig[0]
+    u_svd, sig = u_svd[:, keep], sig[keep]
+    basis = vt[keep].reshape(-1, n, n)
+    basis = 0.5 * (basis + basis.transpose(0, 2, 1))
+    traces = np.einsum("kaa->k", basis)
+    tau = float(np.linalg.norm(sig * traces))
+    r = len(sig)
+    u0 = traces / float(traces @ traces)
+    perp = np.linalg.svd(traces[None, :])[2][1:]  # (r - 1, r)
+    base = np.tensordot(u0, basis, axes=1)
+    stack = np.concatenate([np.tensordot(perp, basis, axes=1), -np.eye(n)[None]])
+    cost = -np.eye(r)[-1]
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, float, float]:
-        t = t0 + x[:-1] @ perp
-        lam, _ = _min_eig_and_vector(np.tensordot(t, mats, axes=1), settings)
-        return t, float(np.linalg.norm(t)), lam
+        u = u0 + x[:-1] @ perp
+        lam = _lambda_min(np.tensordot(u, basis, axes=1), settings)
+        return u / sig, float(np.linalg.norm(u / sig)), lam
 
-    x = np.zeros(m)
-    t, norm, lam = evaluate(x)
-    x[-1] = lam - 1.0  # lambda_min(M(t0) - s I) = 1
+    x = np.zeros(r)
+    w, norm, lam = evaluate(x)
+    x[-1] = lam - 1.0  # lambda_min(M(u0) - s I) = 1
     mu = 1.0 / float(np.trace(np.linalg.inv(base - x[-1] * np.eye(n))))
     value = lam / norm
     while value <= tol:
         x = _centre(x, cost, base, stack, mu)
-        t, norm, lam = evaluate(x)
+        w, norm, lam = evaluate(x)
         value = lam / norm
         if value > tol:
             break
         s, nu = float(x[-1]), float(x[-1]) + n * mu
         if nu < 0.0:
             slack = base + np.tensordot(x, stack, axes=1)
-            cert = _farkas(mu * np.linalg.inv(slack) - nu * np.eye(n), mats, settings)
+            cert = _farkas(mu * np.linalg.inv(slack) - nu * np.eye(n), basis, settings)
             if cert is not None:
-                return value, t, cert
-        if (s >= -tol * norm and nu <= tol * norm) or n * mu <= _MU_FLOOR:
-            if value < -tol:
+                return value, u_svd @ w, cert
+        if s >= -tol * norm and nu * tau <= tol:
+            break
+        if s > 0.0 or n * mu <= _MU_FLOOR:
+            found = _unit_ball_margin(sig[:, None, None] * basis, w / norm, settings)
+            if found is not None:
+                value, w = found
+            elif value < -tol:
                 raise SolverStall(
                     f"phase-I barrier reached n*mu = {n * mu:.1e} without a "
                     f"certificate (lambda_min {value:.3e})"
                 )
             break
         mu *= _MU_SHRINK
-    return value, t, None
+    return value, u_svd @ w, None
+
+
+def _unit_ball_margin(
+    mats: np.ndarray, direction: np.ndarray, settings: Settings
+) -> tuple[float, np.ndarray] | None:
+    """Some |t| <= 1 with lambda_min(M(t)) / |t| > feas_tol, or None if none.
+
+    Central path of max s s.t. blockdiag(M(t) - s I, [[I, t], [t^T, 1]]) > 0
+    (the second block is |t| < 1) from t = direction / 2; with N the total
+    block size, s + N mu bounds the optimum. Returns (that ratio, t).
+    """
+    m, n = mats.shape[0], mats.shape[1]
+    size = n + m + 1
+    stack = np.zeros((m + 1, size, size))
+    stack[:m, :n, :n] = mats
+    j = np.arange(m)
+    stack[j, n + j, -1] = stack[j, -1, n + j] = 1.0
+    stack[m, :n, :n] = -np.eye(n)
+    base = np.diag(np.r_[np.zeros(n), np.ones(m + 1)])
+    cost = -np.eye(m + 1)[m]
+    x = np.append(0.5 * direction, 0.0)
+    x[-1] = _lambda_min(np.tensordot(x[:-1], mats, axes=1), settings) - 1.0
+    mu = 1.0 / float(np.trace(np.linalg.inv(base + np.tensordot(x, stack, axes=1))))
+    while True:
+        x = _centre(x, cost, base, stack, mu)
+        t = x[:-1]
+        value = _lambda_min(np.tensordot(t, mats, axes=1), settings) / np.linalg.norm(t)
+        if value > settings.feas_tol:
+            return value, t
+        if x[-1] + size * mu <= settings.feas_tol or size * mu <= _MU_FLOOR:
+            return None
+        mu *= _MU_SHRINK
 
 
 def _solve_pd_in_span(
@@ -232,7 +276,7 @@ def _solve_pd_in_span(
         # every combination is traceless, so none is positive definite
         value, sign, _ = _best_sign(mats[0], settings)
         return value, sign * null[:, 0], _farkas(np.eye(n) / n, mats, settings)
-    value, t, cert = _phase_one(mats, traces, settings)
+    value, t, cert = _phase_one(mats, settings)
     return value, null @ (t / np.linalg.norm(t)), cert
 
 
@@ -438,17 +482,12 @@ def min_trace_Q(
     power: int = 1,
     *,
     settings: Settings | None = None,
-    feasibility: FeasibilityResult | None = None,
 ) -> tuple[float, np.ndarray]:
     """Minimum-trace normalized certificate for one power of the criterion.
 
     Solves min Tr Q over Hermitian Q >= I subject to conj(target)^power D Q D
     lying in span{D^2, D A D}; Q = D^{-1} P D^{-1} rescales the feasibility
     witness so the robustness bound can consume Tr Q and lambda_min(Q) = 1.
-
-    ``feasibility`` is the caller's result of the criterion at this power
-    (from posthoc_feasible_binary for a real binary target, else from
-    posthoc_feasible_general); it is computed here when not given.
 
     Raises Infeasible when the underlying criterion fails, and SolverStall if
     the barrier Newton iteration cannot make progress. The path-following is
@@ -466,19 +505,14 @@ def min_trace_Q(
     )
 
     # 1) feasibility and a strictly positive witness
-    if feasibility is None:
-        if is_real:
-            feasibility = posthoc_feasible_binary(
-                state, list(alice_powers), target, settings=s
-            )
-        else:
-            feasibility = posthoc_feasible_general(
-                state, alice_powers, target, outputs, settings=s
-            )[power - 1]
-    elif feasibility.power != power:
-        raise BadParams(
-            f"feasibility result is for power {feasibility.power}, not {power}"
+    if is_real:
+        feasibility = posthoc_feasible_binary(
+            state, list(alice_powers), target, settings=s
         )
+    else:
+        feasibility = posthoc_feasible_general(
+            state, alice_powers, target, outputs, settings=s
+        )[power - 1]
     if not feasibility.feasible:
         raise Infeasible(
             f"criterion infeasible at power {power}: "
@@ -555,7 +589,7 @@ def min_trace_Q(
     recon = sum(c * q for c, q in zip(c0, q_dirs))
     if float(np.linalg.norm(recon - q0)) > 1e-6 * max(1.0, float(np.linalg.norm(q0))):
         raise SolverStall("feasibility witness does not parametrize into the Q subspace")
-    lam0, _ = _min_eig_and_vector(assemble(c0), s)
+    lam0 = _lambda_min(assemble(c0), s)
     if lam0 <= 0.0:
         raise SolverStall("witness lost positivity during reparametrization")
     c = np.asarray(c0, dtype=float) * (2.0 / lam0)  # lambda_min(M(c)) = 2 > 1

@@ -300,6 +300,11 @@ class TestRobustnessCommand:
         assert code == 2
         assert f"unknown settings key(s): {key}" in capsys.readouterr().err
 
+    def test_removed_seed_flag_is_rejected(self, tmp_path, capsys):
+        params = _write_json(tmp_path / "params.json", self.FROZEN)
+        assert main(["robustness", "--params", params, "--seed", "3"]) == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
 
 class TestVerifyExamplesCommand:
     def test_all_examples_pass(self, capsys):

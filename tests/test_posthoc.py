@@ -13,7 +13,6 @@ Expected values come from hand derivations frozen as literals:
 import numpy as np
 import pytest
 
-from bellcert import posthoc as posthoc_module
 from bellcert.config import DEFAULTS
 from bellcert.errors import (
     BadParams,
@@ -159,6 +158,54 @@ class TestBinaryFeasibility:
                         assert result.verdict == "feasible", (kappa, d)
                         proven += 1
             assert proven >= 27, kappa
+
+    def test_margin_just_above_feas_tol_is_feasible(self, rng):
+        # sgn(H) for H = sum_k c_k S_k whose own margin min|eig H| / |c| lies
+        # in (1.1, 20) feas_tol, so the verdict must be "feasible". At
+        # kappa ~ 1e3 the trace-normalized optimum has coefficients far longer
+        # than 1 / |traces|, and its unit-norm margin can fall below feas_tol
+        # although the best unit-norm margin does not.
+        tol = DEFAULTS.feas_tol
+        checked = 0
+        while checked < 40:
+            d = int(rng.integers(2, 5))
+            kappa = 10.0 ** rng.uniform(2.9, 3.4)
+            coeffs = kappa ** (-np.arange(d) / (d - 1))
+            state = SchmidtState(coeffs / np.linalg.norm(coeffs))
+            refs = [random_reflection(rng, d) for _ in range(int(rng.integers(1, d + 1)))]
+            dm = state.matrix
+            span = [dm @ dm] + [dm @ a @ dm for a in refs]
+            c = rng.standard_normal(len(span))
+            vals, vecs = np.linalg.eigh(np.einsum("k,kij->ij", c, span))
+            if not 1.1 * tol < np.min(np.abs(vals)) / np.linalg.norm(c) < 20 * tol:
+                continue
+            target = (vecs * np.sign(vals)) @ vecs.T
+            result = posthoc_feasible_binary(state, refs, target)
+            assert result.verdict == "feasible", (d, kappa, result.lambda_min_achieved)
+            checked += 1
+
+    def test_nearly_parallel_references_are_feasible(self, rng):
+        # references A and R A R^T with R a rotation by 1e-9..1e-5: a span
+        # element that uses their difference has coefficients ~1/eps long,
+        # which must not stall the solver. Each target is sgn(H) for such an
+        # H whose own margin clears feas_tol.
+        for _ in range(30):
+            d = int(rng.integers(2, 5))
+            coeffs = np.sort(rng.uniform(0.2, 1.0, d))[::-1]
+            state = SchmidtState(coeffs / np.linalg.norm(coeffs))
+            a = random_reflection(rng, d)
+            k = rng.standard_normal((d, d))
+            k = 10.0 ** rng.uniform(-9, -5) * (k - k.T)
+            r = np.linalg.solve(np.eye(d) - k, np.eye(d) + k)  # Cayley: orthogonal
+            refs = [a, r @ a @ r.T]
+            dm = state.matrix
+            span = [dm @ dm] + [dm @ x @ dm for x in refs]
+            c = rng.standard_normal(3)
+            c[2] = -c[1] + 10.0 ** rng.uniform(-3, 0) * rng.standard_normal()
+            vals, vecs = np.linalg.eigh(np.einsum("k,kij->ij", c, span))
+            assert np.min(np.abs(vals)) / np.linalg.norm(c) > DEFAULTS.feas_tol
+            target = (vecs * np.sign(vals)) @ vecs.T
+            assert posthoc_feasible_binary(state, refs, target).verdict == "feasible"
 
     def test_repeated_calls_are_bit_identical(self):
         state, refs, first, _ = degenerate_pair_3d()
@@ -452,27 +499,6 @@ class TestMinTraceCertificate:
     def test_infeasible_raises(self):
         with pytest.raises(Infeasible):
             min_trace_Q(ME2, [X], HADAMARD_DIR)
-
-    def test_reuses_the_callers_feasibility_result(self, monkeypatch):
-        st = SchmidtState(np.array([np.cos(0.5), np.sin(0.5)]))
-        feas = posthoc_feasible_binary(st, [X], X)
-        expected = min_trace_Q(st, [X], X)
-
-        def unexpected(*args, **kwargs):
-            raise AssertionError("feasibility solved again")
-
-        monkeypatch.setattr(posthoc_module, "posthoc_feasible_binary", unexpected)
-        tr, q = min_trace_Q(st, [X], X, feasibility=feas)
-        assert tr == expected[0]
-        assert np.array_equal(q, expected[1])
-        with pytest.raises(Infeasible):
-            min_trace_Q(
-                ME2, [X], HADAMARD_DIR, feasibility=posthoc_feasible_general(
-                    ME2, [X.astype(complex)], HADAMARD_DIR.astype(complex), 2
-                )[0],
-            )
-        with pytest.raises(BadParams):
-            min_trace_Q(ME3, [X], X, outputs=3, power=2, feasibility=feas)
 
     def test_power_validation(self):
         with pytest.raises(BadParams):
