@@ -388,9 +388,8 @@ def certificate_report(
     except InvalidMeasurement as exc:
         raise BadParams("certificate reports need binary Bob measurements") from exc
 
-    gram = np.array(
-        [[float(np.sum(a * b)) for b in bob_obs] for a in bob_obs]
-    )
+    flat = np.array([b.ravel() for b in bob_obs])
+    gram = flat @ flat.T
     gram_vals, _ = sym_eig(gram, settings=s)
     closure, closure_iters = jordan_closure(bob_obs, settings=s)
     d = strategy.dim

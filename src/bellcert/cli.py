@@ -69,7 +69,6 @@ _TOL_FLAGS = {
     "tol_eig": "eig_tol",
     "tol_singular": "singular_tol",
     "tol_feas": "feas_tol",
-    "tol_sdp": "sdp_tol",
     "tol_membership": "membership_tol",
 }
 
@@ -101,7 +100,6 @@ def _parent_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-eig", type=float, dest="tol_eig")
     p.add_argument("--tol-singular", type=float, dest="tol_singular")
     p.add_argument("--tol-feas", type=float, dest="tol_feas")
-    p.add_argument("--tol-sdp", type=float, dest="tol_sdp")
     p.add_argument("--tol-membership", type=float, dest="tol_membership")
     p.add_argument(
         "--robustness-constant", type=float, dest="robustness_constant"

@@ -35,8 +35,6 @@ class Settings:
         Feasibility threshold for the post-hoc criterion: the verdict is
         "feasible" when the certified minimum eigenvalue exceeds +feas_tol,
         "infeasible" below -feas_tol, "marginal" in between.
-    sdp_tol:
-        Target accuracy of the minimum-trace solver's objective.
     membership_tol:
         Span-membership residual threshold, relative to max(1, ||M||_F).
         Also the default tolerance baked into span bases.
@@ -51,7 +49,6 @@ class Settings:
     eig_tol: float = 1e-9
     singular_tol: float = 1e-8
     feas_tol: float = 1e-7
-    sdp_tol: float = 1e-6
     membership_tol: float = 1e-8
     robustness_constant: float = 2.0
 

@@ -6,9 +6,10 @@ conj(O)^l P inside span{D A_x^j D} for every power l. Ruling such a P in or
 out is a small semidefinite feasibility problem over the span; this module
 decides it deterministically with a phase-I log-det barrier that returns
 either a positive definite witness or a Farkas dual certificate, refines
-feasible instances with the same damped-Newton barrier core to the
-minimum-trace certificate, and evaluates the closed-form robustness bounds
-that consume those certificates.
+feasible instances to the minimum-trace certificate Q = D^-1 P D^-1 with the
+same damped-Newton barrier core, over the same symmetric combinations of the
+same generators carried into that frame by congruence, and evaluates the
+closed-form robustness bounds that consume those certificates.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .jordan import SpanBasis
 from .linalg import (
     as_square_matrix,
     derealify,
-    orthonormal_rows,
     realify,
     sym_eig,
 )
@@ -97,19 +97,37 @@ class FeasibilityResult:
 # core solver: is some symmetric combination of the generators positive definite?
 
 # Central-path schedule shared by the phase-I and minimum-trace barriers: mu
-# shrinks by _MU_SHRINK after each centering, down to n * mu = _MU_FLOOR.
+# shrinks by _MU_SHRINK after each centering, down to n * mu = _MU_FLOOR
+# (_MU_FLOOR * Tr Q for the minimum-trace barrier, whose objective is Tr Q).
 _MU_SHRINK = 0.15
 _MU_FLOOR = 5e-10
 
 
-def _symmetric_coefficient_subspace(gens: Sequence[np.ndarray]) -> np.ndarray:
-    """Orthonormal columns spanning {t : sum_k t_k G_k is symmetric}."""
-    rows = np.array([(g - g.T).ravel() for g in gens])
-    m = rows.T  # (d*d, n): columns are the asymmetry images
-    u, sv, vt = np.linalg.svd(m)
+def _symmetric_combinations(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric combinations of gens, as (null, mats).
+
+    null has orthonormal columns spanning {t : sum_k t_k gens[k] is
+    symmetric}, and mats[j] = sum_k null[k, j] gens[k].
+    """
+    asym = (gens - gens.transpose(0, 2, 1)).reshape(len(gens), -1)
+    _, sv, vt = np.linalg.svd(asym.T)
     cutoff = 1e-12 * max(1.0, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    return vt[rank:].T  # (n, n - rank)
+    null = vt[int(np.sum(sv > cutoff)):].T  # (n, n - rank)
+    mats = np.einsum("km,kij->mij", null, gens)
+    return null, 0.5 * (mats + mats.transpose(0, 2, 1))
+
+
+def _frobenius_basis(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A Frobenius-orthonormal symmetric basis B of span{mats}.
+
+    Returns (U, sigma, B) with mats = U diag(sigma) B, keeping the singular
+    values above 1e-12 sigma_max.
+    """
+    n = mats.shape[1]
+    u, sig, vt = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
+    keep = sig > 1e-12 * sig[0]
+    basis = vt[keep].reshape(-1, n, n)
+    return u[:, keep], sig[keep], 0.5 * (basis + basis.transpose(0, 2, 1))
 
 
 def _lambda_min(m: np.ndarray, settings: Settings) -> float:
@@ -167,11 +185,7 @@ def _phase_one(
     """
     tol = settings.feas_tol
     n = mats.shape[1]
-    u_svd, sig, vt = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
-    keep = sig > 1e-12 * sig[0]
-    u_svd, sig = u_svd[:, keep], sig[keep]
-    basis = vt[keep].reshape(-1, n, n)
-    basis = 0.5 * (basis + basis.transpose(0, 2, 1))
+    u_svd, sig, basis = _frobenius_basis(mats)
     traces = np.einsum("kaa->k", basis)
     tau = float(np.linalg.norm(sig * traces))
     r = len(sig)
@@ -261,13 +275,11 @@ def _solve_pd_in_span(
     coefficient vector, that vector in the ORIGINAL generator coordinates or
     None, Farkas certificate or None).
     """
-    null = _symmetric_coefficient_subspace(gens)
+    null, mats = _symmetric_combinations(np.asarray(gens))
     m = null.shape[1]
-    n = gens[0].shape[0]
+    n = mats.shape[1]
     if m == 0:
         return float("-inf"), None, np.eye(n) / n
-    mats = np.einsum("km,kij->mij", null, np.asarray(gens))
-    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
     traces = np.einsum("jaa->j", mats)
     if m == 1:
         value, sign, cert = _best_sign(mats[0], settings)
@@ -292,14 +304,13 @@ def _verdict(value: float, tol: float) -> str:
 # the two public feasibility checks
 
 
-def _span_generators_real(
-    state: SchmidtState, alice: Sequence[np.ndarray]
-) -> list[np.ndarray]:
+def _binary_generators(
+    state: SchmidtState, refs: Sequence[np.ndarray], o: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The span elements S_k (D^2, then D A_x D) and the generators O S_k."""
     dm = state.matrix
-    gens = [dm @ dm]
-    for a in alice:
-        gens.append(dm @ a @ dm)
-    return gens
+    span = np.array([dm @ dm] + [dm @ a @ dm for a in refs])
+    return span, o @ span
 
 
 def posthoc_feasible_binary(
@@ -326,15 +337,14 @@ def posthoc_feasible_binary(
     d = state.dim
     if o.shape[0] != d or any(r.shape[0] != d for r in refs):
         raise DimMismatch("observable dimension does not match the state")
-    span = _span_generators_real(state, refs)
-    gens = [o @ sp for sp in span]
+    span, gens = _binary_generators(state, refs, o)
     value, coeffs, certificate = _solve_pd_in_span(gens, settings=s)
     verdict = _verdict(value, s.feas_tol)
     feasible = verdict == "feasible"
     return FeasibilityResult(
         verdict=verdict,
         lambda_min_achieved=value,
-        witness=np.asarray(sum(c * sp for c, sp in zip(coeffs, span))) if feasible else None,
+        witness=np.tensordot(coeffs, span, axes=1) if feasible else None,
         coefficients=coeffs if feasible else None,
         certificate_tol=s.feas_tol,
         power=1,
@@ -374,7 +384,7 @@ def _require_order(u: np.ndarray, outputs: int, tol: float) -> np.ndarray:
 
 def _span_generators_complex(
     state: SchmidtState, alice_powers: Sequence[np.ndarray]
-) -> list[np.ndarray]:
+) -> np.ndarray:
     dm = state.matrix.astype(complex)
     gens = [dm @ dm]
     for a in alice_powers:
@@ -382,7 +392,17 @@ def _span_generators_complex(
         if m.shape[0] != state.dim:
             raise DimMismatch("reference operator dimension does not match the state")
         gens.append(dm @ m @ dm)
-    return gens
+    return np.array(gens)
+
+
+def _power_generators(span: np.ndarray, u: np.ndarray, power: int) -> np.ndarray:
+    """Realified generators of P in span{W^dag S_k} over C, W = conj(u)^power.
+
+    Each W^dag S_k contributes itself and i W^dag S_k, so that real
+    coefficients (interleaved real and imaginary parts) cover the complex span.
+    """
+    base = np.linalg.matrix_power(u.conj(), power).conj().T @ span
+    return np.array([realify(m) for b in base for m in (b, 1j * b)])
 
 
 def posthoc_feasible_general(
@@ -411,25 +431,15 @@ def posthoc_feasible_general(
     u = _require_order(target, outputs, s.eig_tol)
     span = _span_generators_complex(state, alice_powers)
     results: list[FeasibilityResult] = []
-    w = np.eye(u.shape[0], dtype=complex)
-    ubar = u.conj()
     for power in range(1, outputs):
-        w = w @ ubar
-        wh = w.conj().T
-        # P in span{W^dag S_i} over C: realify both S and iS for real coords
-        gens: list[np.ndarray] = []
-        for sp in span:
-            base = wh @ sp
-            gens.append(realify(base))
-            gens.append(realify(1j * base))
+        gens = _power_generators(span, u, power)
         value, coeffs, certificate = _solve_pd_in_span(gens, settings=s)
         verdict = _verdict(value, s.feas_tol)
         witness = None
         complex_coeffs = None
         if verdict == "feasible":
             complex_coeffs = coeffs[0::2] + 1j * coeffs[1::2]
-            p_real = sum(c * g for c, g in zip(coeffs, gens))
-            witness = derealify(np.asarray(p_real))
+            witness = derealify(np.tensordot(coeffs, gens, axes=1))
         results.append(
             FeasibilityResult(
                 verdict=verdict,
@@ -448,32 +458,6 @@ def posthoc_feasible_general(
 # minimum-trace certificate
 
 
-def _hermitian_basis(d: int, complex_part: bool) -> list[np.ndarray]:
-    basis: list[np.ndarray] = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    inv = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = inv
-            e[j, i] = inv
-            basis.append(e)
-            if complex_part:
-                f = np.zeros((d, d), dtype=complex)
-                f[i, j] = 1j * inv
-                f[j, i] = -1j * inv
-                basis.append(f)
-    return basis
-
-
-def _embed(m: np.ndarray) -> np.ndarray:
-    v = np.asarray(m, dtype=complex).ravel()
-    return np.concatenate([v.real, v.imag])
-
-
 def min_trace_Q(
     state: SchmidtState,
     alice_powers: Sequence[np.ndarray],
@@ -486,25 +470,26 @@ def min_trace_Q(
     """Minimum-trace normalized certificate for one power of the criterion.
 
     Solves min Tr Q over Hermitian Q >= I subject to conj(target)^power D Q D
-    lying in span{D^2, D A D}; Q = D^{-1} P D^{-1} rescales the feasibility
-    witness so the robustness bound can consume Tr Q and lambda_min(Q) = 1.
+    lying in span{D^2, D A D}. The feasible set is the congruence
+    Q = D^-1 P D^-1 of the feasibility check's own parametrization: P runs
+    over the symmetric combinations of its generators (realified, with
+    D^-1 replaced by diag(1/lambda, 1/lambda), for the order-L check), and
+    the barrier starts from the check's witness, so the robustness bound can
+    consume Tr Q and lambda_min(Q) = 1.
 
-    Raises Infeasible when the underlying criterion fails, and SolverStall if
-    the barrier Newton iteration cannot make progress. The path-following is
-    deterministic, so repeated calls agree to well below 1e-8.
+    Runs the feasibility check itself and raises Infeasible when it fails,
+    and SolverStall if the barrier Newton iteration cannot make progress. The
+    path-following is deterministic, so repeated calls agree to well below
+    1e-8.
     """
     s = settings or DEFAULTS
     if not (1 <= power < outputs):
         raise BadParams(f"power must lie in [1, {outputs - 1}]")
-    d = state.dim
-
     is_real = (
         not np.iscomplexobj(np.asarray(target))
         and all(not np.iscomplexobj(np.asarray(a)) for a in alice_powers)
         and outputs == 2
     )
-
-    # 1) feasibility and a strictly positive witness
     if is_real:
         feasibility = posthoc_feasible_binary(
             state, list(alice_powers), target, settings=s
@@ -519,97 +504,45 @@ def min_trace_Q(
             f"lambda_min {feasibility.lambda_min_achieved:.3e} "
             f"(verdict {feasibility.verdict})"
         )
+    coeffs = feasibility.coefficients
+    scale = 1.0 / state.coeffs
     if is_real:
         o = require_binary_observable(target, s.eig_tol)
-        witness_p = o @ feasibility.witness
-        witness_p = 0.5 * (witness_p + witness_p.T)
-        w_l = o.astype(complex)
-        span = [m.astype(complex) for m in _span_generators_real(
-            state, [require_binary_observable(a, s.eig_tol) for a in alice_powers]
-        )]
+        refs = [require_binary_observable(a, s.eig_tol) for a in alice_powers]
+        gens = _binary_generators(state, refs, o)[1]
     else:
-        witness_p = feasibility.witness
         u = _require_order(target, outputs, s.eig_tol)
-        w_l = np.linalg.matrix_power(u.conj(), power)
-        span = _span_generators_complex(state, alice_powers)
+        gens = _power_generators(_span_generators_complex(state, alice_powers), u, power)
+        coeffs = np.column_stack([coeffs.real, coeffs.imag]).ravel()
+        scale = np.tile(scale, 2)
 
-    # 2) affine subspace {Q Hermitian : W D Q D in span}
-    span_rows = []
-    for sp in span:
-        span_rows.append(_embed(sp))
-        span_rows.append(_embed(1j * sp))
-    q_span = orthonormal_rows(np.array(span_rows), 1e-12)
-    dm = state.matrix.astype(complex)
-    basis = _hermitian_basis(d, complex_part=not is_real)
-    resid_rows = []
-    for b in basis:
-        vec = _embed(w_l @ dm @ b @ dm)
-        vec = vec - q_span.T @ (q_span @ vec)
-        resid_rows.append(vec)
-    resid = np.array(resid_rows).T  # (embed_dim, n_basis)
-    u_svd, sv, vt = np.linalg.svd(resid)
-    cutoff = 1e-10 * max(1.0, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    null = vt[rank:].T  # (n_basis, m)
-    m_dim = null.shape[1]
-    if m_dim == 0:
-        raise Infeasible("constraint subspace for Q is empty")
-    q_dirs = []
-    for j in range(m_dim):
-        acc = np.zeros((d, d), dtype=complex)
-        for k, b in enumerate(basis):
-            if null[k, j] != 0.0:
-                acc += null[k, j] * b
-        q_dirs.append(0.5 * (acc + acc.conj().T))
-
-    # 3) realify (complex case) and set up the barrier problem
-    if is_real:
-        stack = np.array([q.real for q in q_dirs])
-        weight = 1.0
-        nu = d
-    else:
-        stack = np.array([realify(q) for q in q_dirs])
-        weight = 0.5
-        nu = 2 * d
-    traces = weight * np.trace(stack, axis1=1, axis2=2)
-
-    def assemble(cv: np.ndarray) -> np.ndarray:
-        return np.tensordot(cv, stack, axes=1)
-
-    # strictly feasible start from the witness: Q0 = D^-1 P D^-1 scaled
-    dinv = np.diag(1.0 / state.coeffs)
-    q0 = dinv @ witness_p @ dinv
-    q0 = 0.5 * (q0 + np.conj(q0.T))
-    flat = np.array([q.ravel() for q in q_dirs]).T
-    c0, lstsq_resid, *_ = np.linalg.lstsq(
-        np.vstack([flat.real, flat.imag]),
-        np.concatenate([q0.ravel().real, q0.ravel().imag]),
-        rcond=None,
-    )
-    recon = sum(c * q for c, q in zip(c0, q_dirs))
-    if float(np.linalg.norm(recon - q0)) > 1e-6 * max(1.0, float(np.linalg.norm(q0))):
-        raise SolverStall("feasibility witness does not parametrize into the Q subspace")
-    lam0 = _lambda_min(assemble(c0), s)
+    # Q-frame directions D^-1 M D^-1 over the symmetric combinations M, and
+    # the witness's coordinates in their orthonormal basis
+    null, mats = _symmetric_combinations(gens)
+    u_svd, sig, basis = _frobenius_basis(scale[:, None] * mats * scale)
+    n = basis.shape[1]
+    traces = state.dim / n * np.einsum("kaa->k", basis)  # Tr Q, not the realified trace
+    c = sig * (u_svd.T @ (null.T @ coeffs))
+    lam0 = _lambda_min(np.tensordot(c, basis, axes=1), s)
     if lam0 <= 0.0:
-        raise SolverStall("witness lost positivity during reparametrization")
-    c = np.asarray(c0, dtype=float) * (2.0 / lam0)  # lambda_min(M(c)) = 2 > 1
+        raise SolverStall("witness lost positivity in the Q frame")
+    c *= 2.0 / lam0  # lambda_min(Q) = 2 > 1
 
-    # central path of Tr Q - mu log det(Q - I)
-    minus_eye = -np.eye(stack.shape[1])
-    mu = max(1.0, float(traces @ c) / nu)
+    # central path of Tr Q - mu log det(Q - I), stopped relative to Tr Q
+    minus_eye = -np.eye(n)
+    mu = max(1.0, float(traces @ c) / n)
     while True:
-        c = _centre(c, traces, minus_eye, stack, mu)
-        if mu * nu <= _MU_FLOOR:
+        c = _centre(c, traces, minus_eye, basis, mu)
+        if n * mu <= _MU_FLOOR * max(1.0, float(traces @ c)):
             break
         mu *= _MU_SHRINK
-    q_final = assemble(c)
-    objective = float(weight * np.trace(q_final))
+    q_final = np.tensordot(c, basis, axes=1)
     if is_real:
         q_out: np.ndarray = 0.5 * (q_final + q_final.T)
     else:
         q_out = derealify(q_final)
         q_out = 0.5 * (q_out + q_out.conj().T)
-    return objective, q_out
+    return float(traces @ c), q_out
 
 
 def barrier_derivatives(k: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -629,15 +562,16 @@ def _centre(
     """Minimize cost @ x - mu log det S(x), S(x) = base + sum_i x_i stack[i].
 
     Damped Newton from a strictly feasible x; the backtracking line search
-    keeps S(x) positive definite. Raises SolverStall when the loop does not
-    converge.
+    keeps S(x) positive definite and accepts only a strict decrease, so it
+    stops once rounding hides any progress. Raises SolverStall when the loop
+    does not converge.
     """
     for _newton in range(80):
         slack = base + np.tensordot(x, stack, axes=1)
-        g_bar, h_bar = barrier_derivatives(np.linalg.inv(slack), stack)
-        grad = cost + mu * g_bar
-        hess = 0.5 * mu * (h_bar + h_bar.T) + 1e-13 * np.eye(x.size)
         try:
+            g_bar, h_bar = barrier_derivatives(np.linalg.inv(slack), stack)
+            grad = cost + mu * g_bar
+            hess = 0.5 * mu * (h_bar + h_bar.T) + 1e-13 * np.eye(x.size)
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
             raise SolverStall("barrier Newton system is singular") from exc
@@ -650,7 +584,7 @@ def _centre(
             trial = x + alpha * step
             logdet = _logdet(base + np.tensordot(trial, stack, axes=1))
             if logdet is not None and (
-                float(cost @ trial) - mu * logdet <= f_cur - 1e-4 * alpha * decrement
+                float(cost @ trial) - mu * logdet < f_cur - 1e-4 * alpha * decrement
             ):
                 x = trial
                 break

@@ -297,17 +297,25 @@ class CorrelationTable:
 
 
 def correlation_table(strategy: Strategy) -> CorrelationTable:
-    """All joint correlations of a strategy, one entry per question/power pair."""
-    state = strategy.state
-    alice_ops = [generalized_observables(m) for m in strategy.alice]
-    bob_ops = [generalized_observables(m) for m in strategy.bob]
-    entries: dict[tuple[int, int, int, int], complex] = {}
-    for x, aops in enumerate(alice_ops):
-        for j, a in enumerate(aops):
-            for y, bops in enumerate(bob_ops):
-                for k, b in enumerate(bops):
-                    entries[(x, j, y, k)] = correlation(state, a, b)
-    return CorrelationTable(entries)
+    """All joint correlations of a strategy, one entry per question/power pair.
+
+    Every entry is Tr[D A D B^T] as in :func:`correlation`, computed at once
+    as one contraction of the stacked D A D against the stacked B.
+    """
+    d = strategy.dim
+    dm = strategy.state.matrix
+    alice = [generalized_observables(m) for m in strategy.alice]
+    bob = [generalized_observables(m) for m in strategy.bob]
+    rows = [(x, j) for x, ops in enumerate(alice) for j in range(len(ops))]
+    cols = [(y, k) for y, ops in enumerate(bob) for k in range(len(ops))]
+    a = dm @ np.array([op for ops in alice for op in ops]).reshape(-1, d, d) @ dm
+    b = np.array([op for ops in bob for op in ops]).reshape(-1, d, d)
+    values = np.einsum("xab,yab->xy", a, b)
+    return CorrelationTable({
+        (x, j, y, k): complex(values[r, c])
+        for r, (x, j) in enumerate(rows)
+        for c, (y, k) in enumerate(cols)
+    })
 
 
 def brute_force_correlation(strategy: Strategy) -> CorrelationTable:

@@ -292,7 +292,7 @@ class TestRobustnessCommand:
         assert code == 2
         assert "unknown settings key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["jacobi_tol", "mgs_tol"])
+    @pytest.mark.parametrize("key", ["jacobi_tol", "mgs_tol", "sdp_tol"])
     def test_removed_solver_knobs_are_unknown_keys(self, tmp_path, capsys, key):
         params = _write_json(tmp_path / "params.json", self.FROZEN)
         config = _write_json(tmp_path / "config.json", {key: 1e-12})
@@ -304,6 +304,11 @@ class TestRobustnessCommand:
         params = _write_json(tmp_path / "params.json", self.FROZEN)
         assert main(["robustness", "--params", params, "--seed", "3"]) == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_removed_tol_sdp_flag_is_rejected(self, tmp_path, capsys):
+        params = _write_json(tmp_path / "params.json", self.FROZEN)
+        assert main(["robustness", "--params", params, "--tol-sdp", "1e-6"]) == 2
+        assert "unrecognized arguments: --tol-sdp 1e-6" in capsys.readouterr().err
 
 
 class TestVerifyExamplesCommand:

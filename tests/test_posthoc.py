@@ -504,6 +504,89 @@ class TestMinTraceCertificate:
         with pytest.raises(BadParams):
             min_trace_Q(ME2, [X], X, outputs=2, power=2)
 
+    def test_skewed_reflection_instance_stops_relative_to_the_trace(self):
+        # d = 3, kappa = 1e3, Tr Q ~ 1.36e4: the barrier stops relative to
+        # Tr Q, since an absolute n * mu <= 5e-10 would ask the Newton loop
+        # for ~1e-14 relative accuracy
+        st = SchmidtState(
+            np.array([0.999499875437211, 0.031606961274361696, 0.000999499875437211])
+        )
+        refs = [
+            np.array([
+                [0.1277770945892735, 0.699455734525429, 0.7031605005529084],
+                [0.699455734525429, 0.43909025832091997, -0.5638806792994068],
+                [0.7031605005529084, -0.5638806792994068, 0.4331326470898065],
+            ]),
+            np.array([
+                [0.6639570514306792, 0.5560704935999113, 0.49994663715543497],
+                [0.5560704935999113, 0.07983668406402128, -0.8272917925527922],
+                [0.49994663715543497, -0.8272917925527922, 0.2562062645052987],
+            ]),
+            np.array([
+                [-0.6406242694126343, -0.5185705135196252, 0.5662907097485537],
+                [-0.5185705135196252, -0.25171525341321427, -0.8171438390559606],
+                [0.5662907097485537, -0.8171438390559606, -0.10766047717415139],
+            ]),
+        ]
+        target = np.array([
+            [0.9886602268104764, -0.10163685747663065, 0.11054820272321786],
+            [-0.10163685747663065, 0.08904255622432296, 0.990828629170208],
+            [0.11054820272321786, 0.990828629170208, -0.0777027830347987],
+        ])
+        tr, q = min_trace_Q(st, refs, target)
+        assert np.linalg.eigvalsh(q)[0] >= 1.0 - 1e-6
+        assert tr == pytest.approx(float(np.trace(q)), rel=1e-12)
+        dm = st.matrix
+        member, _, _ = contains(
+            span_basis([dm @ dm] + [dm @ a @ dm for a in refs]),
+            target @ dm @ q @ dm,
+            tol=1e-7,
+        )
+        assert member
+
+    def test_realified_path_agrees_with_the_real_path(self, rng):
+        for d in (3, 4, 5):
+            st = SchmidtState(random_schmidt_coeffs(rng, d))
+            refs = [random_reflection(rng, d) for _ in range(d)]
+            dm = st.matrix
+            combo = dm @ dm + sum(
+                c * dm @ a @ dm for c, a in zip(rng.standard_normal(d), refs)
+            )
+            target = sgn_map(combo).matrix
+            tr_real, _ = min_trace_Q(st, refs, target)
+            tr_complex, q = min_trace_Q(
+                st, [a.astype(complex) for a in refs], target.astype(complex), outputs=2
+            )
+            assert np.iscomplexobj(q)
+            assert abs(tr_complex - tr_real) <= 1e-9 * tr_real
+
+    @pytest.mark.parametrize("kappa", [1.0, 10.0, 100.0])
+    def test_order_l_certificate_satisfies_the_constraints(self, rng, kappa):
+        # feasible by construction: among the references are D^-1 W_l P0 D^-1
+        # with W_l = conj(U)^l, so P0 witnesses every power l
+        for d, outputs in ((3, 3), (4, 3), (4, 4)):
+            coeffs = kappa ** (-np.arange(d) / (d - 1))
+            st = SchmidtState(coeffs / np.linalg.norm(coeffs))
+            u = generalized_observables(_random_unitary_measurement(rng, d, outputs))[1]
+            other = generalized_observables(_random_unitary_measurement(rng, d, outputs))
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            p0 = g @ g.conj().T + 0.1 * np.eye(d)
+            dinv = np.diag(1.0 / st.coeffs)
+            powers = list(other[1:]) + [
+                dinv @ np.linalg.matrix_power(u.conj(), l) @ p0 @ dinv
+                for l in range(1, outputs)
+            ]
+            dm = st.matrix
+            span = np.array([dm @ dm] + [dm @ a @ dm for a in powers])
+            flat = span.reshape(len(span), -1).T
+            for power in range(1, outputs):
+                tr, q = min_trace_Q(st, powers, u, outputs=outputs, power=power)
+                assert np.max(np.abs(q - q.conj().T)) <= 1e-10 * tr
+                assert np.linalg.eigvalsh(q)[0] >= 1.0 - 1e-6
+                lhs = (np.linalg.matrix_power(u.conj(), power) @ dm @ q @ dm).ravel()
+                coef = np.linalg.lstsq(flat, lhs, rcond=None)[0]
+                assert np.linalg.norm(flat @ coef - lhs) <= 1e-7 * np.linalg.norm(lhs)
+
     def test_general_path_maximally_entangled(self, rng):
         projs = random_projective_measurement(rng, 3, 3)
         m = ProjectiveMeasurement(tuple(projs))
@@ -512,6 +595,13 @@ class TestMinTraceCertificate:
             tr, q = min_trace_Q(ME3, [obs[1], obs[2]], obs[1], outputs=3, power=power)
             assert tr == pytest.approx(3.0, abs=1e-5)
             assert np.linalg.eigvalsh(q)[0] == pytest.approx(1.0, abs=1e-5)
+
+
+def _random_unitary_measurement(rng, d: int, outputs: int) -> ProjectiveMeasurement:
+    """Projective measurement onto the blocks of a random complex unitary basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    cuts = np.array_split(np.arange(d), outputs)
+    return ProjectiveMeasurement(tuple(q[:, c] @ q[:, c].conj().T for c in cuts))
 
 
 class TestRobustnessBound:

@@ -177,6 +177,29 @@ class TestCorrelation:
             )
         assert worst < 1e-12
 
+    def test_table_matches_per_entry_correlations_for_three_outcomes(self, rng):
+        d = 4
+        st = SchmidtState(random_schmidt_coeffs(rng, d))
+        alice = tuple(
+            ProjectiveMeasurement(tuple(random_projective_measurement(rng, d, 3)))
+            for _ in range(2)
+        )
+        bob = (
+            ProjectiveMeasurement(tuple(random_projective_measurement(rng, d, 3))),
+            ProjectiveMeasurement(tuple(random_projective_measurement(rng, d, 2))),
+        )
+        strat = Strategy(state=st, alice=alice, bob=bob)
+        table = correlation_table(strat)
+        expected = {
+            (x, j, y, k): correlation(st, a, b)
+            for x, m in enumerate(alice)
+            for j, a in enumerate(generalized_observables(m))
+            for y, n in enumerate(bob)
+            for k, b in enumerate(generalized_observables(n))
+        }
+        assert list(table.entries) == list(expected)
+        assert max(abs(table[key] - v) for key, v in expected.items()) <= 1e-14
+
     def test_brute_force_guards_size(self):
         d = 100
         reflection = np.eye(d) - 2.0 * np.diag([1.0] + [0.0] * (d - 1))
