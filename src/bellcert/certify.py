@@ -75,21 +75,17 @@ def binary_certification_strategy(
 ) -> Strategy:
     """Reference strategy certifying one binary observable post hoc.
 
-    Bob holds the spanning reference family (d(d+1)/2 questions), Alice holds
-    the d+1 simplex reflections plus the target as one extra question. The
-    state is maximally entangled. Raises BadDimension for d < 3 and
-    Unreachable if the target falls outside Bob's span (which cannot happen
-    for a well-formed spanning family).
+    Bob holds the spanning reference family (d(d+1)/2 questions, spanning
+    every symmetric d x d matrix, the target included), Alice holds the d+1
+    simplex reflections plus the target as one extra question. The state is
+    maximally entangled. Raises BadDimension for d < 3.
     """
     s = settings or DEFAULTS
     o = require_binary_observable(target, s.eig_tol)
     d = o.shape[0]
     if d < 3:
         raise BadDimension("the certification pipeline needs dimension >= 3")
-    bob_mats, bob_labels = maximal_independent_subset(d, settings=s)
-    member, _, _ = contains(span_basis([np.eye(d)] + bob_mats, settings=s), o)
-    if not member:
-        raise Unreachable("target observable is outside the reference span")
+    bob_mats, bob_labels = maximal_independent_subset(d)
     alice_obs = simplex_observables(d) + [o]
     alice_labels = tuple(f"T{j}" for j in range(d + 1)) + ("O",)
     alice = tuple(
@@ -119,7 +115,7 @@ def measurement_certification_strategy(
     if d < 3:
         raise BadDimension("the certification pipeline needs dimension >= 3")
     splits = split_measurement(m)
-    bob_mats, bob_labels = maximal_independent_subset(d, settings=s)
+    bob_mats, bob_labels = maximal_independent_subset(d)
     alice_obs = simplex_observables(d) + splits
     alice_labels = tuple(f"T{j}" for j in range(d + 1)) + tuple(
         f"O{a}" for a in range(m.outputs)
@@ -195,17 +191,14 @@ def _extension_batch(
     hence certifiable against the source party's family; only those that
     extend the destination span are kept.
     """
-    q = into.rows()
+    q = into.rows
     added_obs: list[np.ndarray] = []
     stale = 0
     budget = 6 * source.dimension + 20
     for _ in range(budget):
         if stale >= 8:
             break
-        coeff = rng.standard_normal(source.dimension)
-        h = np.zeros((source.matrix_dim, source.matrix_dim))
-        for c, b in zip(coeff, source.basis):
-            h += c * b
+        h = np.tensordot(rng.standard_normal(source.dimension), source.basis, axes=1)
         got_new = False
         for o in cut_point_observables(h, settings=settings):
             q2, added = extend_orthonormal_rows(q, [o.ravel()], into.tol)
@@ -214,12 +207,7 @@ def _extension_batch(
                 added_obs.append(o)
                 got_new = True
         stale = 0 if got_new else stale + 1
-    new_basis = SpanBasis(
-        matrix_dim=into.matrix_dim,
-        basis=tuple(0.5 * (r.reshape(into.matrix_dim, -1) + r.reshape(into.matrix_dim, -1).T) for r in q),
-        tol=into.tol,
-    )
-    return added_obs, new_basis
+    return added_obs, SpanBasis(into.matrix_dim, q, into.tol)
 
 
 def iterative_plan(
@@ -251,8 +239,7 @@ def iterative_plan(
         )
     d = o.shape[0]
     rng = np.random.default_rng(seed)
-    span_a = span_basis([np.eye(d)] + refs, settings=s)
-    span_b = span_basis([np.eye(d)] + refs, settings=s)
+    span_a = span_b = span_basis([np.eye(d)] + refs, settings=s)
     rounds: list[PlanRound] = []
     cap = math.ceil(2.0 * math.log2(d)) + 3 if d > 1 else 3
     for _cycle in range(cap):

@@ -196,7 +196,7 @@ def _cmd_simplex(args, settings: Settings) -> int:
     if args.pairs:
         payload["pairs"] = {
             f"{j},{k}": encode_matrix(m)
-            for (j, k), m in sorted(pair_observables(d, settings=settings).items())
+            for (j, k), m in sorted(pair_observables(d).items())
         }
     text = json.dumps(payload, indent=2)
     if args.out:

@@ -17,7 +17,6 @@ from .errors import DimMismatch, EmptyInput
 from .linalg import (
     as_square_matrix,
     extend_orthonormal_rows,
-    frobenius_inner,
     orthonormal_rows,
     require_symmetric,
     sym_eig,
@@ -32,25 +31,27 @@ class SpanBasis:
     ----------
     matrix_dim:
         Ambient matrix size d (elements are d x d).
-    basis:
-        Tuple of orthonormal symmetric matrices spanning the space.
+    rows:
+        The basis as the orthogonalizer returns it: orthonormal vectorized
+        matrices, shape (dimension, d*d), each symmetric to rounding.
     tol:
         Relative residual threshold used for membership decisions.
     """
 
     matrix_dim: int
-    basis: tuple[np.ndarray, ...]
+    rows: np.ndarray
     tol: float
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return self.rows.shape[0]
 
-    def rows(self) -> np.ndarray:
-        """The basis as vectorized orthonormal rows, shape (dimension, d*d)."""
-        if not self.basis:
-            return np.zeros((0, self.matrix_dim * self.matrix_dim))
-        return np.array([b.ravel() for b in self.basis])
+    @property
+    def basis(self) -> np.ndarray:
+        """The basis matrices, shape (dimension, d, d): a read-only view of ``rows``."""
+        view = self.rows.reshape(-1, self.matrix_dim, self.matrix_dim)
+        view.flags.writeable = False
+        return view
 
 
 def _validated_family(
@@ -65,14 +66,6 @@ def _validated_family(
         if m.shape[0] != d:
             raise DimMismatch(f"mixed matrix sizes: {m.shape[0]} vs {d}")
     return cleaned, d
-
-
-def _rows_to_basis(q: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
-    out = []
-    for row in q:
-        m = row.reshape(d, d)
-        out.append(0.5 * (m + m.T))
-    return tuple(out)
 
 
 def span_basis(
@@ -90,8 +83,7 @@ def span_basis(
     if tol is None:
         tol = s.membership_tol
     cleaned, d = _validated_family(mats, s.sym_tol)
-    q = orthonormal_rows(np.array([m.ravel() for m in cleaned]), tol)
-    return SpanBasis(matrix_dim=d, basis=_rows_to_basis(q, d), tol=tol)
+    return SpanBasis(matrix_dim=d, rows=orthonormal_rows(np.array(cleaned), tol), tol=tol)
 
 
 def contains(
@@ -111,11 +103,8 @@ def contains(
         raise DimMismatch(f"matrix is {a.shape[0]}x{a.shape[0]}, span is over {b.matrix_dim}")
     if tol is None:
         tol = b.tol
-    coeffs = np.array([frobenius_inner(e, a) for e in b.basis])
-    recon = np.zeros_like(a)
-    for c, e in zip(coeffs, b.basis):
-        recon += c * e
-    residual = float(np.linalg.norm(a - recon))
+    coeffs = b.rows @ a.ravel()
+    residual = float(np.linalg.norm(a.ravel() - coeffs @ b.rows))
     member = residual <= tol * max(1.0, float(np.linalg.norm(a)))
     return member, coeffs, residual
 
@@ -164,24 +153,26 @@ def jordan_closure(
         if m.shape[0] != d:
             raise DimMismatch("extra generator size differs from generators")
     seeds = [np.eye(d)] + gens + extras
-    q = orthonormal_rows(np.array([m.ravel() for m in seeds]), tol)
+    q = orthonormal_rows(np.array(seeds), tol)
     iterations = 0
     fresh_from = 0
     while len(q) < d * (d + 1) // 2:
-        mats = [0.5 * (row.reshape(d, d) + row.reshape(d, d).T) for row in q]
+        mats = q.reshape(-1, d, d)
         n = len(mats)
-        products = []
+        # row i times the rows after it, skipping pairs of rows that both
+        # predate the last sweep (already offered); one batch per row, never
+        # the whole n x n product tensor
+        products: list[np.ndarray] = []
         for i in range(n):
-            for j in range(max(i, fresh_from), n):
-                products.append(jordan_product(mats[i], mats[j]).ravel())
+            right = mats[max(i, fresh_from) :]
+            products.extend((0.5 * (mats[i] @ right + right @ mats[i])).reshape(-1, d * d))
         q2, added = extend_orthonormal_rows(q, products, tol)
         if added == 0:
             break
         fresh_from = n
         q = q2
         iterations += 1
-    basis = SpanBasis(matrix_dim=d, basis=_rows_to_basis(q, d), tol=tol)
-    return basis, iterations
+    return SpanBasis(matrix_dim=d, rows=q, tol=tol), iterations
 
 
 def cut_point_observables(

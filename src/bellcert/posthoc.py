@@ -24,7 +24,6 @@ from .errors import (
     BadParams,
     DimMismatch,
     Infeasible,
-    NotOrderL,
     SolverStall,
     TrivialRegion,
 )
@@ -35,7 +34,7 @@ from .linalg import (
     realify,
     sym_eig,
 )
-from .strategies import SchmidtState, require_binary_observable
+from .strategies import SchmidtState, require_binary_observable, require_order_l
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,21 +364,8 @@ def sign_reachable(
     when the barrier cannot settle the answer.
     """
     s = settings or DEFAULTS
-    value, _, _ = _solve_pd_in_span([target @ b for b in span.basis], settings=s)
+    value, _, _ = _solve_pd_in_span(target @ span.basis, settings=s)
     return value > s.feas_tol
-
-
-def _require_order(u: np.ndarray, outputs: int, tol: float) -> np.ndarray:
-    m = as_square_matrix(u, allow_complex=True).astype(complex)
-    d = m.shape[0]
-    if float(np.max(np.abs(m @ m.conj().T - np.eye(d)))) > tol:
-        raise NotOrderL("target is not unitary")
-    power = np.eye(d, dtype=complex)
-    for _ in range(outputs):
-        power = power @ m
-    if float(np.max(np.abs(power - np.eye(d)))) > tol:
-        raise NotOrderL(f"target does not have order {outputs}")
-    return m
 
 
 def _span_generators_complex(
@@ -428,7 +414,7 @@ def posthoc_feasible_general(
     therefore realified 2d x 2d matrices.
     """
     s = settings or DEFAULTS
-    u = _require_order(target, outputs, s.eig_tol)
+    u = require_order_l(target, outputs, s.eig_tol)
     span = _span_generators_complex(state, alice_powers)
     results: list[FeasibilityResult] = []
     for power in range(1, outputs):
@@ -511,7 +497,7 @@ def min_trace_Q(
         refs = [require_binary_observable(a, s.eig_tol) for a in alice_powers]
         gens = _binary_generators(state, refs, o)[1]
     else:
-        u = _require_order(target, outputs, s.eig_tol)
+        u = require_order_l(target, outputs, s.eig_tol)
         gens = _power_generators(_span_generators_complex(state, alice_powers), u, power)
         coeffs = np.column_stack([coeffs.real, coeffs.imag]).ravel()
         scale = np.tile(scale, 2)

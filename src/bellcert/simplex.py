@@ -12,7 +12,6 @@ import numpy as np
 
 from .config import DEFAULTS, Settings
 from .errors import BadDimension
-from .linalg import sgn_map
 from .strategies import ProjectiveMeasurement, SchmidtState, Strategy
 
 
@@ -46,37 +45,27 @@ def simplex_observables(d: int) -> list[np.ndarray]:
     return [2.0 * np.outer(v, v) - eye for v in vs]
 
 
-def pair_observables(
-    d: int, *, settings: Settings | None = None
-) -> dict[tuple[int, int], np.ndarray]:
+def pair_observables(d: int) -> dict[tuple[int, int], np.ndarray]:
     """Pairwise sign observables T_jk = sgn(T_j + T_k) for 0 <= j < k <= d.
 
     Computed in closed form as 2 w w^T - I with w the normalized difference
-    sqrt(d/(2(d+1))) (v_j - v_k), and cross-checked against the spectral
-    sign of T_j + T_k (the two routes must agree to 1e-9).
+    sqrt(d/(2(d+1))) (v_j - v_k). This is exactly the sign: with
+    <v_j, v_k> = -1/d, T_j + T_k = 2(v_j v_j^T + v_k v_k^T) - 2I has
+    eigenvalue 2/d on w, -2/d on v_j + v_k and -2 on the rest of R^d, so it
+    is nonsingular and positive on w alone.
     """
-    s = settings or DEFAULTS
     vs = simplex_vectors(d)
-    obs = simplex_observables(d)
     eye = np.eye(d)
     scale = np.sqrt(d / (2.0 * (d + 1.0)))
     out: dict[tuple[int, int], np.ndarray] = {}
     for j in range(d + 1):
         for k in range(j + 1, d + 1):
             w = scale * (vs[j] - vs[k])
-            t = 2.0 * np.outer(w, w) - eye
-            spectral, singular = sgn_map(obs[j] + obs[k], settings=s)
-            if singular or float(np.max(np.abs(t - spectral))) > 1e-9:
-                raise RuntimeError(
-                    f"pair observable ({j},{k}) disagrees between construction routes"
-                )
-            out[(j, k)] = t
+            out[(j, k)] = 2.0 * np.outer(w, w) - eye
     return out
 
 
-def maximal_independent_subset(
-    d: int, *, settings: Settings | None = None
-) -> tuple[list[np.ndarray], list[str]]:
+def maximal_independent_subset(d: int) -> tuple[list[np.ndarray], list[str]]:
     """A linearly independent size-d(d+1)/2 subset of the simplex family.
 
     Keeps every T_j plus the pairs {T_jk : 1 <= j < k <= d} except T_12;
@@ -86,7 +75,7 @@ def maximal_independent_subset(
     if d < 3:
         raise BadDimension("the independent pair family needs dimension >= 3")
     obs = simplex_observables(d)
-    pairs = pair_observables(d, settings=settings)
+    pairs = pair_observables(d)
     mats = list(obs)
     labels = [f"T{j}" for j in range(d + 1)]
     for j in range(1, d + 1):

@@ -22,7 +22,7 @@ from .errors import (
     TooLarge,
 )
 from .jordan import has_trivial_centralizer
-from .linalg import as_square_matrix, require_hermitian, sym_eig
+from .linalg import as_square_matrix, require_hermitian, require_symmetric, sym_eig
 
 _BRUTE_FORCE_LIMIT = 4096
 
@@ -139,13 +139,28 @@ def require_binary_observable(o: np.ndarray, tol: float | None = None) -> np.nda
     """Validate a real symmetric involution and return its symmetrized copy."""
     if tol is None:
         tol = DEFAULTS.eig_tol
-    from .linalg import require_symmetric
-
     m = require_symmetric(o)
     gap = float(np.max(np.abs(m @ m - np.eye(m.shape[0]))))
     if gap > tol:
         raise InvalidMeasurement(f"matrix squares to I only within {gap:.2e}")
     return m
+
+
+def require_order_l(a: np.ndarray, outputs: int, tol: float | None = None) -> np.ndarray:
+    """Validate a unitary with a^outputs = I and return it as a complex array.
+
+    Raises NotOrderL when either identity fails by more than ``tol``
+    (entrywise).
+    """
+    if tol is None:
+        tol = DEFAULTS.eig_tol
+    u = as_square_matrix(a, allow_complex=True).astype(complex)
+    eye = np.eye(u.shape[0])
+    if float(np.max(np.abs(u @ u.conj().T - eye))) > tol:
+        raise NotOrderL("matrix is not unitary")
+    if float(np.max(np.abs(np.linalg.matrix_power(u, outputs) - eye))) > tol:
+        raise NotOrderL(f"matrix does not have order {outputs}")
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,15 +237,11 @@ def povm_from_observable(
         tol = DEFAULTS.eig_tol
     if outputs < 2:
         raise BadParams("a measurement needs at least two outputs")
-    u = as_square_matrix(a, allow_complex=True).astype(complex)
+    u = require_order_l(a, outputs, tol)
     d = u.shape[0]
-    if float(np.max(np.abs(u @ u.conj().T - np.eye(d)))) > tol:
-        raise NotOrderL("matrix is not unitary")
     powers = [np.eye(d, dtype=complex)]
     for _ in range(outputs - 1):
         powers.append(powers[-1] @ u)
-    if float(np.max(np.abs(powers[-1] @ u - np.eye(d)))) > tol:
-        raise NotOrderL(f"matrix does not have order {outputs}")
     omega = np.exp(2j * np.pi / outputs)
     projs = []
     for out in range(outputs):

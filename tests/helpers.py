@@ -7,6 +7,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from bellcert.config import DEFAULTS
+from bellcert.jordan import jordan_product
+from bellcert.linalg import orthonormal_rows
+
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 HADAMARD_DIR = (X + Z) / np.sqrt(2.0)
@@ -80,3 +84,24 @@ def barrier_hessian_loop(k: np.ndarray, mats) -> np.ndarray:
     km = [k @ b for b in mats]
     m = len(km)
     return np.array([[np.sum(km[i] * km[j].T) for j in range(m)] for i in range(m)])
+
+
+def jordan_closure_reference(gens, tol: float = DEFAULTS.membership_tol):
+    """Pairwise reference for jordan_closure: every sweep offers every pair.
+
+    Each sweep re-orthonormalizes the current basis together with the Jordan
+    product of every pair of its matrices, until the span stops growing or
+    reaches d(d+1)/2. Returns (orthonormal rows, sweeps that grew the span).
+    """
+    d = gens[0].shape[0]
+    q = orthonormal_rows(np.array([np.eye(d)] + list(gens)), tol)
+    sweeps = 0
+    while len(q) < d * (d + 1) // 2:
+        mats = [row.reshape(d, d) for row in q]
+        products = [jordan_product(a, b) for i, a in enumerate(mats) for b in mats[i:]]
+        grown = orthonormal_rows(np.array(mats + products), tol)
+        if len(grown) == len(q):
+            break
+        q = grown
+        sweeps += 1
+    return q, sweeps

@@ -17,7 +17,13 @@ from bellcert.jordan import (
 )
 from bellcert.simplex import simplex_observables
 
-from helpers import X, Z, random_reflection, random_symmetric
+from helpers import (
+    X,
+    Z,
+    jordan_closure_reference,
+    random_reflection,
+    random_symmetric,
+)
 
 EYE2 = np.eye(2)
 
@@ -41,9 +47,16 @@ class TestSpanBasis:
     def test_basis_is_orthonormal(self, rng):
         mats = [random_symmetric(rng, 4) for _ in range(5)]
         b = span_basis(mats)
-        rows = b.rows()
+        rows = b.rows
         gram = rows @ rows.T
         assert np.max(np.abs(gram - np.eye(b.dimension))) < 1e-12
+
+    def test_basis_is_a_read_only_view_of_rows(self, rng):
+        b = span_basis([random_symmetric(rng, 4) for _ in range(3)])
+        assert b.basis.shape == (3, 4, 4)
+        assert np.shares_memory(b.basis, b.rows)
+        assert np.array_equal(b.basis.reshape(3, 16), b.rows)
+        assert not b.basis.flags.writeable
 
     def test_membership_and_coefficients(self, rng):
         mats = [random_symmetric(rng, 4) for _ in range(3)]
@@ -146,6 +159,31 @@ class TestJordanClosure:
         b = np.diag([1.0, 1.0, -1.0])
         basis, _ = jordan_closure([a, b])
         assert basis.dimension == 3
+
+    def test_matches_the_pairwise_reference(self, rng):
+        # batched sweeps against every pairwise product re-orthonormalized:
+        # same dimension, same number of growing sweeps, same span
+        families = [simplex_observables(d) for d in (3, 4, 6)]
+        for d in (3, 4, 5, 6, 8):
+            for count in (1, 2, 3):
+                families.append([random_reflection(rng, d) for _ in range(count)])
+        families.append([random_symmetric(rng, 5), random_reflection(rng, 5)])
+        for split in ((2, 2), (2, 3), (3, 4)):
+            # block-diagonal reflections: the closure stays reducible
+            family = []
+            for _ in range(3):
+                blocks = [random_reflection(rng, k) for k in split]
+                family.append(np.block([
+                    [blocks[0], np.zeros((split[0], split[1]))],
+                    [np.zeros((split[1], split[0])), blocks[1]],
+                ]))
+            families.append(family)
+        for gens in families:
+            basis, iterations = jordan_closure(gens)
+            ref_rows, ref_iterations = jordan_closure_reference(gens)
+            assert (basis.dimension, iterations) == (len(ref_rows), ref_iterations)
+            gap = basis.rows.T @ basis.rows - ref_rows.T @ ref_rows
+            assert np.max(np.abs(gap)) < 1e-10
 
     def test_iteration_count_bound_on_random_families(self, rng):
         for d in (3, 5, 8):

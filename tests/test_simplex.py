@@ -85,7 +85,7 @@ class TestSimplexObservables:
 
 class TestPairObservables:
     def test_pairs_are_signs_of_sums(self):
-        for d in (3, 4):
+        for d in (3, 4, 8, 10, 16):
             obs = simplex_observables(d)
             pairs = pair_observables(d)
             assert len(pairs) == d * (d + 1) // 2

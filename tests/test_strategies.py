@@ -21,9 +21,11 @@ from bellcert.strategies import (
     generalized_observables,
     povm_from_observable,
     require_binary_observable,
+    require_order_l,
     verify_cheating_povm,
     verify_degenerate_pair,
 )
+from bellcert.posthoc import posthoc_feasible_general
 from bellcert.simplex import degenerate_pair_3d, initial_strategy
 
 from helpers import (
@@ -133,6 +135,23 @@ class TestGeneralizedObservables:
             povm_from_observable(Z, 3)  # Z has order 2, not 3
         with pytest.raises(NotOrderL):
             povm_from_observable(0.5 * X, 2)  # not unitary
+
+    def test_order_l_checks_agree_across_callers(self):
+        # the measurement inverse and the order-L criterion share one validator
+        me2 = SchmidtState.maximally_entangled(2)
+        for bad, outputs, message in (
+            (0.5 * X, 2, "^matrix is not unitary$"),
+            (Z, 3, "^matrix does not have order 3$"),
+        ):
+            for check in (
+                lambda: require_order_l(bad, outputs),
+                lambda: povm_from_observable(bad, outputs),
+                lambda: posthoc_feasible_general(me2, [np.eye(2)], bad, outputs),
+            ):
+                with pytest.raises(NotOrderL, match=message):
+                    check()
+        u = require_order_l(Z, 2)
+        assert u.dtype == complex and np.array_equal(u, Z)
 
     def test_require_binary_observable(self):
         assert np.allclose(require_binary_observable(X), X)
