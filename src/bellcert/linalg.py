@@ -154,7 +154,9 @@ BLOCK_ROWS = 64
 def _extend(q: np.ndarray, rows: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, int]:
     # the one kernel behind both public entry points, which stay separate
     # functions so that each is timed and counted under its own name
-    thresh = tol * max([1.0] + [float(np.linalg.norm(r)) for r in rows])
+    # largest row norm from one C-level pass over the squared norms: no stacked
+    # copy of the rows, and no per-row Python call even for single-row offers
+    thresh = tol * max(1.0, float(np.sqrt(max(map(np.vdot, rows, rows), default=0.0))))
     start = q.shape[0]
     for lo in range(0, len(rows), BLOCK_ROWS):
         block = np.array(rows[lo : lo + BLOCK_ROWS], dtype=float).reshape(-1, q.shape[1])

@@ -109,7 +109,8 @@ def _symmetric_combinations(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric}, and mats[j] = sum_k null[k, j] gens[k].
     """
     asym = (gens - gens.transpose(0, 2, 1)).reshape(len(gens), -1)
-    _, sv, vt = np.linalg.svd(asym.T)
+    # the thin factor already holds every row of vt unless asym.T is wide
+    _, sv, vt = np.linalg.svd(asym.T, full_matrices=asym.shape[0] > asym.shape[1])
     cutoff = 1e-12 * max(1.0, float(sv[0]) if sv.size else 0.0)
     null = vt[int(np.sum(sv > cutoff)):].T  # (n, n - rank)
     mats = np.einsum("km,kij->mij", null, gens)
@@ -129,11 +130,12 @@ def _frobenius_basis(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return u[:, keep], sig[keep], 0.5 * (basis + basis.transpose(0, 2, 1))
 
 
-def _lambda_min(m: np.ndarray, settings: Settings) -> float:
-    return float(sym_eig(m, settings=settings)[0][-1])
+def _lambda_min(m: np.ndarray) -> float:
+    # solver-internal: m is symmetric by construction
+    return float(np.linalg.eigvalsh(m)[0])
 
 
-def _farkas(z: np.ndarray, mats: np.ndarray, settings: Settings) -> np.ndarray | None:
+def _farkas(z: np.ndarray, mats: np.ndarray) -> np.ndarray | None:
     """Project z onto {Z : Tr(Z M_j) = 0 for all j} and scale it to unit trace.
 
     Returns None unless the projection is positive definite, i.e. unless it
@@ -143,7 +145,7 @@ def _farkas(z: np.ndarray, mats: np.ndarray, settings: Settings) -> np.ndarray |
     sym = 0.5 * (z + z.T)
     coef = np.linalg.lstsq(flat.T, sym.ravel(), rcond=None)[0]
     z = sym - np.tensordot(coef, mats, axes=1)
-    if _lambda_min(z, settings) <= 0.0:
+    if _lambda_min(z) <= 0.0:
         return None
     return z / np.trace(z)
 
@@ -196,7 +198,7 @@ def _phase_one(
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, float, float]:
         u = u0 + x[:-1] @ perp
-        lam = _lambda_min(np.tensordot(u, basis, axes=1), settings)
+        lam = _lambda_min(np.tensordot(u, basis, axes=1))
         return u / sig, float(np.linalg.norm(u / sig)), lam
 
     x = np.zeros(r)
@@ -213,7 +215,7 @@ def _phase_one(
         s, nu = float(x[-1]), float(x[-1]) + n * mu
         if nu < 0.0:
             slack = base + np.tensordot(x, stack, axes=1)
-            cert = _farkas(mu * np.linalg.inv(slack) - nu * np.eye(n), basis, settings)
+            cert = _farkas(mu * np.linalg.inv(slack) - nu * np.eye(n), basis)
             if cert is not None:
                 return value, u_svd @ w, cert
         if s >= -tol * norm and nu * tau <= tol:
@@ -251,12 +253,12 @@ def _unit_ball_margin(
     base = np.diag(np.r_[np.zeros(n), np.ones(m + 1)])
     cost = -np.eye(m + 1)[m]
     x = np.append(0.5 * direction, 0.0)
-    x[-1] = _lambda_min(np.tensordot(x[:-1], mats, axes=1), settings) - 1.0
+    x[-1] = _lambda_min(np.tensordot(x[:-1], mats, axes=1)) - 1.0
     mu = 1.0 / float(np.trace(np.linalg.inv(base + np.tensordot(x, stack, axes=1))))
     while True:
         x = _centre(x, cost, base, stack, mu)
         t = x[:-1]
-        value = _lambda_min(np.tensordot(t, mats, axes=1), settings) / np.linalg.norm(t)
+        value = _lambda_min(np.tensordot(t, mats, axes=1)) / np.linalg.norm(t)
         if value > settings.feas_tol:
             return value, t
         if x[-1] + size * mu <= settings.feas_tol or size * mu <= _MU_FLOOR:
@@ -286,7 +288,7 @@ def _solve_pd_in_span(
     if float(np.linalg.norm(traces)) <= 1e-12 * max(1.0, float(np.max(np.abs(mats)))):
         # every combination is traceless, so none is positive definite
         value, sign, _ = _best_sign(mats[0], settings)
-        return value, sign * null[:, 0], _farkas(np.eye(n) / n, mats, settings)
+        return value, sign * null[:, 0], _farkas(np.eye(n) / n, mats)
     value, t, cert = _phase_one(mats, settings)
     return value, null @ (t / np.linalg.norm(t)), cert
 
@@ -509,7 +511,7 @@ def min_trace_Q(
     n = basis.shape[1]
     traces = state.dim / n * np.einsum("kaa->k", basis)  # Tr Q, not the realified trace
     c = sig * (u_svd.T @ (null.T @ coeffs))
-    lam0 = _lambda_min(np.tensordot(c, basis, axes=1), s)
+    lam0 = _lambda_min(np.tensordot(c, basis, axes=1))
     if lam0 <= 0.0:
         raise SolverStall("witness lost positivity in the Q frame")
     c *= 2.0 / lam0  # lambda_min(Q) = 2 > 1
@@ -536,10 +538,12 @@ def barrier_derivatives(k: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np
 
     ``k`` is the inverse of that slack at the current point and ``mats``
     stacks the symmetric directions B_i, shape (m, n, n). Returns (g, H) with
-    g_i = -Tr(K B_i) and H_ij = Tr(K B_i K B_j), both from one stacked K B_i.
+    g_i = -Tr(K B_i) and H_ij = Tr(K B_i K B_j) = <K B_i, (K B_j)^T>, both
+    from one stacked K B_i; H is a single GEMM.
     """
+    m = len(mats)
     km = k @ mats
-    return -np.einsum("iaa->i", km), np.einsum("iab,jba->ij", km, km)
+    return -np.einsum("iaa->i", km), km.reshape(m, -1) @ km.transpose(0, 2, 1).reshape(m, -1).T
 
 
 def _centre(
@@ -549,11 +553,14 @@ def _centre(
 
     Damped Newton from a strictly feasible x; the backtracking line search
     keeps S(x) positive definite and accepts only a strict decrease, so it
-    stops once rounding hides any progress. Raises SolverStall when the loop
-    does not converge.
+    stops once rounding hides any progress. The accepted trial's slack and
+    log det carry into the next step, so each point is factored once. Raises
+    SolverStall when the loop does not converge.
     """
+    flat = stack.reshape(len(stack), -1)
+    slack = base + (x @ flat).reshape(base.shape)
+    logdet = _logdet(slack)
     for _newton in range(80):
-        slack = base + np.tensordot(x, stack, axes=1)
         try:
             g_bar, h_bar = barrier_derivatives(np.linalg.inv(slack), stack)
             grad = cost + mu * g_bar
@@ -564,15 +571,16 @@ def _centre(
         decrement = float(-grad @ step)
         if decrement <= 2e-11:
             return x
-        f_cur = float(cost @ x) - mu * _logdet(slack)
+        f_cur = float(cost @ x) - mu * logdet
         alpha = 1.0
         while alpha > 1e-14:
             trial = x + alpha * step
-            logdet = _logdet(base + np.tensordot(trial, stack, axes=1))
-            if logdet is not None and (
-                float(cost @ trial) - mu * logdet < f_cur - 1e-4 * alpha * decrement
+            trial_slack = base + (trial @ flat).reshape(base.shape)
+            trial_logdet = _logdet(trial_slack)
+            if trial_logdet is not None and (
+                float(cost @ trial) - mu * trial_logdet < f_cur - 1e-4 * alpha * decrement
             ):
-                x = trial
+                x, slack, logdet = trial, trial_slack, trial_logdet
                 break
             alpha *= 0.5
         else:

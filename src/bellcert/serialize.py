@@ -27,8 +27,8 @@ from .strategies import (
 def encode_matrix(m: np.ndarray) -> list:
     arr = np.asarray(m)
     if np.iscomplexobj(arr):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
-    return [[float(v) for v in row] for row in arr]
+        return np.stack([arr.real, arr.imag], -1).tolist()
+    return arr.astype(float).tolist()
 
 
 def decode_matrix(raw: Sequence) -> np.ndarray:
@@ -102,7 +102,8 @@ def strategy_from_json_dict(raw: dict) -> Strategy:
 
 
 def write_strategy(path: str | Path, s: Strategy) -> None:
-    Path(path).write_text(json.dumps(strategy_to_json_dict(s), indent=2) + "\n")
+    # one line, no indent: json then runs its C encoder
+    Path(path).write_text(json.dumps(strategy_to_json_dict(s)) + "\n")
 
 
 def read_strategy(path: str | Path) -> Strategy:
@@ -151,8 +152,8 @@ def table_to_csv(path: str | Path, table: CorrelationTable) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for (x, j, y, k), value in sorted(table.items()):
-            writer.writerow([x, j, y, k, repr(float(value.real)), repr(float(value.imag))])
+        entries = sorted(table.items())
+        writer.writerows((*key, repr(float(v.real)), repr(float(v.imag))) for key, v in entries)
 
 
 def table_from_csv(path: str | Path) -> CorrelationTable:

@@ -322,11 +322,8 @@ def correlation_table(strategy: Strategy) -> CorrelationTable:
     a = dm @ np.array([op for ops in alice for op in ops]).reshape(-1, d, d) @ dm
     b = np.array([op for ops in bob for op in ops]).reshape(-1, d, d)
     values = np.einsum("xab,yab->xy", a, b)
-    return CorrelationTable({
-        (x, j, y, k): complex(values[r, c])
-        for r, (x, j) in enumerate(rows)
-        for c, (y, k) in enumerate(cols)
-    })
+    keys = [row + col for row in rows for col in cols]
+    return CorrelationTable(dict(zip(keys, values.astype(complex).ravel().tolist())))
 
 
 def brute_force_correlation(strategy: Strategy) -> CorrelationTable:

@@ -13,6 +13,7 @@ Expected values come from hand derivations frozen as literals:
 import numpy as np
 import pytest
 
+from bellcert.certify import split_measurement
 from bellcert.config import DEFAULTS
 from bellcert.errors import (
     BadParams,
@@ -26,6 +27,7 @@ from bellcert.jordan import contains, span_basis
 from bellcert.linalg import realify, sgn_map
 from bellcert.posthoc import (
     RobustnessParams,
+    _symmetric_combinations,
     analytic_family_2d,
     analytic_family_region,
     barrier_derivatives,
@@ -36,7 +38,12 @@ from bellcert.posthoc import (
     sign_reachable,
     vector_recovery_bound,
 )
-from bellcert.simplex import degenerate_pair_3d, pair_observables, simplex_observables
+from bellcert.simplex import (
+    degenerate_pair_3d,
+    maximal_independent_subset,
+    pair_observables,
+    simplex_observables,
+)
 from bellcert.strategies import (
     ProjectiveMeasurement,
     SchmidtState,
@@ -432,6 +439,27 @@ class TestGeneralFeasibility:
         assert all(r.feasible for r in results)
 
 
+class TestSymmetricCombinations:
+    def test_more_generators_than_matrix_entries(self, rng):
+        # d = 2 with five references: six generators against four entries, so
+        # the asymmetry matrix is wide and its null space needs all of V
+        st = SchmidtState(np.array([np.cos(0.4), np.sin(0.4)]))
+        refs = [X, Z] + [random_reflection(rng, 2, 1) for _ in range(3)]
+        target = random_reflection(rng, 2, 1)
+        dm = st.matrix
+        gens = target @ np.array([dm @ dm] + [dm @ a @ dm for a in refs])
+        null, mats = _symmetric_combinations(gens)
+        asym = (gens - gens.transpose(0, 2, 1)).reshape(len(gens), -1)
+        assert null.shape == (6, 6 - np.linalg.matrix_rank(asym.T))
+        assert np.allclose(null.T @ null, np.eye(null.shape[1]), atol=1e-12)
+        assert np.max(np.abs(asym.T @ null)) <= 1e-12
+        assert np.allclose(mats, np.einsum("km,kij->mij", null, gens), atol=1e-12)
+        # D^2, D X D and D Z D span every symmetric 2x2 matrix, target included
+        result = posthoc_feasible_binary(st, refs, target)
+        assert result.feasible
+        assert np.linalg.eigvalsh(target @ result.witness)[0] > 0.0
+
+
 class TestSignReachable:
     def test_diagonal_span_reaches_z_but_not_the_hadamard_direction(self):
         span = span_basis([np.eye(2), Z])
@@ -451,6 +479,41 @@ class TestMinTraceCertificate:
         grad, hess = barrier_derivatives(k, np.array(mats))
         assert np.max(np.abs(hess - ref)) <= tol
         assert np.allclose(grad, [-np.sum(k * b) for b in mats], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 12), (10, 46)])
+    def test_barrier_derivatives_match_the_loop_at_other_shapes(self, rng, n, m):
+        # a positive definite K as in the barrier, and an indefinite one
+        a = rng.standard_normal((n, n))
+        for k in (np.linalg.inv(a @ a.T + np.eye(n)), random_symmetric(rng, n)):
+            mats = [random_symmetric(rng, n) for _ in range(m)]
+            ref = barrier_hessian_loop(k, mats)
+            tol = 1e-12 * float(np.max(np.abs(ref)))
+            grad, hess = barrier_derivatives(k, np.array(mats))
+            assert hess.shape == (m, m)
+            assert np.max(np.abs(hess - ref)) <= tol
+            assert np.allclose(grad, [-np.trace(k @ b) for b in mats], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [4, 8, 10])
+    def test_pipeline_pair_targets_reach_the_dimension(self, d):
+        # the certify pipeline's instance: maximally entangled state, Bob's
+        # spanning family, a simplex pair target; Q = I is optimal
+        bob, _ = maximal_independent_subset(d)
+        me = SchmidtState.maximally_entangled(d)
+        for key in ((0, 1), (2, d)):
+            tr, q = min_trace_Q(me, bob, pair_observables(d)[key])
+            assert tr == pytest.approx(d, rel=1e-9)
+            assert tr == pytest.approx(float(np.trace(q)), rel=1e-12)
+
+    def test_pipeline_three_outcome_measurement_reaches_the_dimension(self):
+        # every binary coarse-graining of a fixed d = 4 three-outcome measurement
+        meas = ProjectiveMeasurement(
+            tuple(random_projective_measurement(np.random.default_rng(0), 4, 3))
+        )
+        bob, _ = maximal_independent_subset(4)
+        me = SchmidtState.maximally_entangled(4)
+        for part in split_measurement(meas):
+            tr, _ = min_trace_Q(me, bob, part)
+            assert tr == pytest.approx(4.0, rel=1e-9)
 
     def test_maximally_entangled_self_family_reaches_dimension(self):
         for d in (2, 3, 4):

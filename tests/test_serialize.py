@@ -25,10 +25,21 @@ from bellcert.simplex import initial_strategy
 from bellcert.strategies import (
     CorrelationTable,
     ProjectiveMeasurement,
+    SchmidtState,
+    Strategy,
     correlation_table,
 )
 
 from helpers import X, random_projective_measurement, random_symmetric
+
+
+def _exact(a, b) -> bool:
+    """Equal JSON values, floats compared by repr so that -0.0 != 0.0."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_exact(u, v) for u, v in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_exact(a[k], b[k]) for k in a)
+    return type(a) is type(b) and repr(a) == repr(b)
 
 
 class TestMatrixCodec:
@@ -75,6 +86,25 @@ class TestStrategyCodec:
         again = read_strategy(path)
         table_gap = correlation_table(strat).max_difference(correlation_table(again))
         assert table_gap < 1e-15
+
+    def test_file_is_one_line_of_the_exact_dict(self, tmp_path):
+        # a complex measurement, and -0.0 in a matrix entry and in meta
+        half = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+        neg = np.array([[1.0, -0.0], [-0.0, 0.0]])
+        strat = Strategy(
+            state=SchmidtState(np.array([0.8, 0.6])),
+            alice=(ProjectiveMeasurement((half, np.eye(2) - half)),),
+            bob=(ProjectiveMeasurement((neg, np.eye(2) - neg)),),
+            meta={"kind": "test", "offset": -0.0},
+        )
+        path = tmp_path / "strategy.json"
+        write_strategy(path, strat)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        expected = strategy_to_json_dict(strat)
+        assert _exact(json.loads(text), expected)
+        assert _exact(expected["bob"][0]["projections"][0][0][1], -0.0)
+        assert _exact(expected["alice"][0]["projections"][0][0][1], [0.0, -0.5])
 
     def test_missing_fields_raise(self):
         with pytest.raises(BadParams):
@@ -127,6 +157,25 @@ class TestTableCsv:
         table_to_csv(path, table)
         again = table_from_csv(path)
         assert table.max_difference(again) == 0.0
+
+    def test_three_outcome_table_round_trips_in_key_order(self, rng, tmp_path):
+        projs = random_projective_measurement(rng, 3, 3)
+        strat = Strategy(
+            state=SchmidtState(np.array([0.8, 0.48, 0.36])),
+            alice=(ProjectiveMeasurement(tuple(projs)),),
+            bob=(ProjectiveMeasurement(tuple(projs[::-1])),),
+        )
+        table = correlation_table(strat)
+        assert not table.is_real()
+        path = tmp_path / "table.csv"
+        table_to_csv(path, table)
+        assert table_from_csv(path).entries == table.entries
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(["x", "j", "y", "k", "re", "im"])
+        assert lines[1:] == [
+            f"{x},{j},{y},{k},{float(v.real)!r},{float(v.imag)!r}"
+            for (x, j, y, k), v in sorted(table.items())
+        ]
 
     def test_complex_entries_survive(self, tmp_path):
         entries = {
