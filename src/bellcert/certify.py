@@ -47,6 +47,7 @@ from .strategies import (
     Strategy,
     correlation_table,
     require_binary_observable,
+    require_binary_observables,
 )
 
 
@@ -63,8 +64,8 @@ def split_measurement(m: ProjectiveMeasurement) -> list[np.ndarray]:
 
 def merge_binary_split(observables: Sequence[np.ndarray]) -> ProjectiveMeasurement:
     """Inverse of split_measurement: P_a = (I + O_a)/2, validated as projective."""
-    obs = [require_binary_observable(o) for o in observables]
-    if not obs:
+    obs = require_binary_observables(observables)
+    if not len(obs):
         raise BadParams("need at least one observable to merge")
     eye = np.eye(obs[0].shape[0])
     return ProjectiveMeasurement(tuple(0.5 * (eye + o) for o in obs))
@@ -229,8 +230,7 @@ def iterative_plan(
     SolverStall if the randomized search exhausts its round budget first.
     """
     s = settings or DEFAULTS
-    o = require_binary_observable(target, s.eig_tol)
-    refs = [require_binary_observable(a, s.eig_tol) for a in initial_alice]
+    o, *refs = require_binary_observables([target, *initial_alice], s.eig_tol)
     closure, closure_iters = jordan_closure(refs, settings=s)
     member, _, _ = contains(closure, o)
     if not member:

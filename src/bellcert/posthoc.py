@@ -15,7 +15,7 @@ closed-form robustness bounds that consume those certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .linalg import (
     realify,
     sym_eig,
 )
-from .strategies import SchmidtState, require_binary_observable, require_order_l
+from .strategies import SchmidtState, require_binary_observables, require_order_l
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +100,13 @@ class FeasibilityResult:
 # (_MU_FLOOR * Tr Q for the minimum-trace barrier, whose objective is Tr Q).
 _MU_SHRINK = 0.15
 _MU_FLOOR = 5e-10
+# Centring: Newton decrement <= _DECREMENT_TOL within _MAX_NEWTON steps, line
+# search halving down to _STEP_FLOOR, Armijo fraction, Newton-system ridge.
+_MAX_NEWTON = 80
+_DECREMENT_TOL = 2e-11
+_ARMIJO = 1e-4
+_STEP_FLOOR = 1e-14
+_RIDGE = 1e-13
 
 
 def _symmetric_combinations(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +120,8 @@ def _symmetric_combinations(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, sv, vt = np.linalg.svd(asym.T, full_matrices=asym.shape[0] > asym.shape[1])
     cutoff = 1e-12 * max(1.0, float(sv[0]) if sv.size else 0.0)
     null = vt[int(np.sum(sv > cutoff)):].T  # (n, n - rank)
-    mats = np.einsum("km,kij->mij", null, gens)
+    n = gens.shape[1]
+    mats = (null.T @ gens.reshape(len(gens), -1)).reshape(-1, n, n)
     return null, 0.5 * (mats + mats.transpose(0, 2, 1))
 
 
@@ -206,8 +214,9 @@ def _phase_one(
     x[-1] = lam - 1.0  # lambda_min(M(u0) - s I) = 1
     mu = 1.0 / float(np.trace(np.linalg.inv(base - x[-1] * np.eye(n))))
     value = lam / norm
-    while value <= tol:
-        x = _centre(x, cost, base, stack, mu)
+    if value > tol:
+        return value, u_svd @ w, None
+    for x, mu in _central_path(x, cost, base, stack, mu):
         w, norm, lam = evaluate(x)
         value = lam / norm
         if value > tol:
@@ -230,7 +239,6 @@ def _phase_one(
                     f"certificate (lambda_min {value:.3e})"
                 )
             break
-        mu *= _MU_SHRINK
     return value, u_svd @ w, None
 
 
@@ -255,15 +263,13 @@ def _unit_ball_margin(
     x = np.append(0.5 * direction, 0.0)
     x[-1] = _lambda_min(np.tensordot(x[:-1], mats, axes=1)) - 1.0
     mu = 1.0 / float(np.trace(np.linalg.inv(base + np.tensordot(x, stack, axes=1))))
-    while True:
-        x = _centre(x, cost, base, stack, mu)
+    for x, mu in _central_path(x, cost, base, stack, mu):
         t = x[:-1]
         value = _lambda_min(np.tensordot(t, mats, axes=1)) / np.linalg.norm(t)
         if value > settings.feas_tol:
             return value, t
         if x[-1] + size * mu <= settings.feas_tol or size * mu <= _MU_FLOOR:
             return None
-        mu *= _MU_SHRINK
 
 
 def _solve_pd_in_span(
@@ -306,12 +312,12 @@ def _verdict(value: float, tol: float) -> str:
 
 
 def _binary_generators(
-    state: SchmidtState, refs: Sequence[np.ndarray], o: np.ndarray
+    state: SchmidtState, obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The span elements S_k (D^2, then D A_x D) and the generators O S_k."""
+    """Span elements S_k (D^2, then D A_x D) and generators O S_k, for obs = [O, A_x]."""
     dm = state.matrix
-    span = np.array([dm @ dm] + [dm @ a @ dm for a in refs])
-    return span, o @ span
+    span = np.concatenate([(dm @ dm)[None], dm @ obs[1:] @ dm])
+    return span, obs[0] @ span
 
 
 def posthoc_feasible_binary(
@@ -333,12 +339,10 @@ def posthoc_feasible_binary(
     into a verdict.
     """
     s = settings or DEFAULTS
-    o = require_binary_observable(target, s.eig_tol)
-    refs = [require_binary_observable(a, s.eig_tol) for a in alice]
-    d = state.dim
-    if o.shape[0] != d or any(r.shape[0] != d for r in refs):
+    obs = require_binary_observables([target, *alice], s.eig_tol)
+    if obs.shape[1] != state.dim:
         raise DimMismatch("observable dimension does not match the state")
-    span, gens = _binary_generators(state, refs, o)
+    span, gens = _binary_generators(state, obs)
     value, coeffs, certificate = _solve_pd_in_span(gens, settings=s)
     verdict = _verdict(value, s.feas_tol)
     feasible = verdict == "feasible"
@@ -495,9 +499,8 @@ def min_trace_Q(
     coeffs = feasibility.coefficients
     scale = 1.0 / state.coeffs
     if is_real:
-        o = require_binary_observable(target, s.eig_tol)
-        refs = [require_binary_observable(a, s.eig_tol) for a in alice_powers]
-        gens = _binary_generators(state, refs, o)[1]
+        obs = require_binary_observables([target, *alice_powers], s.eig_tol)
+        gens = _binary_generators(state, obs)[1]
     else:
         u = require_order_l(target, outputs, s.eig_tol)
         gens = _power_generators(_span_generators_complex(state, alice_powers), u, power)
@@ -517,13 +520,10 @@ def min_trace_Q(
     c *= 2.0 / lam0  # lambda_min(Q) = 2 > 1
 
     # central path of Tr Q - mu log det(Q - I), stopped relative to Tr Q
-    minus_eye = -np.eye(n)
     mu = max(1.0, float(traces @ c) / n)
-    while True:
-        c = _centre(c, traces, minus_eye, basis, mu)
+    for c, mu in _central_path(c, traces, -np.eye(n), basis, mu):
         if n * mu <= _MU_FLOOR * max(1.0, float(traces @ c)):
             break
-        mu *= _MU_SHRINK
     q_final = np.tensordot(c, basis, axes=1)
     if is_real:
         q_out: np.ndarray = 0.5 * (q_final + q_final.T)
@@ -546,46 +546,59 @@ def barrier_derivatives(k: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np
     return -np.einsum("iaa->i", km), km.reshape(m, -1) @ km.transpose(0, 2, 1).reshape(m, -1).T
 
 
-def _centre(
+def _central_path(
     x: np.ndarray, cost: np.ndarray, base: np.ndarray, stack: np.ndarray, mu: float
-) -> np.ndarray:
-    """Minimize cost @ x - mu log det S(x), S(x) = base + sum_i x_i stack[i].
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Central path of cost @ x - mu log det S(x), S(x) = base + sum_i x_i stack[i].
 
-    Damped Newton from a strictly feasible x; the backtracking line search
-    keeps S(x) positive definite and accepts only a strict decrease, so it
-    stops once rounding hides any progress. The accepted trial's slack and
-    log det carry into the next step, so each point is factored once. Raises
-    SolverStall when the loop does not converge.
+    Yields (x, mu) at each centre: damped Newton from a strictly feasible x,
+    whose line search keeps S(x) positive definite and stops on no strict
+    decrease. Resumed, it shrinks mu and first takes the tangent step, exact
+    where the path is linear in mu. Raises SolverStall if a centring fails.
     """
     flat = stack.reshape(len(stack), -1)
     slack = base + (x @ flat).reshape(base.shape)
     logdet = _logdet(slack)
-    for _newton in range(80):
-        try:
-            g_bar, h_bar = barrier_derivatives(np.linalg.inv(slack), stack)
-            grad = cost + mu * g_bar
-            hess = 0.5 * mu * (h_bar + h_bar.T) + 1e-13 * np.eye(x.size)
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError as exc:
-            raise SolverStall("barrier Newton system is singular") from exc
-        decrement = float(-grad @ step)
-        if decrement <= 2e-11:
-            return x
+
+    def search(dx: np.ndarray, slope: float) -> bool:
+        """Move x to the first x + alpha dx, alpha = 1, 1/2, ..., with Armijo decrease."""
+        nonlocal x, slack, logdet
         f_cur = float(cost @ x) - mu * logdet
         alpha = 1.0
-        while alpha > 1e-14:
-            trial = x + alpha * step
+        while alpha > _STEP_FLOOR:
+            trial = x + alpha * dx
             trial_slack = base + (trial @ flat).reshape(base.shape)
             trial_logdet = _logdet(trial_slack)
             if trial_logdet is not None and (
-                float(cost @ trial) - mu * trial_logdet < f_cur - 1e-4 * alpha * decrement
+                float(cost @ trial) - mu * trial_logdet < f_cur - _ARMIJO * alpha * slope
             ):
                 x, slack, logdet = trial, trial_slack, trial_logdet
-                break
+                return True
             alpha *= 0.5
+        return False
+
+    while True:
+        for _newton in range(_MAX_NEWTON):
+            try:
+                g_bar, h_bar = barrier_derivatives(np.linalg.inv(slack), stack)
+                grad = cost + mu * g_bar
+                hess = 0.5 * mu * (h_bar + h_bar.T) + _RIDGE * np.eye(x.size)
+                # the Newton step and H^-1 g_bar from one factorization
+                step, tangent = np.linalg.solve(hess, np.column_stack([-grad, g_bar])).T
+            except np.linalg.LinAlgError as exc:
+                raise SolverStall("barrier Newton system is singular") from exc
+            decrement = float(-grad @ step)
+            if decrement <= _DECREMENT_TOL or not search(step, decrement):
+                break
         else:
-            return x
-    raise SolverStall("barrier Newton loop did not converge")
+            raise SolverStall("barrier Newton loop did not converge")
+        yield x, mu
+        # hess ~ mu h_bar, so this is (1 - sigma) h_bar^-1 g_bar
+        tangent *= (1.0 - _MU_SHRINK) * mu
+        mu *= _MU_SHRINK
+        slope = -float((cost + mu * g_bar) @ tangent)
+        if slope > 0.0:
+            search(tangent, slope)
 
 
 def _logdet(m: np.ndarray) -> float | None:

@@ -149,11 +149,13 @@ _CSV_HEADER = ["x", "j", "y", "k", "re", "im"]
 
 
 def table_to_csv(path: str | Path, table: CorrelationTable) -> None:
+    # the text csv.writer writes (no field needs quoting), built in one join
+    rows = "".join(
+        f"{x},{j},{y},{k},{float(v.real)!r},{float(v.imag)!r}\r\n"
+        for (x, j, y, k), v in sorted(table.items())
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        entries = sorted(table.items())
-        writer.writerows((*key, repr(float(v.real)), repr(float(v.imag))) for key, v in entries)
+        fh.write(",".join(_CSV_HEADER) + "\r\n" + rows)
 
 
 def table_from_csv(path: str | Path) -> CorrelationTable:

@@ -19,10 +19,11 @@ from .errors import (
     DimMismatch,
     InvalidMeasurement,
     NotOrderL,
+    NotSymmetric,
     TooLarge,
 )
 from .jordan import has_trivial_centralizer
-from .linalg import as_square_matrix, require_hermitian, require_symmetric, sym_eig
+from .linalg import as_square_matrix, require_hermitian, sym_eig
 
 _BRUTE_FORCE_LIMIT = 4096
 
@@ -137,12 +138,38 @@ class ProjectiveMeasurement:
 
 def require_binary_observable(o: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Validate a real symmetric involution and return its symmetrized copy."""
+    return require_binary_observables([o], tol)[0]
+
+
+def require_binary_observables(
+    obs: Sequence[np.ndarray], tol: float | None = None
+) -> np.ndarray:
+    """require_binary_observable on every matrix at once: the (k, d, d) stack.
+
+    Mixed sizes raise DimMismatch.
+    """
     if tol is None:
         tol = DEFAULTS.eig_tol
-    m = require_symmetric(o)
-    gap = float(np.max(np.abs(m @ m - np.eye(m.shape[0]))))
-    if gap > tol:
-        raise InvalidMeasurement(f"matrix squares to I only within {gap:.2e}")
+    if len({np.shape(o) for o in obs}) > 1:
+        raise DimMismatch("observables have mixed shapes")
+    if not len(obs):
+        return np.zeros((0, 0, 0))
+    a = np.array(list(obs))
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimMismatch(f"expected square matrices, got shape {a.shape[1:]}")
+    if np.iscomplexobj(a) and np.any(a.imag):
+        raise NotSymmetric("expected a real matrix, got complex entries")
+    a = a.real.astype(float)
+    flat, flat_t = a.reshape(len(a), -1), a.transpose(0, 2, 1).reshape(len(a), -1)
+    scale = np.abs(flat).max(axis=1, initial=1.0)
+    gap = np.abs(flat - flat_t).max(axis=1, initial=0.0)
+    bad = np.flatnonzero(gap > DEFAULTS.sym_tol * scale)
+    if bad.size:
+        raise NotSymmetric(f"matrix {bad[0]} is not symmetric: |H - H^T| = {gap[bad[0]]:.3e}")
+    m = 0.5 * (a + a.transpose(0, 2, 1))
+    gap = np.abs(m @ m - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1, initial=0.0)
+    if np.any(gap > tol):
+        raise InvalidMeasurement(f"matrix {gap.argmax()} squares to I within {gap.max():.2e}")
     return m
 
 
@@ -380,13 +407,10 @@ def verify_degenerate_pair(
     family has a trivial centralizer (so the coincidence is not an artifact of
     a reducible reference).
     """
-    refs = [require_binary_observable(r) for r in reference]
-    b1 = require_binary_observable(first)
-    b2 = require_binary_observable(second)
+    b1, b2, *refs = require_binary_observables([first, second, *reference])
     d = state.dim
-    for m in (*refs, b1, b2):
-        if m.shape[0] != d:
-            raise DimMismatch("observable dimension does not match the state")
+    if b1.shape[0] != d:
+        raise DimMismatch("observable dimension does not match the state")
     ops = [np.eye(d)] + refs
     gap = max(
         abs(correlation(state, a, b1) - correlation(state, a, b2)) for a in ops

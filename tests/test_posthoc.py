@@ -13,6 +13,7 @@ Expected values come from hand derivations frozen as literals:
 import numpy as np
 import pytest
 
+from bellcert import posthoc
 from bellcert.certify import split_measurement
 from bellcert.config import DEFAULTS
 from bellcert.errors import (
@@ -26,7 +27,10 @@ from bellcert.errors import (
 from bellcert.jordan import contains, span_basis
 from bellcert.linalg import realify, sgn_map
 from bellcert.posthoc import (
+    _DECREMENT_TOL,
+    _MU_SHRINK,
     RobustnessParams,
+    _central_path,
     _symmetric_combinations,
     analytic_family_2d,
     analytic_family_region,
@@ -105,6 +109,11 @@ class TestBinaryFeasibility:
         result = posthoc_feasible_binary(st, [X], target)
         assert result.verdict == "marginal"
         assert abs(result.lambda_min_achieved) <= DEFAULTS.feas_tol
+
+    def test_empty_reference_family(self):
+        # span{D^2} alone: O D^2 is positive definite for O = I only
+        assert posthoc_feasible_binary(ME2, [], np.eye(2)).feasible
+        assert posthoc_feasible_binary(ME2, [], Z).verdict == "infeasible"
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimMismatch):
@@ -494,15 +503,27 @@ class TestMinTraceCertificate:
             assert np.allclose(grad, [-np.trace(k @ b) for b in mats], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [4, 8, 10])
-    def test_pipeline_pair_targets_reach_the_dimension(self, d):
+    def test_pipeline_pair_targets_reach_the_dimension(self, d, monkeypatch):
         # the certify pipeline's instance: maximally entangled state, Bob's
-        # spanning family, a simplex pair target; Q = I is optimal
+        # spanning family, a simplex pair target; Q = I is optimal, and the
+        # central path (1 + mu) I is linear in mu, so each tangent step lands
+        # on the next centre: 13 centrings take 18 derivative evaluations
+        calls = []
+
+        def counted(k, mats):
+            calls.append(len(mats))
+            return barrier_derivatives(k, mats)
+
+        monkeypatch.setattr(posthoc, "barrier_derivatives", counted)
         bob, _ = maximal_independent_subset(d)
         me = SchmidtState.maximally_entangled(d)
         for key in ((0, 1), (2, d)):
+            calls.clear()
             tr, q = min_trace_Q(me, bob, pair_observables(d)[key])
             assert tr == pytest.approx(d, rel=1e-9)
             assert tr == pytest.approx(float(np.trace(q)), rel=1e-12)
+            # the feasibility check's phase-I barrier makes none here
+            assert 0 < len(calls) <= 20
 
     def test_pipeline_three_outcome_measurement_reaches_the_dimension(self):
         # every binary coarse-graining of a fixed d = 4 three-outcome measurement
@@ -665,6 +686,31 @@ def _random_unitary_measurement(rng, d: int, outputs: int) -> ProjectiveMeasurem
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     cuts = np.array_split(np.arange(d), outputs)
     return ProjectiveMeasurement(tuple(q[:, c] @ q[:, c].conj().T for c in cuts))
+
+
+class TestCentralPath:
+    @pytest.mark.parametrize("n, m", [(3, 4), (4, 7), (6, 12)])
+    def test_every_yield_is_a_centre_on_the_mu_schedule(self, rng, n, m):
+        # min Tr Q - mu log det(Q - I) over Q = sum_i x_i B_i, with B_0 = I and
+        # random symmetric B_i, from Q = 2 I: the path is not linear in mu
+        mats = np.array([np.eye(n)] + [random_symmetric(rng, n) for _ in range(m - 1)])
+        cost = np.einsum("kaa->k", mats)
+        x0 = np.eye(m)[0] * 2.0
+        seen = []
+        for x, mu in _central_path(x0, cost, -np.eye(n), mats, 1.0):
+            seen.append((x.copy(), mu))
+            if len(seen) == 10:
+                break
+        for x, mu in seen:
+            slack = np.tensordot(x, mats, axes=1) - np.eye(n)
+            assert np.linalg.eigvalsh(slack)[0] > 0.0
+            k = np.linalg.inv(slack)
+            grad = cost - mu * np.array([np.trace(k @ b) for b in mats])
+            hess = mu * barrier_hessian_loop(k, mats)
+            assert float(grad @ np.linalg.solve(hess, grad)) <= _DECREMENT_TOL
+        mus = [mu for _, mu in seen]
+        assert mus[0] == 1.0
+        assert all(b == a * _MU_SHRINK for a, b in zip(mus, mus[1:]))
 
 
 class TestRobustnessBound:

@@ -1,5 +1,7 @@
 """JSON/CSV round-trips for matrices, strategies, and correlation tables."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -176,6 +178,22 @@ class TestTableCsv:
             f"{x},{j},{y},{k},{float(v.real)!r},{float(v.imag)!r}"
             for (x, j, y, k), v in sorted(table.items())
         ]
+
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        # splitlines() above cannot see the line terminator; compare raw bytes
+        table = correlation_table(initial_strategy(4))
+        table.entries[(9, 0, 9, 1)] = complex(-0.0, 1e-300)
+        table.entries[(9, 1, 9, 0)] = complex(float("inf"), float("nan"))
+        path = tmp_path / "table.csv"
+        table_to_csv(path, table)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["x", "j", "y", "k", "re", "im"])
+        writer.writerows(
+            (*key, repr(float(v.real)), repr(float(v.imag)))
+            for key, v in sorted(table.items())
+        )
+        assert path.read_bytes() == ref.getvalue().encode()
 
     def test_complex_entries_survive(self, tmp_path):
         entries = {

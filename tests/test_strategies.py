@@ -5,9 +5,11 @@ import pytest
 
 from bellcert.errors import (
     BadParams,
+    BellcertError,
     DimMismatch,
     InvalidMeasurement,
     NotOrderL,
+    NotSymmetric,
     TooLarge,
 )
 from bellcert.strategies import (
@@ -21,10 +23,12 @@ from bellcert.strategies import (
     generalized_observables,
     povm_from_observable,
     require_binary_observable,
+    require_binary_observables,
     require_order_l,
     verify_cheating_povm,
     verify_degenerate_pair,
 )
+from bellcert.linalg import require_symmetric
 from bellcert.posthoc import posthoc_feasible_general
 from bellcert.simplex import degenerate_pair_3d, initial_strategy
 
@@ -157,6 +161,45 @@ class TestGeneralizedObservables:
         assert np.allclose(require_binary_observable(X), X)
         with pytest.raises(InvalidMeasurement):
             require_binary_observable(0.9 * X)
+
+
+class TestBinaryObservableFamily:
+    DEFECTS = {
+        "non-square": (lambda m: m[:, :-1], DimMismatch),
+        "complex": (lambda m: m + 1e-3j * np.eye(len(m)), NotSymmetric),
+        "asymmetric": (lambda m: m + np.triu(np.full_like(m, 1e-6), 1), NotSymmetric),
+        "not an involution": (lambda m: 0.9 * m, InvalidMeasurement),
+    }
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_a_defect_raises_what_the_single_validator_raises(self, rng, defect, where):
+        spoil, expected = self.DEFECTS[defect]
+        family = [random_reflection(rng, 4) for _ in range(5)]
+        family[where] = spoil(family[where])
+        with pytest.raises(BellcertError) as single:
+            require_binary_observable(family[where])
+        with pytest.raises(BellcertError) as batched:
+            require_binary_observables(family)
+        assert single.type is batched.type is expected
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_mixed_sizes_raise(self, rng, where):
+        family = [random_reflection(rng, 4) for _ in range(5)]
+        family[where] = random_reflection(rng, 3)
+        with pytest.raises(DimMismatch):
+            require_binary_observables(family)
+
+    def test_output_is_the_per_matrix_symmetrized_copies(self, rng):
+        family = [random_reflection(rng, 5) for _ in range(6)]
+        family[1] = family[1] + 1e-12 * rng.standard_normal((5, 5))
+        family[3] = family[3].astype(complex)
+        out = require_binary_observables(family)
+        assert out.shape == (6, 5, 5) and out.dtype == float
+        for o, m in zip(out, family):
+            assert np.array_equal(o, require_symmetric(m))
+            assert np.array_equal(o, require_binary_observable(m))
+        assert require_binary_observables([]).shape == (0, 0, 0)
 
 
 class TestCorrelation:
