@@ -71,6 +71,30 @@ def merge_binary_split(observables: Sequence[np.ndarray]) -> ProjectiveMeasureme
     return ProjectiveMeasurement(tuple(0.5 * (eye + o) for o in obs))
 
 
+def _certification_strategy(
+    extras: Sequence[np.ndarray], labels: Sequence[str], meta: dict, settings: Settings
+) -> Strategy:
+    """Bob's spanning family against Alice's simplex reflections plus `extras`."""
+    d = extras[0].shape[0]
+    if d < 3:
+        raise BadDimension("the certification pipeline needs dimension >= 3")
+    bob_mats, bob_labels = maximal_independent_subset(d)
+    return Strategy(
+        state=SchmidtState.maximally_entangled(d),
+        alice=tuple(
+            ProjectiveMeasurement.from_observable(o, settings.eig_tol)
+            for o in (*simplex_observables(d), *extras)
+        ),
+        bob=tuple(
+            ProjectiveMeasurement.from_observable(o, settings.eig_tol) for o in bob_mats
+        ),
+        alice_labels=tuple(f"T{j}" for j in range(d + 1)) + tuple(labels),
+        bob_labels=tuple(bob_labels),
+        # "kind" keeps its first place: the key order is strategy.json's
+        meta={"kind": meta["kind"], "base_questions": d + 1, **meta},
+    )
+
+
 def binary_certification_strategy(
     target: np.ndarray, *, settings: Settings | None = None
 ) -> Strategy:
@@ -83,24 +107,7 @@ def binary_certification_strategy(
     """
     s = settings or DEFAULTS
     o = require_binary_observable(target, s.eig_tol)
-    d = o.shape[0]
-    if d < 3:
-        raise BadDimension("the certification pipeline needs dimension >= 3")
-    bob_mats, bob_labels = maximal_independent_subset(d)
-    alice_obs = simplex_observables(d) + [o]
-    alice_labels = tuple(f"T{j}" for j in range(d + 1)) + ("O",)
-    alice = tuple(
-        ProjectiveMeasurement.from_observable(m, s.eig_tol) for m in alice_obs
-    )
-    bob = tuple(ProjectiveMeasurement.from_observable(m, s.eig_tol) for m in bob_mats)
-    return Strategy(
-        state=SchmidtState.maximally_entangled(d),
-        alice=alice,
-        bob=bob,
-        alice_labels=alice_labels,
-        bob_labels=tuple(bob_labels),
-        meta={"kind": "binary-certification", "base_questions": d + 1},
-    )
+    return _certification_strategy([o], ("O",), {"kind": "binary-certification"}, s)
 
 
 def measurement_certification_strategy(
@@ -111,31 +118,11 @@ def measurement_certification_strategy(
     Alice gets the d+1 simplex reflections plus one binary coarse-graining per
     outcome (labels O0, O1, ...); Bob keeps the spanning reference family.
     """
-    s = settings or DEFAULTS
-    d = m.dim
-    if d < 3:
-        raise BadDimension("the certification pipeline needs dimension >= 3")
-    splits = split_measurement(m)
-    bob_mats, bob_labels = maximal_independent_subset(d)
-    alice_obs = simplex_observables(d) + splits
-    alice_labels = tuple(f"T{j}" for j in range(d + 1)) + tuple(
-        f"O{a}" for a in range(m.outputs)
-    )
-    alice = tuple(
-        ProjectiveMeasurement.from_observable(o, s.eig_tol) for o in alice_obs
-    )
-    bob = tuple(ProjectiveMeasurement.from_observable(o, s.eig_tol) for o in bob_mats)
-    return Strategy(
-        state=SchmidtState.maximally_entangled(d),
-        alice=alice,
-        bob=bob,
-        alice_labels=alice_labels,
-        bob_labels=tuple(bob_labels),
-        meta={
-            "kind": "measurement-certification",
-            "base_questions": d + 1,
-            "target_outputs": m.outputs,
-        },
+    return _certification_strategy(
+        split_measurement(m),
+        [f"O{a}" for a in range(m.outputs)],
+        {"kind": "measurement-certification", "target_outputs": m.outputs},
+        settings or DEFAULTS,
     )
 
 

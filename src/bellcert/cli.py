@@ -14,6 +14,7 @@ mismatch); 2 for malformed inputs or any other handled error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -64,12 +65,14 @@ from .certify import (
     measurement_certification_strategy,
 )
 
-_TOL_FLAGS = {
+# command-line flag dest -> Settings field; the flag is the dest with dashes
+_SETTINGS_FLAGS = {
     "tol_sym": "sym_tol",
     "tol_eig": "eig_tol",
     "tol_singular": "singular_tol",
     "tol_feas": "feas_tol",
     "tol_membership": "membership_tol",
+    "robustness_constant": "robustness_constant",
 }
 
 
@@ -77,16 +80,12 @@ def _build_settings(args: argparse.Namespace) -> Settings:
     s = DEFAULTS
     if getattr(args, "config", None):
         s = Settings.from_file(args.config, base=s)
-    overrides = {}
-    for flag, field in _TOL_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "robustness_constant", None) is not None:
-        overrides["robustness_constant"] = args.robustness_constant
-    if overrides:
-        s = s.replace(**overrides)
-    return s
+    overrides = {
+        field: getattr(args, dest)
+        for dest, field in _SETTINGS_FLAGS.items()
+        if getattr(args, dest, None) is not None
+    }
+    return s.replace(**overrides)
 
 
 def _load_json(path: str):
@@ -96,17 +95,13 @@ def _load_json(path: str):
 def _parent_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON file of tolerance overrides")
-    p.add_argument("--tol-sym", type=float, dest="tol_sym")
-    p.add_argument("--tol-eig", type=float, dest="tol_eig")
-    p.add_argument("--tol-singular", type=float, dest="tol_singular")
-    p.add_argument("--tol-feas", type=float, dest="tol_feas")
-    p.add_argument("--tol-membership", type=float, dest="tol_membership")
-    p.add_argument(
-        "--robustness-constant", type=float, dest="robustness_constant"
-    )
+    for dest in _SETTINGS_FLAGS:
+        p.add_argument("--" + dest.replace("_", "-"), type=float, dest=dest)
     return p
 
 
+# built once per process: parsing leaves the parser unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parent = _parent_parser()
     parser = argparse.ArgumentParser(

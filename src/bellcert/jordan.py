@@ -18,6 +18,7 @@ from .linalg import (
     as_square_matrix,
     extend_orthonormal_rows,
     orthonormal_rows,
+    require_hermitian_stack,
     require_symmetric,
     sym_eig,
 )
@@ -54,18 +55,11 @@ class SpanBasis:
         return view
 
 
-def _validated_family(
-    mats: Sequence[np.ndarray], sym_tol: float
-) -> tuple[list[np.ndarray], int]:
-    mats = list(mats)
-    if not mats:
+def _validated_family(mats: Sequence[np.ndarray], sym_tol: float) -> tuple[np.ndarray, int]:
+    if not len(mats):
         raise EmptyInput("need at least one matrix")
-    cleaned = [require_symmetric(m, sym_tol) for m in mats]
-    d = cleaned[0].shape[0]
-    for m in cleaned[1:]:
-        if m.shape[0] != d:
-            raise DimMismatch(f"mixed matrix sizes: {m.shape[0]} vs {d}")
-    return cleaned, d
+    stack = require_hermitian_stack(mats, sym_tol)
+    return stack, stack.shape[1]
 
 
 def span_basis(
@@ -82,8 +76,8 @@ def span_basis(
     s = settings or DEFAULTS
     if tol is None:
         tol = s.membership_tol
-    cleaned, d = _validated_family(mats, s.sym_tol)
-    return SpanBasis(matrix_dim=d, rows=orthonormal_rows(np.array(cleaned), tol), tol=tol)
+    stack, d = _validated_family(mats, s.sym_tol)
+    return SpanBasis(matrix_dim=d, rows=orthonormal_rows(stack, tol), tol=tol)
 
 
 def contains(
@@ -147,13 +141,11 @@ def jordan_closure(
     s = settings or DEFAULTS
     if tol is None:
         tol = s.membership_tol
-    gens, d = _validated_family(generators, s.sym_tol)
-    extras = [require_symmetric(m, s.sym_tol) for m in extra_generators]
-    for m in extras:
-        if m.shape[0] != d:
-            raise DimMismatch("extra generator size differs from generators")
-    seeds = [np.eye(d)] + gens + extras
-    q = orthonormal_rows(np.array(seeds), tol)
+    if not len(generators):
+        raise EmptyInput("need at least one matrix")
+    seeds = require_hermitian_stack([*generators, *extra_generators], s.sym_tol)
+    d = seeds.shape[1]
+    q = orthonormal_rows(np.concatenate([np.eye(d)[None], seeds]), tol)
     iterations = 0
     fresh_from = 0
     while len(q) < d * (d + 1) // 2:

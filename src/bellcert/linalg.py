@@ -44,31 +44,44 @@ def as_square_matrix(h: np.ndarray, *, allow_complex: bool = False) -> np.ndarra
     return a.astype(float)
 
 
+def require_hermitian_stack(
+    mats: Sequence[np.ndarray], tol: float, *, allow_complex: bool = False
+) -> np.ndarray:
+    """Validate a family of Hermitian matrices and return the Hermitized stack.
+
+    Every matrix must be square and of one shape (DimMismatch otherwise).
+    Complex entries raise NotSymmetric unless ``allow_complex`` is set. Matrix
+    M fails with NotSymmetric when max|M - M^dag| > tol * max(1, max|M|); the
+    message names the first such index. Returns the (k, d, d) stack of
+    (M + M^dag)/2, real unless complex entries are allowed and present.
+    """
+    mats = list(mats)
+    if len({np.shape(m) for m in mats}) > 1:
+        raise DimMismatch("matrices have mixed shapes")
+    a = np.array(mats)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimMismatch(f"expected square matrices, got shape {a.shape[1:]}")
+    if np.iscomplexobj(a) and not np.any(a.imag):
+        a = a.real
+    if np.iscomplexobj(a) and not allow_complex:
+        raise NotSymmetric("expected a real matrix, got complex entries")
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+    adj = a.conj().transpose(0, 2, 1)
+    scale = np.abs(a).max(axis=(1, 2), initial=1.0)
+    gap = np.abs(a - adj).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(gap > tol * scale)
+    if bad.size:
+        k = bad[0]
+        raise NotSymmetric(f"matrix {k} is not Hermitian: max |H - H^dag| = {gap[k]:.3e}")
+    return 0.5 * (a + adj)
+
+
 def require_symmetric(h: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Validate symmetry of a real matrix and return its symmetrized copy.
 
     Asymmetry is measured entrywise, relative to max(1, max|H|).
     """
-    if tol is None:
-        tol = DEFAULTS.sym_tol
-    a = as_square_matrix(h)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if gap > tol * scale:
-        raise NotSymmetric(f"matrix is not symmetric: max |H - H^T| = {gap:.3e}")
-    return 0.5 * (a + a.T)
-
-
-def require_hermitian(h: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Validate Hermiticity (complex allowed) and return the Hermitized copy."""
-    if tol is None:
-        tol = DEFAULTS.sym_tol
-    a = as_square_matrix(h, allow_complex=True)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    gap = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if gap > tol * scale:
-        raise NotSymmetric(f"matrix is not Hermitian: max |H - H^dag| = {gap:.3e}")
-    return 0.5 * (a + a.conj().T)
+    return require_hermitian_stack([h], DEFAULTS.sym_tol if tol is None else tol)[0]
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -86,19 +99,11 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def _canonical_columns(vals: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:
     """Sort eigenpairs descending with sign-canonicalized, lexicographic tie-break."""
-    d = vals.size
-    cols = []
-    for i in range(d):
-        u = vecs[:, i].copy()
-        nz = np.flatnonzero(np.abs(u) > 1e-12)
-        j = int(nz[0]) if nz.size else 0
-        if u[j] < 0.0:
-            u = -u
-        cols.append(u)
-    order = sorted(range(d), key=lambda i: (-vals[i], tuple(-cols[i])))
-    values = np.array([vals[i] for i in order])
-    vectors = np.column_stack([cols[i] for i in order]) if d else np.zeros((0, 0))
-    return EigenDecomposition(values, vectors)
+    first = np.argmax(np.abs(vecs) > 1e-12, axis=0)
+    cols = vecs * np.where(vecs[first, np.arange(vals.size)] < 0.0, -1.0, 1.0)
+    # lexsort's last key is the primary one: -values, then -rows in row order
+    order = np.lexsort(np.vstack([-cols[::-1], -vals]))
+    return EigenDecomposition(vals[order], np.ascontiguousarray(cols[:, order]))
 
 
 def sym_eig(h: np.ndarray, *, settings: Settings | None = None) -> EigenDecomposition:

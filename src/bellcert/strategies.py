@@ -19,11 +19,10 @@ from .errors import (
     DimMismatch,
     InvalidMeasurement,
     NotOrderL,
-    NotSymmetric,
     TooLarge,
 )
 from .jordan import has_trivial_centralizer
-from .linalg import as_square_matrix, require_hermitian, sym_eig
+from .linalg import as_square_matrix, require_hermitian_stack, sym_eig
 
 _BRUTE_FORCE_LIMIT = 4096
 
@@ -67,13 +66,6 @@ class SchmidtState:
         return cls(np.full(d, 1.0 / np.sqrt(d)))
 
 
-def _clean_projection(p: np.ndarray, tol: float) -> np.ndarray:
-    a = require_hermitian(np.asarray(p), tol)
-    if np.iscomplexobj(a) and float(np.max(np.abs(a.imag))) <= tol:
-        a = a.real.copy()
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
     """A complete family of mutually orthogonal projections.
@@ -88,28 +80,31 @@ class ProjectiveMeasurement:
 
     def __post_init__(self, validate_tol: float | None) -> None:
         tol = DEFAULTS.eig_tol if validate_tol is None else validate_tol
-        projs = tuple(_clean_projection(p, tol) for p in self.projections)
-        if not projs:
+        if not len(self.projections):
             raise InvalidMeasurement("a measurement needs at least one output")
-        d = projs[0].shape[0]
-        for p in projs:
-            if p.shape[0] != d:
-                raise DimMismatch("projections have mixed dimensions")
-        for a, p in enumerate(projs):
-            gap = float(np.max(np.abs(p @ p - p)))
-            if gap > tol:
-                raise InvalidMeasurement(f"projection {a} is not idempotent ({gap:.2e})")
-        for a in range(len(projs)):
-            for b in range(a + 1, len(projs)):
-                gap = float(np.max(np.abs(projs[a] @ projs[b])))
-                if gap > tol:
-                    raise InvalidMeasurement(
-                        f"projections {a} and {b} are not orthogonal ({gap:.2e})"
-                    )
-        total = sum(projs)
-        gap = float(np.max(np.abs(total - np.eye(d))))
+        stack = require_hermitian_stack(self.projections, tol, allow_complex=True)
+        # a projection that is real within tol is stored (and checked) real
+        real = np.abs(stack.imag).max(axis=(1, 2), initial=0.0) <= tol
+        stack = np.where(real[:, None, None], stack.real, stack)
+        # every product P_a P_b, less P_a on the diagonal: all should vanish
+        prod = stack[:, None] @ stack[None, :]
+        n = np.arange(len(stack))
+        prod[n, n] -= stack
+        gap = np.abs(prod).max(axis=(2, 3), initial=0.0)
+        bad = np.flatnonzero(gap.diagonal() > tol)
+        if bad.size:
+            a = bad[0]
+            raise InvalidMeasurement(f"projection {a} is not idempotent ({gap[a, a]:.2e})")
+        bad = np.argwhere((gap > tol) & (n[:, None] < n))
+        if bad.size:
+            a, b = bad[0]
+            raise InvalidMeasurement(
+                f"projections {a} and {b} are not orthogonal ({gap[a, b]:.2e})"
+            )
+        gap = float(np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))))
         if gap > tol:
             raise InvalidMeasurement(f"projections do not sum to identity ({gap:.2e})")
+        projs = tuple(p.real.copy() if r else p for p, r in zip(stack, real))
         object.__setattr__(self, "projections", projs)
 
     @property
@@ -150,23 +145,9 @@ def require_binary_observables(
     """
     if tol is None:
         tol = DEFAULTS.eig_tol
-    if len({np.shape(o) for o in obs}) > 1:
-        raise DimMismatch("observables have mixed shapes")
     if not len(obs):
         return np.zeros((0, 0, 0))
-    a = np.array(list(obs))
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DimMismatch(f"expected square matrices, got shape {a.shape[1:]}")
-    if np.iscomplexobj(a) and np.any(a.imag):
-        raise NotSymmetric("expected a real matrix, got complex entries")
-    a = a.real.astype(float)
-    flat, flat_t = a.reshape(len(a), -1), a.transpose(0, 2, 1).reshape(len(a), -1)
-    scale = np.abs(flat).max(axis=1, initial=1.0)
-    gap = np.abs(flat - flat_t).max(axis=1, initial=0.0)
-    bad = np.flatnonzero(gap > DEFAULTS.sym_tol * scale)
-    if bad.size:
-        raise NotSymmetric(f"matrix {bad[0]} is not symmetric: |H - H^T| = {gap[bad[0]]:.3e}")
-    m = 0.5 * (a + a.transpose(0, 2, 1))
+    m = require_hermitian_stack(obs, DEFAULTS.sym_tol)
     gap = np.abs(m @ m - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1, initial=0.0)
     if np.any(gap > tol):
         raise InvalidMeasurement(f"matrix {gap.argmax()} squares to I within {gap.max():.2e}")
@@ -243,14 +224,9 @@ def generalized_observables(m: ProjectiveMeasurement) -> list[np.ndarray]:
     L = m.outputs
     if L == 2:
         return [np.eye(d), m.projections[0] - m.projections[1]]
-    omega = np.exp(2j * np.pi / L)
-    out: list[np.ndarray] = [np.eye(d, dtype=complex)]
-    for j in range(1, L):
-        acc = np.zeros((d, d), dtype=complex)
-        for a, p in enumerate(m.projections):
-            acc += omega ** (a * j) * p
-        out.append(acc)
-    return out
+    fourier = np.exp(2j * np.pi / L) ** np.outer(np.arange(1, L), np.arange(L))
+    powers = np.tensordot(fourier, np.array(m.projections), axes=1)
+    return [np.eye(d, dtype=complex), *powers]
 
 
 def povm_from_observable(
@@ -269,14 +245,10 @@ def povm_from_observable(
     powers = [np.eye(d, dtype=complex)]
     for _ in range(outputs - 1):
         powers.append(powers[-1] @ u)
-    omega = np.exp(2j * np.pi / outputs)
-    projs = []
-    for out in range(outputs):
-        acc = np.zeros((d, d), dtype=complex)
-        for j in range(outputs):
-            acc += omega ** (-out * j) * powers[j]
-        acc /= outputs
-        projs.append(0.5 * (acc + acc.conj().T))
+    k = np.arange(outputs)
+    inverse = np.exp(-2j * np.pi / outputs) ** np.outer(k, k) / outputs
+    projs = np.tensordot(inverse, np.array(powers), axes=1)
+    projs = 0.5 * (projs + projs.conj().transpose(0, 2, 1))
     return ProjectiveMeasurement(tuple(projs), validate_tol=tol)
 
 

@@ -105,3 +105,54 @@ def jordan_closure_reference(gens, tol: float = DEFAULTS.membership_tol):
         q = grown
         sweeps += 1
     return q, sweeps
+
+
+def canonical_columns_loop(vals: np.ndarray, vecs: np.ndarray):
+    """Per-column reference for sym_eig's canonicalization.
+
+    Flips each eigenvector so that its first entry of magnitude > 1e-12 is
+    positive, then sorts the pairs by (-value, -vector entries) with a stable
+    tuple sort. Returns (values, vectors).
+    """
+    d = vals.size
+    cols = []
+    for i in range(d):
+        u = vecs[:, i].copy()
+        nz = np.flatnonzero(np.abs(u) > 1e-12)
+        j = int(nz[0]) if nz.size else 0
+        if u[j] < 0.0:
+            u = -u
+        cols.append(u)
+    order = sorted(range(d), key=lambda i: (-vals[i], tuple(-cols[i])))
+    values = np.array([vals[i] for i in order])
+    vectors = np.column_stack([cols[i] for i in order]) if d else np.zeros((0, 0))
+    return values, vectors
+
+
+def fourier_duals_loop(projs) -> list[np.ndarray]:
+    """Reference loops for A^(j) = sum_a omega^(aj) P_a, j = 1..L-1."""
+    L = len(projs)
+    omega = np.exp(2j * np.pi / L)
+    out = []
+    for j in range(1, L):
+        acc = np.zeros(projs[0].shape, dtype=complex)
+        for a, p in enumerate(projs):
+            acc += omega ** (a * j) * p
+        out.append(acc)
+    return out
+
+
+def inverse_fourier_loop(u: np.ndarray, outputs: int) -> list[np.ndarray]:
+    """Reference loops for M_a = (1/L) sum_j omega^(-aj) U^j, Hermitized."""
+    powers = [np.eye(u.shape[0], dtype=complex)]
+    for _ in range(outputs - 1):
+        powers.append(powers[-1] @ u)
+    omega = np.exp(2j * np.pi / outputs)
+    projs = []
+    for out in range(outputs):
+        acc = np.zeros(u.shape, dtype=complex)
+        for j in range(outputs):
+            acc += omega ** (-out * j) * powers[j]
+        acc /= outputs
+        projs.append(0.5 * (acc + acc.conj().T))
+    return projs

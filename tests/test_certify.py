@@ -45,10 +45,11 @@ class TestBinaryStrategyBuilder:
         assert strat.dim == d
         assert strat.alice_questions == d + 2
         assert strat.bob_questions == d * (d + 1) // 2
-        assert strat.alice_labels[: d + 1] == tuple(f"T{x}" for x in range(d + 1))
-        assert strat.alice_labels[-1] == "O"
-        assert strat.meta["kind"] == "binary-certification"
-        assert strat.meta["base_questions"] == d + 1
+        assert strat.alice_labels == ("T0", "T1", "T2", "T3", "T4", "T5")[: d + 1] + ("O",)
+        assert list(strat.meta.items()) == [
+            ("kind", "binary-certification"),
+            ("base_questions", d + 1),
+        ]
 
     def test_state_is_maximally_entangled(self):
         strat = binary_certification_strategy(simplex_observables(3)[1])
@@ -57,6 +58,8 @@ class TestBinaryStrategyBuilder:
     def test_rejects_small_dimension(self):
         with pytest.raises(BadDimension):
             binary_certification_strategy(X)
+        with pytest.raises(BadDimension):
+            measurement_certification_strategy(ProjectiveMeasurement.from_observable(X))
 
     def test_rejects_non_symmetric_target(self):
         # Bob's questions span the full symmetric algebra, so any valid
@@ -70,16 +73,27 @@ class TestBinaryStrategyBuilder:
 
 
 class TestMeasurementStrategyBuilder:
-    def test_question_counts(self, rng):
-        d, outputs = 4, 3
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_question_counts(self, rng, d):
+        outputs = 3
         meas = ProjectiveMeasurement(
             tuple(random_projective_measurement(rng, d, outputs))
         )
         strat = measurement_certification_strategy(meas)
         assert strat.alice_questions == d + 1 + outputs
-        assert strat.alice_labels[-outputs:] == ("O0", "O1", "O2")
-        assert strat.meta["kind"] == "measurement-certification"
-        assert strat.meta["target_outputs"] == outputs
+        assert strat.bob_questions == d * (d + 1) // 2
+        assert strat.alice_labels == ("T0", "T1", "T2", "T3", "T4", "T5")[: d + 1] + (
+            "O0",
+            "O1",
+            "O2",
+        )
+        assert list(strat.meta.items()) == [
+            ("kind", "measurement-certification"),
+            ("base_questions", d + 1),
+            ("target_outputs", outputs),
+        ]
+        for m, o in zip(strat.alice[d + 1 :], split_measurement(meas), strict=True):
+            assert np.max(np.abs(m.observable() - o)) <= 1e-15
 
 
 @pytest.fixture(scope="module")

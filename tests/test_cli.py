@@ -1,11 +1,14 @@
 """Exercises the command-line entry point through main(argv)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from bellcert import cli
 from bellcert.cli import main
+from bellcert.config import Settings
 from bellcert.serialize import (
     decode_matrix,
     encode_matrix,
@@ -304,6 +307,25 @@ class TestRobustnessCommand:
         params = _write_json(tmp_path / "params.json", self.FROZEN)
         assert main(["robustness", "--params", params, "--seed", "3"]) == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_every_settings_field_has_its_flag(self, tmp_path):
+        flags = {
+            "--tol-sym": "sym_tol",
+            "--tol-eig": "eig_tol",
+            "--tol-singular": "singular_tol",
+            "--tol-feas": "feas_tol",
+            "--tol-membership": "membership_tol",
+            "--robustness-constant": "robustness_constant",
+        }
+        assert sorted(flags.values()) == sorted(f.name for f in dataclasses.fields(Settings))
+        params = _write_json(tmp_path / "params.json", self.FROZEN)
+        argv = ["robustness", "--params", params]
+        for k, flag in enumerate(flags):
+            argv += [flag, f"{k + 1}.5e-3"]
+        settings = cli._build_settings(cli.build_parser().parse_args(argv))
+        for k, field in enumerate(flags.values()):
+            assert getattr(settings, field) == float(f"{k + 1}.5e-3")
+        assert cli.build_parser() is cli.build_parser()
 
     def test_removed_tol_sdp_flag_is_rejected(self, tmp_path, capsys):
         params = _write_json(tmp_path / "params.json", self.FROZEN)

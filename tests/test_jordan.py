@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellcert import jordan as jordan_module
-from bellcert.errors import DimMismatch, EmptyInput
+from bellcert.errors import DimMismatch, EmptyInput, NotSymmetric
 from bellcert.jordan import (
     SpanBasis,
     contains,
@@ -151,6 +151,14 @@ class TestJordanClosure:
         basis_seeded, _ = jordan_closure([Z], extra_generators=[X])
         assert basis_plain.dimension == 2
         assert basis_seeded.dimension == 3
+
+    def test_extra_generators_are_validated_with_the_generators(self):
+        with pytest.raises(EmptyInput):
+            jordan_closure([], [X])
+        with pytest.raises(DimMismatch):
+            jordan_closure([Z], [np.eye(3)])
+        with pytest.raises(NotSymmetric):
+            jordan_closure([Z], [X, np.array([[0.0, 1.0], [0.0, 0.0]])])
 
     def test_block_family_stays_reducible(self):
         # two commuting reflections sharing an eigenbasis: the closure is the

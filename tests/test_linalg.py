@@ -12,6 +12,7 @@ from bellcert.linalg import (
     numerical_rank,
     orthonormal_rows,
     realify,
+    require_hermitian_stack,
     require_symmetric,
     sgn_map,
     sym_eig,
@@ -19,6 +20,7 @@ from bellcert.linalg import (
 from helpers import (
     X,
     Z,
+    canonical_columns_loop,
     gram_schmidt_rows,
     random_orthogonal,
     random_reflection,
@@ -111,6 +113,81 @@ def test_require_symmetric_symmetrizes_within_tolerance():
     h = np.array([[1.0, 1.0 + 5e-12], [1.0, 2.0]])
     out = require_symmetric(h)
     assert np.allclose(out, out.T, atol=0)
+
+
+def _eigh_inputs(rng):
+    """Random, repeated-eigenvalue and diagonal symmetric matrices, d = 1..10."""
+    for k in range(3000):
+        d = 1 + k % 10
+        kind = (k // 10) % 3
+        if kind == 0:
+            yield random_symmetric(rng, d)
+        elif kind == 1:
+            u = random_orthogonal(rng, d)
+            h = (u * rng.integers(-2, 3, size=d).astype(float)) @ u.T
+            yield 0.5 * (h + h.T)
+        else:
+            yield np.diag(rng.integers(-2, 3, size=d).astype(float))
+
+
+def test_canonicalization_matches_the_column_loop_bit_for_bit(rng):
+    for h in _eigh_inputs(rng):
+        vals, vecs = np.linalg.eigh(h)
+        ref_values, ref_vectors = canonical_columns_loop(vals, vecs)
+        got = sym_eig(h)
+        assert np.array_equal(got.values, ref_values)
+        assert np.array_equal(got.vectors, ref_vectors)
+        assert got.vectors.flags.c_contiguous
+
+
+class TestHermitianStack:
+    DEFECTS = {
+        "non-square": (lambda m: m[:, :-1], DimMismatch),
+        "mixed shapes": (lambda m: m[:-1, :-1], DimMismatch),
+        "complex": (lambda m: m + 1e-3j * np.eye(len(m)), NotSymmetric),
+        "asymmetric": (lambda m: m + np.triu(np.full_like(m, 1e-6), 1), NotSymmetric),
+    }
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_a_defect_at_any_index_raises(self, rng, defect, where):
+        spoil, expected = self.DEFECTS[defect]
+        family = [random_symmetric(rng, 4) for _ in range(5)]
+        family[where] = spoil(family[where])
+        with pytest.raises(expected) as caught:
+            require_hermitian_stack(family, 1e-10)
+        if defect == "asymmetric":
+            assert f"matrix {where} " in str(caught.value)
+        if defect in ("non-square", "complex", "asymmetric"):
+            with pytest.raises(expected):
+                require_symmetric(family[where])
+
+    def test_asymmetry_is_relative_to_the_largest_entry(self):
+        # the same 5e-5 gap passes beside an entry of 1e6 and fails beside 1
+        h = np.array([[1e6, 1.0], [1.0 + 5e-5, 0.0]])
+        assert require_hermitian_stack([h], 1e-10).shape == (1, 2, 2)
+        h[0, 0] = 1.0
+        with pytest.raises(NotSymmetric):
+            require_hermitian_stack([h], 1e-10)
+
+    def test_output_is_the_hermitian_part_bit_for_bit(self, rng):
+        real = [random_symmetric(rng, 5) + 1e-12 * rng.standard_normal((5, 5)) for _ in range(4)]
+        out = require_hermitian_stack(real, 1e-10)
+        assert out.dtype == float
+        for o, m in zip(out, real):
+            assert np.array_equal(o, 0.5 * (m + m.T))
+            assert np.array_equal(o, require_symmetric(m))
+        herm = [a + 1j * (b - b.T) for a, b in zip(real, rng.standard_normal((4, 5, 5)))]
+        out = require_hermitian_stack(herm, 1e-10, allow_complex=True)
+        assert out.dtype == complex
+        for o, m in zip(out, herm):
+            assert np.array_equal(o, 0.5 * (m + m.conj().T))
+
+    def test_complex_dtype_with_real_values_is_real(self, rng):
+        m = random_symmetric(rng, 3)
+        for allow_complex in (False, True):
+            out = require_hermitian_stack([m.astype(complex)], 1e-10, allow_complex=allow_complex)
+            assert out.dtype == float and np.array_equal(out[0], m)
 
 
 # ---------------------------------------------------------------- sgn_map

@@ -35,6 +35,8 @@ from bellcert.simplex import degenerate_pair_3d, initial_strategy
 from helpers import (
     X,
     Z,
+    fourier_duals_loop,
+    inverse_fourier_loop,
     random_projective_measurement,
     random_reflection,
     random_schmidt_coeffs,
@@ -88,6 +90,42 @@ class TestProjectiveMeasurement:
         with pytest.raises(InvalidMeasurement):
             ProjectiveMeasurement((np.outer(v, v), np.outer(w, w)))
 
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_idempotence_failure_names_the_projection(self, rng, where):
+        projs = random_projective_measurement(rng, 4, 3)
+        projs[where] = 0.9 * projs[where]
+        with pytest.raises(InvalidMeasurement, match=f"projection {where} is not idempotent"):
+            ProjectiveMeasurement(tuple(projs))
+
+    @pytest.mark.parametrize(
+        "vectors, pair",
+        [
+            ([[1, 0, 0], [1, 1, 0], [0, 1, 1]], "0 and 1"),
+            ([[1, 0, 0], [0, 1, 0], [0, 1, 1]], "1 and 2"),
+            ([[1, 0, 0], [0, 1, 0], [1, 0, 1]], "0 and 2"),
+        ],
+    )
+    def test_orthogonality_failure_names_the_first_pair(self, vectors, pair):
+        rank_one = [np.outer(v, v) / np.dot(v, v) for v in np.array(vectors, dtype=float)]
+        with pytest.raises(InvalidMeasurement, match=f"projections {pair} are not orthogonal"):
+            ProjectiveMeasurement(tuple(rank_one))
+
+    def test_projections_real_within_tol_are_stored_real(self):
+        u = np.array([1.0, 1j, 0.0]) / np.sqrt(2.0)
+        circular = np.outer(u, u.conj())
+        axis = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        axis[0, 1], axis[1, 0] = 1e-12j, -1e-12j
+        m = ProjectiveMeasurement((circular, circular.conj(), axis))
+        assert [np.iscomplexobj(p) for p in m.projections] == [True, True, False]
+        assert np.array_equal(m.projections[2], np.diag([0.0, 0.0, 1.0]))
+        assert np.array_equal(m.projections[0], circular)
+
+    def test_empty_and_mixed_dimensions_are_rejected(self):
+        with pytest.raises(InvalidMeasurement):
+            ProjectiveMeasurement(())
+        with pytest.raises(DimMismatch):
+            ProjectiveMeasurement((np.eye(2), np.zeros((3, 3))))
+
     def test_observable_requires_two_outputs(self, rng):
         projs = random_projective_measurement(rng, 3, 3)
         m = ProjectiveMeasurement(tuple(projs))
@@ -133,6 +171,17 @@ class TestGeneralizedObservables:
             m2 = povm_from_observable(a, outputs)
             for p, q in zip(m.projections, m2.projections):
                 assert np.max(np.abs(p - q)) < 1e-10
+
+    @pytest.mark.parametrize("outputs", [3, 4, 5, 6])
+    def test_contractions_match_the_reference_loops(self, rng, outputs):
+        projs = random_projective_measurement(rng, 7, outputs)
+        obs = generalized_observables(ProjectiveMeasurement(tuple(projs)))
+        assert np.array_equal(obs[0], np.eye(7)) and obs[0].dtype == complex
+        for got, ref in zip(obs[1:], fourier_duals_loop(projs), strict=True):
+            assert np.max(np.abs(got - ref)) <= 1e-13
+        recovered = povm_from_observable(obs[1], outputs).projections
+        for got, ref in zip(recovered, inverse_fourier_loop(obs[1], outputs), strict=True):
+            assert np.max(np.abs(got - ref)) <= 1e-13
 
     def test_povm_from_observable_checks_order(self):
         with pytest.raises(NotOrderL):
