@@ -31,7 +31,7 @@ from .jordan import (
     jordan_closure,
     span_basis,
 )
-from .linalg import extend_orthonormal_rows, sym_eig
+from .linalg import extend_orthonormal_rows
 from .posthoc import (
     min_trace_Q,
     posthoc_feasible_binary,
@@ -51,28 +51,32 @@ from .strategies import (
 )
 
 
-def split_measurement(m: ProjectiveMeasurement) -> list[np.ndarray]:
+def split_measurement(
+    m: ProjectiveMeasurement, *, settings: Settings | None = None
+) -> list[np.ndarray]:
     """Binary coarse-grainings 2 P_a - I, one per outcome.
 
     Each is a symmetric involution whenever the measurement is real
     projective, so an L-outcome measurement can be certified one outcome at a
-    time through the binary machinery.
+    time through the binary machinery. All outcomes are validated in one call.
     """
-    eye = np.eye(m.dim)
-    return [require_binary_observable(2.0 * p - eye) for p in m.projections]
+    twice = 2.0 * np.array(m.projections) - np.eye(m.dim)
+    return list(require_binary_observables(twice, settings=settings))
 
 
-def merge_binary_split(observables: Sequence[np.ndarray]) -> ProjectiveMeasurement:
+def merge_binary_split(
+    observables: Sequence[np.ndarray], *, settings: Settings | None = None
+) -> ProjectiveMeasurement:
     """Inverse of split_measurement: P_a = (I + O_a)/2, validated as projective."""
-    obs = require_binary_observables(observables)
+    obs = require_binary_observables(observables, settings=settings)
     if not len(obs):
         raise BadParams("need at least one observable to merge")
     eye = np.eye(obs[0].shape[0])
-    return ProjectiveMeasurement(tuple(0.5 * (eye + o) for o in obs))
+    return ProjectiveMeasurement(tuple(0.5 * (eye + o) for o in obs), settings=settings)
 
 
 def _certification_strategy(
-    extras: Sequence[np.ndarray], labels: Sequence[str], meta: dict, settings: Settings
+    extras: Sequence[np.ndarray], labels: Sequence[str], meta: dict, settings: Settings | None
 ) -> Strategy:
     """Bob's spanning family against Alice's simplex reflections plus `extras`."""
     d = extras[0].shape[0]
@@ -82,11 +86,11 @@ def _certification_strategy(
     return Strategy(
         state=SchmidtState.maximally_entangled(d),
         alice=tuple(
-            ProjectiveMeasurement.from_observable(o, settings.eig_tol)
+            ProjectiveMeasurement.from_observable(o, settings=settings)
             for o in (*simplex_observables(d), *extras)
         ),
         bob=tuple(
-            ProjectiveMeasurement.from_observable(o, settings.eig_tol) for o in bob_mats
+            ProjectiveMeasurement.from_observable(o, settings=settings) for o in bob_mats
         ),
         alice_labels=tuple(f"T{j}" for j in range(d + 1)) + tuple(labels),
         bob_labels=tuple(bob_labels),
@@ -105,9 +109,8 @@ def binary_certification_strategy(
     simplex reflections plus the target as one extra question. The state is
     maximally entangled. Raises BadDimension for d < 3.
     """
-    s = settings or DEFAULTS
-    o = require_binary_observable(target, s.eig_tol)
-    return _certification_strategy([o], ("O",), {"kind": "binary-certification"}, s)
+    o = require_binary_observable(target, settings=settings)
+    return _certification_strategy([o], ("O",), {"kind": "binary-certification"}, settings)
 
 
 def measurement_certification_strategy(
@@ -119,10 +122,10 @@ def measurement_certification_strategy(
     outcome (labels O0, O1, ...); Bob keeps the spanning reference family.
     """
     return _certification_strategy(
-        split_measurement(m),
+        split_measurement(m, settings=settings),
         [f"O{a}" for a in range(m.outputs)],
         {"kind": "measurement-certification", "target_outputs": m.outputs},
-        settings or DEFAULTS,
+        settings,
     )
 
 
@@ -217,9 +220,9 @@ def iterative_plan(
     SolverStall if the randomized search exhausts its round budget first.
     """
     s = settings or DEFAULTS
-    o, *refs = require_binary_observables([target, *initial_alice], s.eig_tol)
+    o, *refs = require_binary_observables([target, *initial_alice], settings=s)
     closure, closure_iters = jordan_closure(refs, settings=s)
-    member, _, _ = contains(closure, o)
+    member, _, _ = contains(closure, o, settings=s)
     if not member:
         raise Unreachable(
             "target lies outside the algebra generated by the initial family"
@@ -364,7 +367,6 @@ def certificate_report(
 
     flat = np.array([b.ravel() for b in bob_obs])
     gram = flat @ flat.T
-    gram_vals, _ = sym_eig(gram, settings=s)
     closure, closure_iters = jordan_closure(bob_obs, settings=s)
     d = strategy.dim
     full = closure.dimension == d * (d + 1) // 2
@@ -380,9 +382,8 @@ def certificate_report(
             tr, q = min_trace_Q(
                 strategy.state, bob_obs, o, outputs=2, power=1, settings=s
             )
-            qvals, _ = sym_eig(q, settings=s)
             trace_q = float(tr)
-            lambda_min_q = float(qvals[-1])
+            lambda_min_q = float(np.linalg.eigvalsh(q)[0])
         extensions.append(
             ExtensionCertificate(
                 label=label,
@@ -400,7 +401,7 @@ def certificate_report(
         bob_questions=strategy.bob_questions,
         schmidt_kappa=strategy.state.kappa,
         schmidt_max=float(np.max(strategy.state.coeffs)),
-        gram_lambda_min=float(gram_vals[-1]),
+        gram_lambda_min=float(np.linalg.eigvalsh(gram)[0]),
         closure_dimension=closure.dimension,
         closure_iterations=closure_iters,
         full_algebra=full,

@@ -202,7 +202,7 @@ def _cmd_simplex(args, settings: Settings) -> int:
 
 
 def _cmd_correlations(args, settings: Settings) -> int:
-    strategy = read_strategy(args.strategy)
+    strategy = read_strategy(args.strategy, settings=settings)
     table = correlation_table(strategy)
     if args.out:
         table_to_csv(args.out, table)
@@ -221,8 +221,8 @@ def _cmd_correlations(args, settings: Settings) -> int:
 
 def _cmd_posthoc_check(args, settings: Settings) -> int:
     state = state_from_json(_load_json(args.state))
-    refs = measurements_from_json(_load_json(args.alice))
-    target = target_from_json(_load_json(args.target))
+    refs = measurements_from_json(_load_json(args.alice), settings=settings)
+    target = target_from_json(_load_json(args.target), settings=settings)
 
     if isinstance(target, ProjectiveMeasurement):
         outputs = target.outputs
@@ -234,12 +234,9 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
     binary = outputs == 2 and not np.iscomplexobj(target_matrix)
     if binary:
         obs = [m.observable() for m in refs]
-        result = posthoc_feasible_binary(state, obs, target_matrix.real, settings=settings)
-        results = [result]
+        results = [posthoc_feasible_binary(state, obs, target_matrix, settings=settings)]
     else:
-        powers = []
-        for m in refs:
-            powers.extend(generalized_observables(m)[1:])
+        powers = [a for m in refs for a in generalized_observables(m)[1:]]
         results = posthoc_feasible_general(
             state, powers, target_matrix, outputs, settings=settings
         )
@@ -251,8 +248,8 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
         for r in results:
             tr, q = min_trace_Q(
                 state,
-                [m.observable() for m in refs] if binary else powers,
-                target_matrix if not binary else target_matrix.real,
+                obs if binary else powers,
+                target_matrix,
                 outputs=outputs,
                 power=r.power,
                 settings=settings,
@@ -275,10 +272,10 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
 
 def _cmd_jordan_closure(args, settings: Settings) -> int:
     raw = _load_json(args.observables)
-    mats = [decode_matrix(m).real for m in raw["matrices"]]
+    mats = [decode_matrix(m) for m in raw["matrices"]]
     extras = []
     if args.extra:
-        extras = [decode_matrix(m).real for m in _load_json(args.extra)["matrices"]]
+        extras = [decode_matrix(m) for m in _load_json(args.extra)["matrices"]]
     basis, iterations = jordan_closure(mats, extras, settings=settings)
     d = basis.matrix_dim
     full = basis.dimension == d * (d + 1) // 2
@@ -291,11 +288,11 @@ def _cmd_jordan_closure(args, settings: Settings) -> int:
 
 
 def _cmd_certify(args, settings: Settings) -> int:
-    target = target_from_json(_load_json(args.target))
+    target = target_from_json(_load_json(args.target), settings=settings)
     if isinstance(target, ProjectiveMeasurement):
         strategy = measurement_certification_strategy(target, settings=settings)
     else:
-        strategy = binary_certification_strategy(target.real, settings=settings)
+        strategy = binary_certification_strategy(target, settings=settings)
     report = certificate_report(
         strategy,
         settings=settings,
@@ -367,7 +364,7 @@ def _cmd_verify_examples(args, settings: Settings) -> int:
     )
 
     state3, refs3, first, second = degenerate_pair_3d()
-    report = verify_degenerate_pair(state3, refs3, first, second)
+    report = verify_degenerate_pair(state3, refs3, first, second, settings=settings)
     check(
         "degenerate-pair",
         report.degenerate,

@@ -1,7 +1,10 @@
 """Numeric tolerances and solver knobs, with a single shared default instance.
 
-All public functions take either a ``settings=`` keyword or individual
-tolerance overrides; when omitted they fall back to :data:`DEFAULTS`.
+A :class:`Settings` object is the only way to set a package tolerance: every
+public function that validates input or applies a threshold takes a
+``settings=`` keyword and falls back to :data:`DEFAULTS` when it is omitted.
+Only this module reads ``DEFAULTS`` fields; everywhere else they are read
+from the caller's settings.
 """
 
 from __future__ import annotations

@@ -55,51 +55,50 @@ class SpanBasis:
         return view
 
 
-def _validated_family(mats: Sequence[np.ndarray], sym_tol: float) -> tuple[np.ndarray, int]:
+# relative singular-value cutoff for the commutant's null space
+_CENTRALIZER_TOL = 1e-9
+
+
+def _validated_family(mats: Sequence[np.ndarray], settings: Settings) -> tuple[np.ndarray, int]:
     if not len(mats):
         raise EmptyInput("need at least one matrix")
-    stack = require_hermitian_stack(mats, sym_tol)
+    stack = require_hermitian_stack(mats, settings.sym_tol)
     return stack, stack.shape[1]
 
 
 def span_basis(
-    mats: Sequence[np.ndarray],
-    tol: float | None = None,
-    *,
-    settings: Settings | None = None,
+    mats: Sequence[np.ndarray], *, settings: Settings | None = None
 ) -> SpanBasis:
     """Orthonormal basis of span{mats} for real symmetric matrices.
 
-    The basis size equals ``numerical_rank(mats, tol)``. Raises EmptyInput for
-    an empty family and DimMismatch on inconsistent sizes.
+    The basis size equals ``numerical_rank(mats, settings=settings)``, and
+    the basis keeps ``settings.membership_tol`` for membership tests. Raises
+    EmptyInput for an empty family and DimMismatch on inconsistent sizes.
     """
     s = settings or DEFAULTS
-    if tol is None:
-        tol = s.membership_tol
-    stack, d = _validated_family(mats, s.sym_tol)
+    stack, d = _validated_family(mats, s)
+    tol = s.membership_tol
     return SpanBasis(matrix_dim=d, rows=orthonormal_rows(stack, tol), tol=tol)
 
 
 def contains(
-    b: SpanBasis, m: np.ndarray, tol: float | None = None
+    b: SpanBasis, m: np.ndarray, *, settings: Settings | None = None
 ) -> tuple[bool, np.ndarray, float]:
-    """Test span membership of a symmetric matrix.
+    """Test span membership of a matrix symmetric within ``settings.sym_tol``.
 
     Returns
     -------
     (member, coefficients, residual):
         ``coefficients`` are the Frobenius projections onto the orthonormal
         basis; ``member`` is True when the residual is at most
-        ``tol * max(1, ||m||_F)`` with ``tol`` defaulting to the basis tol.
+        ``b.tol * max(1, ||m||_F)``, the tolerance the basis was built with.
     """
-    a = require_symmetric(m)
+    a = require_symmetric(m, settings=settings)
     if a.shape[0] != b.matrix_dim:
         raise DimMismatch(f"matrix is {a.shape[0]}x{a.shape[0]}, span is over {b.matrix_dim}")
-    if tol is None:
-        tol = b.tol
     coeffs = b.rows @ a.ravel()
     residual = float(np.linalg.norm(a.ravel() - coeffs @ b.rows))
-    member = residual <= tol * max(1.0, float(np.linalg.norm(a)))
+    member = residual <= b.tol * max(1.0, float(np.linalg.norm(a)))
     return member, coeffs, residual
 
 
@@ -115,7 +114,6 @@ def jordan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def jordan_closure(
     generators: Sequence[np.ndarray],
     extra_generators: Sequence[np.ndarray] = (),
-    tol: float | None = None,
     *,
     settings: Settings | None = None,
 ) -> tuple[SpanBasis, int]:
@@ -127,8 +125,8 @@ def jordan_closure(
         Symmetric matrices (binary observables in the main use case).
     extra_generators:
         Optional additional symmetric seeds merged before iterating.
-    tol:
-        Span tolerance; defaults to the membership tolerance.
+    settings:
+        Seeds are validated at ``sym_tol``; the span tolerance is ``membership_tol``.
 
     Returns
     -------
@@ -139,8 +137,7 @@ def jordan_closure(
         since each sweep at least doubles the reachable word length.
     """
     s = settings or DEFAULTS
-    if tol is None:
-        tol = s.membership_tol
+    tol = s.membership_tol
     if not len(generators):
         raise EmptyInput("need at least one matrix")
     seeds = require_hermitian_stack([*generators, *extra_generators], s.sym_tol)
@@ -192,24 +189,21 @@ def cut_point_observables(
 
 
 def has_trivial_centralizer(
-    generators: Sequence[np.ndarray],
-    tol: float = 1e-9,
-    *,
-    settings: Settings | None = None,
+    generators: Sequence[np.ndarray], *, settings: Settings | None = None
 ) -> bool:
     """Whether only multiples of the identity commute with every generator.
 
     The commutant is computed as the null space of the stacked operators
-    S -> SG - GS over all real d x d matrices; triviality means nullity 1.
+    S -> SG - GS over all real d x d matrices; triviality means nullity 1,
+    with singular values below 1e-9 relative to the largest counted as zero.
     """
-    s = settings or DEFAULTS
-    gens, d = _validated_family(generators, s.sym_tol)
+    gens, d = _validated_family(generators, settings or DEFAULTS)
     eye = np.eye(d)
     blocks = [np.kron(g, eye) - np.kron(eye, g) for g in gens]
     stacked = np.vstack(blocks)
     sv = np.linalg.svd(stacked, compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
-    nullity = int(np.sum(sv <= tol * max(1.0, smax)))
+    nullity = int(np.sum(sv <= _CENTRALIZER_TOL * max(1.0, smax)))
     return nullity == 1
 
 

@@ -76,12 +76,12 @@ def require_hermitian_stack(
     return 0.5 * (a + adj)
 
 
-def require_symmetric(h: np.ndarray, tol: float | None = None) -> np.ndarray:
+def require_symmetric(h: np.ndarray, *, settings: Settings | None = None) -> np.ndarray:
     """Validate symmetry of a real matrix and return its symmetrized copy.
 
-    Asymmetry is measured entrywise, relative to max(1, max|H|).
+    Asymmetry is measured entrywise against sym_tol, relative to max(1, max|H|).
     """
-    return require_hermitian_stack([h], DEFAULTS.sym_tol if tol is None else tol)[0]
+    return require_hermitian_stack([h], (settings or DEFAULTS).sym_tol)[0]
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -126,8 +126,7 @@ def sym_eig(h: np.ndarray, *, settings: Settings | None = None) -> EigenDecompos
         the eigenvectors, making the output deterministic for a given LAPACK
         build.
     """
-    s = settings or DEFAULTS
-    a = require_symmetric(h, s.sym_tol)
+    a = require_symmetric(h, settings=settings)
     if a.shape[0] == 0:
         raise EmptyInput("cannot decompose an empty matrix")
     vals, vecs = np.linalg.eigh(a)
@@ -197,26 +196,20 @@ def extend_orthonormal_rows(
     return _extend(np.asarray(q, dtype=float), rows, tol)
 
 
-def numerical_rank(mats: Sequence[np.ndarray], tol: float | None = None) -> int:
+def numerical_rank(mats: Sequence[np.ndarray], *, settings: Settings | None = None) -> int:
     """Dimension of the span of a family of equal-shaped real matrices.
 
-    Matrices are vectorized and run through the orthogonalizer; the rank is
-    the number of directions it keeps. Raises EmptyInput for an empty
-    family and DimMismatch on inconsistent shapes.
+    Matrices are vectorized and run through the orthogonalizer at
+    ``settings.membership_tol``; the rank is the number of directions it
+    keeps. Raises EmptyInput for an empty family, DimMismatch on mixed shapes.
     """
-    if tol is None:
-        tol = DEFAULTS.membership_tol
     mats = list(mats)
     if not mats:
         raise EmptyInput("numerical_rank needs at least one matrix")
-    shape = np.asarray(mats[0]).shape
-    rows = []
-    for m in mats:
-        a = np.asarray(m, dtype=float)
-        if a.shape != shape:
-            raise DimMismatch(f"shape mismatch in family: {a.shape} vs {shape}")
-        rows.append(a.ravel())
-    return orthonormal_rows(np.array(rows), tol).shape[0]
+    if len({np.shape(m) for m in mats}) > 1:
+        raise DimMismatch("matrices have mixed shapes")
+    tol = (settings or DEFAULTS).membership_tol
+    return orthonormal_rows(np.array(mats, dtype=float), tol).shape[0]
 
 
 def realify(m: np.ndarray) -> np.ndarray:

@@ -339,7 +339,7 @@ def posthoc_feasible_binary(
     into a verdict.
     """
     s = settings or DEFAULTS
-    obs = require_binary_observables([target, *alice], s.eig_tol)
+    obs = require_binary_observables([target, *alice], settings=s)
     if obs.shape[1] != state.dim:
         raise DimMismatch("observable dimension does not match the state")
     span, gens = _binary_generators(state, obs)
@@ -397,6 +397,22 @@ def _power_generators(span: np.ndarray, u: np.ndarray, power: int) -> np.ndarray
     return np.array([realify(m) for b in base for m in (b, 1j * b)])
 
 
+def _power_feasibility(gens: np.ndarray, power: int, settings: Settings) -> FeasibilityResult:
+    """The order-L check of one power over its realified generators."""
+    value, coeffs, certificate = _solve_pd_in_span(gens, settings=settings)
+    verdict = _verdict(value, settings.feas_tol)
+    feasible = verdict == "feasible"
+    return FeasibilityResult(
+        verdict=verdict,
+        lambda_min_achieved=value,
+        witness=derealify(np.tensordot(coeffs, gens, axes=1)) if feasible else None,
+        coefficients=coeffs[0::2] + 1j * coeffs[1::2] if feasible else None,
+        certificate_tol=settings.feas_tol,
+        power=power,
+        certificate=None if feasible else certificate,
+    )
+
+
 def posthoc_feasible_general(
     state: SchmidtState,
     alice_powers: Sequence[np.ndarray],
@@ -420,30 +436,12 @@ def posthoc_feasible_general(
     therefore realified 2d x 2d matrices.
     """
     s = settings or DEFAULTS
-    u = require_order_l(target, outputs, s.eig_tol)
+    u = require_order_l(target, outputs, settings=s)
     span = _span_generators_complex(state, alice_powers)
-    results: list[FeasibilityResult] = []
-    for power in range(1, outputs):
-        gens = _power_generators(span, u, power)
-        value, coeffs, certificate = _solve_pd_in_span(gens, settings=s)
-        verdict = _verdict(value, s.feas_tol)
-        witness = None
-        complex_coeffs = None
-        if verdict == "feasible":
-            complex_coeffs = coeffs[0::2] + 1j * coeffs[1::2]
-            witness = derealify(np.tensordot(coeffs, gens, axes=1))
-        results.append(
-            FeasibilityResult(
-                verdict=verdict,
-                lambda_min_achieved=value,
-                witness=witness,
-                coefficients=complex_coeffs,
-                certificate_tol=s.feas_tol,
-                power=power,
-                certificate=None if verdict == "feasible" else certificate,
-            )
-        )
-    return results
+    return [
+        _power_feasibility(_power_generators(span, u, power), power, s)
+        for power in range(1, outputs)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -469,10 +467,10 @@ def min_trace_Q(
     the barrier starts from the check's witness, so the robustness bound can
     consume Tr Q and lambda_min(Q) = 1.
 
-    Runs the feasibility check itself and raises Infeasible when it fails,
-    and SolverStall if the barrier Newton iteration cannot make progress. The
-    path-following is deterministic, so repeated calls agree to well below
-    1e-8.
+    Runs the feasibility check itself (for the order-L check, of ``power``
+    alone) and raises Infeasible when it fails, and SolverStall if the
+    barrier Newton iteration cannot make progress. The path-following is
+    deterministic, so repeated calls agree to well below 1e-8.
     """
     s = settings or DEFAULTS
     if not (1 <= power < outputs):
@@ -487,9 +485,9 @@ def min_trace_Q(
             state, list(alice_powers), target, settings=s
         )
     else:
-        feasibility = posthoc_feasible_general(
-            state, alice_powers, target, outputs, settings=s
-        )[power - 1]
+        u = require_order_l(target, outputs, settings=s)
+        gens = _power_generators(_span_generators_complex(state, alice_powers), u, power)
+        feasibility = _power_feasibility(gens, power, s)
     if not feasibility.feasible:
         raise Infeasible(
             f"criterion infeasible at power {power}: "
@@ -499,11 +497,9 @@ def min_trace_Q(
     coeffs = feasibility.coefficients
     scale = 1.0 / state.coeffs
     if is_real:
-        obs = require_binary_observables([target, *alice_powers], s.eig_tol)
+        obs = require_binary_observables([target, *alice_powers], settings=s)
         gens = _binary_generators(state, obs)[1]
     else:
-        u = require_order_l(target, outputs, s.eig_tol)
-        gens = _power_generators(_span_generators_complex(state, alice_powers), u, power)
         coeffs = np.column_stack([coeffs.real, coeffs.imag]).ravel()
         scale = np.tile(scale, 2)
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import Settings
 from .errors import BadParams
 from .strategies import (
     CorrelationTable,
@@ -55,11 +56,13 @@ def measurement_to_json_dict(m: ProjectiveMeasurement) -> dict:
     return {"projections": [encode_matrix(p) for p in m.projections]}
 
 
-def measurement_from_json_dict(raw: dict) -> ProjectiveMeasurement:
+def measurement_from_json_dict(
+    raw: dict, *, settings: Settings | None = None
+) -> ProjectiveMeasurement:
     if "projections" not in raw:
         raise BadParams("measurement entry needs a 'projections' list")
     return ProjectiveMeasurement(
-        tuple(decode_matrix(p) for p in raw["projections"])
+        tuple(decode_matrix(p) for p in raw["projections"]), settings=settings
     )
 
 
@@ -79,7 +82,7 @@ def strategy_to_json_dict(s: Strategy) -> dict:
     }
 
 
-def strategy_from_json_dict(raw: dict) -> Strategy:
+def strategy_from_json_dict(raw: dict, *, settings: Settings | None = None) -> Strategy:
     try:
         coeffs = np.array([float(c) for c in raw["schmidt_coeffs"]])
         alice_raw = raw["alice"]
@@ -87,8 +90,8 @@ def strategy_from_json_dict(raw: dict) -> Strategy:
     except KeyError as exc:
         raise BadParams(f"strategy file is missing field {exc}") from exc
     state = SchmidtState(coeffs)
-    alice = tuple(measurement_from_json_dict(m) for m in alice_raw)
-    bob = tuple(measurement_from_json_dict(m) for m in bob_raw)
+    alice = tuple(measurement_from_json_dict(m, settings=settings) for m in alice_raw)
+    bob = tuple(measurement_from_json_dict(m, settings=settings) for m in bob_raw)
     labels_a = tuple(str(m.get("label", f"A{i}")) for i, m in enumerate(alice_raw))
     labels_b = tuple(str(m.get("label", f"B{i}")) for i, m in enumerate(bob_raw))
     return Strategy(
@@ -106,8 +109,8 @@ def write_strategy(path: str | Path, s: Strategy) -> None:
     Path(path).write_text(json.dumps(strategy_to_json_dict(s)) + "\n")
 
 
-def read_strategy(path: str | Path) -> Strategy:
-    return strategy_from_json_dict(json.loads(Path(path).read_text()))
+def read_strategy(path: str | Path, *, settings: Settings | None = None) -> Strategy:
+    return strategy_from_json_dict(json.loads(Path(path).read_text()), settings=settings)
 
 
 # --------------------------------------------------------------------------
@@ -121,7 +124,9 @@ def state_from_json(raw: dict) -> SchmidtState:
     raise BadParams("state file needs a 'schmidt_coeffs' list")
 
 
-def measurements_from_json(raw: dict | list) -> list[ProjectiveMeasurement]:
+def measurements_from_json(
+    raw: dict | list, *, settings: Settings | None = None
+) -> list[ProjectiveMeasurement]:
     """Accept a list of measurement dicts, or {"measurements": [...]}."""
     if isinstance(raw, dict):
         if "measurements" in raw:
@@ -130,15 +135,17 @@ def measurements_from_json(raw: dict | list) -> list[ProjectiveMeasurement]:
             raw = raw["alice"]
         else:
             raise BadParams("expected a 'measurements' (or 'alice') list")
-    return [measurement_from_json_dict(m) for m in raw]
+    return [measurement_from_json_dict(m, settings=settings) for m in raw]
 
 
-def target_from_json(raw: dict) -> np.ndarray | ProjectiveMeasurement:
+def target_from_json(
+    raw: dict, *, settings: Settings | None = None
+) -> np.ndarray | ProjectiveMeasurement:
     """Accept {"matrix": [...]} for an observable or {"projections": [...]}."""
     if "matrix" in raw:
         return decode_matrix(raw["matrix"])
     if "projections" in raw:
-        return measurement_from_json_dict(raw)
+        return measurement_from_json_dict(raw, settings=settings)
     raise BadParams("target file needs 'matrix' or 'projections'")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULTS, Settings
+from .config import Settings
 from .errors import BadDimension
 from .strategies import ProjectiveMeasurement, SchmidtState, Strategy
 
@@ -89,9 +89,8 @@ def maximal_independent_subset(d: int) -> tuple[list[np.ndarray], list[str]]:
 
 def initial_strategy(d: int, *, settings: Settings | None = None) -> Strategy:
     """Maximally entangled state with the d+1 simplex reflections on each side."""
-    s = settings or DEFAULTS
     obs = simplex_observables(d)
-    meas = tuple(ProjectiveMeasurement.from_observable(o, s.eig_tol) for o in obs)
+    meas = tuple(ProjectiveMeasurement.from_observable(o, settings=settings) for o in obs)
     labels = tuple(f"T{j}" for j in range(d + 1))
     return Strategy(
         state=SchmidtState.maximally_entangled(d),

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Settings
 from .errors import (
     BadParams,
     DimMismatch,
@@ -25,6 +25,13 @@ from .jordan import has_trivial_centralizer
 from .linalg import as_square_matrix, require_hermitian_stack, sym_eig
 
 _BRUTE_FORCE_LIMIT = 4096
+# CorrelationTable: the largest |imag| of a real entry, and the slack of validate
+_REAL_TOL = 1e-12
+_NORMALIZATION_TOL = 1e-9
+# verify_degenerate_pair: the largest correlation gap of a degenerate pair and
+# the smallest Frobenius distance of two distinct observables
+_DEGENERACY_GAP_TOL = 1e-9
+_DISTINCT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,16 +77,16 @@ class SchmidtState:
 class ProjectiveMeasurement:
     """A complete family of mutually orthogonal projections.
 
-    Validation (raising InvalidMeasurement) checks, entrywise within the
-    tolerance: idempotence of each projection, orthogonality of each pair,
-    and completeness sum(projections) = I.
+    Validation (raising InvalidMeasurement) checks, entrywise within
+    ``settings.eig_tol``: Hermiticity, idempotence of each projection,
+    orthogonality of each pair, and completeness sum(projections) = I.
     """
 
     projections: tuple[np.ndarray, ...]
-    validate_tol: InitVar[float | None] = None
+    settings: InitVar[Settings | None] = None
 
-    def __post_init__(self, validate_tol: float | None) -> None:
-        tol = DEFAULTS.eig_tol if validate_tol is None else validate_tol
+    def __post_init__(self, settings: Settings | None) -> None:
+        tol = (settings or DEFAULTS).eig_tol
         if not len(self.projections):
             raise InvalidMeasurement("a measurement needs at least one output")
         stack = require_hermitian_stack(self.projections, tol, allow_complex=True)
@@ -123,45 +130,43 @@ class ProjectiveMeasurement:
 
     @classmethod
     def from_observable(
-        cls, o: np.ndarray, tol: float | None = None
+        cls, o: np.ndarray, *, settings: Settings | None = None
     ) -> "ProjectiveMeasurement":
         """Binary measurement {(I+O)/2, (I-O)/2} of a symmetric involution."""
-        m = require_binary_observable(o, tol)
+        m = require_binary_observable(o, settings=settings)
         eye = np.eye(m.shape[0])
-        return cls((0.5 * (eye + m), 0.5 * (eye - m)), validate_tol=tol)
+        return cls((0.5 * (eye + m), 0.5 * (eye - m)), settings=settings)
 
 
-def require_binary_observable(o: np.ndarray, tol: float | None = None) -> np.ndarray:
+def require_binary_observable(o: np.ndarray, *, settings: Settings | None = None) -> np.ndarray:
     """Validate a real symmetric involution and return its symmetrized copy."""
-    return require_binary_observables([o], tol)[0]
+    return require_binary_observables([o], settings=settings)[0]
 
 
 def require_binary_observables(
-    obs: Sequence[np.ndarray], tol: float | None = None
+    obs: Sequence[np.ndarray], *, settings: Settings | None = None
 ) -> np.ndarray:
     """require_binary_observable on every matrix at once: the (k, d, d) stack.
 
-    Mixed sizes raise DimMismatch.
+    Symmetry is checked at ``settings.sym_tol`` and O^2 = I entrywise at
+    ``settings.eig_tol``. Mixed sizes raise DimMismatch.
     """
-    if tol is None:
-        tol = DEFAULTS.eig_tol
+    s = settings or DEFAULTS
     if not len(obs):
         return np.zeros((0, 0, 0))
-    m = require_hermitian_stack(obs, DEFAULTS.sym_tol)
+    m = require_hermitian_stack(obs, s.sym_tol)
     gap = np.abs(m @ m - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1, initial=0.0)
-    if np.any(gap > tol):
+    if np.any(gap > s.eig_tol):
         raise InvalidMeasurement(f"matrix {gap.argmax()} squares to I within {gap.max():.2e}")
     return m
 
 
-def require_order_l(a: np.ndarray, outputs: int, tol: float | None = None) -> np.ndarray:
+def require_order_l(a: np.ndarray, outputs: int, *, settings: Settings | None = None) -> np.ndarray:
     """Validate a unitary with a^outputs = I and return it as a complex array.
 
-    Raises NotOrderL when either identity fails by more than ``tol``
-    (entrywise).
+    Raises NotOrderL when either identity fails entrywise by more than eig_tol.
     """
-    if tol is None:
-        tol = DEFAULTS.eig_tol
+    tol = (settings or DEFAULTS).eig_tol
     u = as_square_matrix(a, allow_complex=True).astype(complex)
     eye = np.eye(u.shape[0])
     if float(np.max(np.abs(u @ u.conj().T - eye))) > tol:
@@ -230,17 +235,15 @@ def generalized_observables(m: ProjectiveMeasurement) -> list[np.ndarray]:
 
 
 def povm_from_observable(
-    a: np.ndarray, outputs: int, tol: float | None = None
+    a: np.ndarray, outputs: int, *, settings: Settings | None = None
 ) -> ProjectiveMeasurement:
     """Invert the Fourier duality: recover M_a = (1/L) sum_j omega^(-aj) A^j.
 
-    Raises NotOrderL unless ``a`` is unitary with a^outputs = I (within tol).
+    Raises NotOrderL unless ``a`` is unitary with a^outputs = I (within eig_tol).
     """
-    if tol is None:
-        tol = DEFAULTS.eig_tol
     if outputs < 2:
         raise BadParams("a measurement needs at least two outputs")
-    u = require_order_l(a, outputs, tol)
+    u = require_order_l(a, outputs, settings=settings)
     d = u.shape[0]
     powers = [np.eye(d, dtype=complex)]
     for _ in range(outputs - 1):
@@ -249,7 +252,7 @@ def povm_from_observable(
     inverse = np.exp(-2j * np.pi / outputs) ** np.outer(k, k) / outputs
     projs = np.tensordot(inverse, np.array(powers), axes=1)
     projs = 0.5 * (projs + projs.conj().transpose(0, 2, 1))
-    return ProjectiveMeasurement(tuple(projs), validate_tol=tol)
+    return ProjectiveMeasurement(tuple(projs), settings=settings)
 
 
 def correlation(state: SchmidtState, alice_op: np.ndarray, bob_op: np.ndarray) -> complex:
@@ -289,15 +292,15 @@ class CorrelationTable:
     def max_abs(self) -> float:
         return max(abs(v) for v in self.entries.values())
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return all(abs(v.imag) <= tol for v in self.entries.values())
+    def is_real(self) -> bool:
+        return all(abs(v.imag) <= _REAL_TOL for v in self.entries.values())
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check the normalization invariants, raising BadParams on failure."""
         for (x, j, y, k), v in self.entries.items():
-            if j == 0 and k == 0 and abs(v - 1.0) > tol:
+            if j == 0 and k == 0 and abs(v - 1.0) > _NORMALIZATION_TOL:
                 raise BadParams(f"identity entry ({x},0,{y},0) = {v}, expected 1")
-            if abs(v) > 1.0 + tol:
+            if abs(v) > 1.0 + _NORMALIZATION_TOL:
                 raise BadParams(f"entry ({x},{j},{y},{k}) has magnitude {abs(v)} > 1")
 
     def max_difference(self, other: "CorrelationTable") -> float:
@@ -368,18 +371,17 @@ def verify_degenerate_pair(
     first: np.ndarray,
     second: np.ndarray,
     *,
-    gap_tol: float = 1e-9,
-    distinct_tol: float = 1e-6,
+    settings: Settings | None = None,
 ) -> DegeneracyReport:
     """Check that two distinct observables produce identical correlations.
 
     The pair is reported degenerate when its correlations against the identity
-    and every reference observable agree within ``gap_tol``, the two matrices
-    differ by more than ``distinct_tol`` in Frobenius norm, and the reference
-    family has a trivial centralizer (so the coincidence is not an artifact of
-    a reducible reference).
+    and every reference observable agree within 1e-9, the two matrices differ
+    by more than 1e-6 in Frobenius norm, and the reference family has a
+    trivial centralizer (so the coincidence is not an artifact of a reducible
+    reference). ``settings`` validates the observables.
     """
-    b1, b2, *refs = require_binary_observables([first, second, *reference])
+    b1, b2, *refs = require_binary_observables([first, second, *reference], settings=settings)
     d = state.dim
     if b1.shape[0] != d:
         raise DimMismatch("observable dimension does not match the state")
@@ -388,14 +390,14 @@ def verify_degenerate_pair(
         abs(correlation(state, a, b1) - correlation(state, a, b2)) for a in ops
     )
     distinctness = float(np.linalg.norm(b1 - b2))
-    trivial = has_trivial_centralizer(refs)
+    trivial = has_trivial_centralizer(refs, settings=settings)
     return DegeneracyReport(
         correlation_gap=float(gap),
         distinctness=distinctness,
         centralizer_trivial=trivial,
-        degenerate=bool(gap <= gap_tol and distinctness > distinct_tol and trivial),
-        gap_tol=gap_tol,
-        distinct_tol=distinct_tol,
+        degenerate=bool(gap <= _DEGENERACY_GAP_TOL and distinctness > _DISTINCT_TOL and trivial),
+        gap_tol=_DEGENERACY_GAP_TOL,
+        distinct_tol=_DISTINCT_TOL,
     )
 
 

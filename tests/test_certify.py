@@ -13,8 +13,17 @@ from bellcert.certify import (
     merge_binary_split,
     split_measurement,
 )
-from bellcert.errors import BadDimension, BadParams, NotSymmetric, Unreachable
-from bellcert.simplex import degenerate_pair_3d, simplex_observables
+from bellcert.config import DEFAULTS
+from bellcert.errors import (
+    BadDimension,
+    BadParams,
+    InvalidMeasurement,
+    NotSymmetric,
+    Unreachable,
+)
+from bellcert.linalg import sym_eig
+from bellcert.posthoc import min_trace_Q
+from bellcert.simplex import degenerate_pair_3d, pair_observables, simplex_observables
 from bellcert.strategies import ProjectiveMeasurement
 
 from helpers import X, Z, random_projective_measurement
@@ -35,6 +44,24 @@ class TestSplitMerge:
     def test_merge_rejects_empty(self):
         with pytest.raises(BadParams):
             merge_binary_split([])
+
+    def test_caller_settings_reach_split_and_merge(self):
+        # every projection 4e-9 * 0.5 from idempotent: 2 P - I squares to I
+        # only within ~8e-9, outside the default eig_tol
+        loose = DEFAULTS.replace(eig_tol=1e-6)
+        p0 = (1.0 + 4e-9) * 0.5 * (np.eye(3) + simplex_observables(3)[0])
+        meas = ProjectiveMeasurement((p0, np.eye(3) - p0), settings=loose)
+        with pytest.raises(InvalidMeasurement):
+            split_measurement(meas)
+        with pytest.raises(InvalidMeasurement):
+            measurement_certification_strategy(meas)
+        parts = split_measurement(meas, settings=loose)
+        with pytest.raises(InvalidMeasurement):
+            merge_binary_split(parts)
+        again = merge_binary_split(parts, settings=loose)
+        assert np.max(np.abs(again.projections[0] - p0)) < 1e-15
+        strat = measurement_certification_strategy(meas, settings=loose)
+        assert strat.alice_labels[-2:] == ("O0", "O1")
 
 
 class TestBinaryStrategyBuilder:
@@ -143,6 +170,19 @@ class TestCertificateReport:
         assert "table" not in payload
         assert len(payload["extensions"]) == 1
         assert payload["extensions"][0]["verdict"] == "feasible"
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_smallest_eigenvalues_match_the_full_decomposition(self, d):
+        strat = binary_certification_strategy(pair_observables(d)[(0, 1)])
+        got = certificate_report(strat, include_table=False)
+        bob = np.array([m.observable().ravel() for m in strat.bob])
+        gram_min = sym_eig(bob @ bob.T).values[-1]
+        assert got.gram_lambda_min == pytest.approx(gram_min, rel=1e-12, abs=0)
+        _, q = min_trace_Q(
+            strat.state, [m.observable() for m in strat.bob], strat.alice[-1].observable()
+        )
+        q_min = sym_eig(q).values[-1]
+        assert got.extensions[0].lambda_min_q == pytest.approx(q_min, rel=1e-12, abs=0)
 
     def test_rejects_strategy_without_metadata(self):
         strat = binary_certification_strategy(simplex_observables(3)[0])

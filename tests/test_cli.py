@@ -17,7 +17,7 @@ from bellcert.serialize import (
     table_from_csv,
     write_strategy,
 )
-from bellcert.simplex import initial_strategy, simplex_observables
+from bellcert.simplex import initial_strategy, pair_observables, simplex_observables
 from bellcert.strategies import ProjectiveMeasurement, correlation_table
 
 from helpers import HADAMARD_DIR, X, Z
@@ -331,6 +331,87 @@ class TestRobustnessCommand:
         params = _write_json(tmp_path / "params.json", self.FROZEN)
         assert main(["robustness", "--params", params, "--tol-sdp", "1e-6"]) == 2
         assert "unrecognized arguments: --tol-sdp 1e-6" in capsys.readouterr().err
+
+
+# 1e-8 of antisymmetry: rejected at the default sym_tol (1e-10), accepted at 1e-6
+_SKEW = 1e-8 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_LOOSE = {"sym_tol": 1e-6, "eig_tol": 1e-6}
+
+
+def _loose_flags(tmp_path, via_config: bool, keys=("sym_tol", "eig_tol")) -> list[str]:
+    """The loose tolerances as command-line flags or as a --config file."""
+    if via_config:
+        return ["--config", _write_json(tmp_path / "loose.json", {k: _LOOSE[k] for k in keys})]
+    flags = {"sym_tol": "--tol-sym", "eig_tol": "--tol-eig"}
+    return [arg for k in keys for arg in (flags[k], str(_LOOSE[k]))]
+
+
+def _off_idempotent(o: np.ndarray, eps: float = 4e-9) -> dict:
+    """{(1+eps) P0, I - (1+eps) P0} for P0 = (I+O)/2: complete, but each
+    projection is eps * max|P0| from idempotent."""
+    p0 = (1.0 + eps) * 0.5 * (np.eye(len(o)) + o)
+    return {"projections": [encode_matrix(p0), encode_matrix(np.eye(len(o)) - p0)]}
+
+
+class TestSettingsReachInputValidation:
+    """The tolerance flags and --config reach the file readers and validators."""
+
+    def test_certify_target_off_symmetric(self, tmp_path, capsys):
+        target = _write_json(
+            tmp_path / "target.json", {"matrix": encode_matrix(pair_observables(3)[(0, 1)] + _SKEW)}
+        )
+        argv = ["certify", "--target", target, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "not Hermitian" in capsys.readouterr().err
+        for via_config in (False, True):
+            assert main(argv + _loose_flags(tmp_path, via_config)) == 0
+            assert "all-feasible: True" in capsys.readouterr().out
+
+    def test_posthoc_reference_off_idempotent(self, posthoc_files, tmp_path, capsys):
+        state, _, target = posthoc_files
+        alice = _write_json(tmp_path / "loose_alice.json", [_off_idempotent(X)])
+        argv = ["posthoc-check", "--state", state, "--alice", alice, "--target", target]
+        assert main(argv) == 2
+        assert "projection 0 is not idempotent (2.00e-09)" in capsys.readouterr().err
+        for via_config in (False, True):
+            assert main(argv + _loose_flags(tmp_path, via_config, ("eig_tol",))) == 0
+            assert "criterion: feasible" in capsys.readouterr().out
+
+    def test_correlations_strategy_off_idempotent(self, tmp_path, capsys):
+        path = tmp_path / "strategy.json"
+        write_strategy(path, initial_strategy(3))
+        raw = json.loads(path.read_text())
+        raw["alice"][0].update(_off_idempotent(simplex_observables(3)[0]))
+        path.write_text(json.dumps(raw))
+        argv = ["correlations", "--strategy", str(path)]
+        assert main(argv) == 2
+        assert "not idempotent" in capsys.readouterr().err
+        for via_config in (False, True):
+            assert main(argv + _loose_flags(tmp_path, via_config, ("eig_tol",))) == 0
+            assert capsys.readouterr().out.startswith("0,0,0,0,")
+
+
+class TestComplexInputsAreRejected:
+    # a Hermitian involution with complex entries (Pauli Y plus a +1 block)
+    Y3 = np.array([[0.0, -1j, 0.0], [1j, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_certify(self, tmp_path, capsys):
+        target = _write_json(tmp_path / "target.json", {"matrix": encode_matrix(self.Y3)})
+        assert main(["certify", "--target", target, "--out", str(tmp_path / "out")]) == 2
+        assert "expected a real matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["observables", "extra"])
+    def test_jordan_closure(self, tmp_path, capsys, where):
+        real = _write_json(tmp_path / "real.json", {"matrices": [encode_matrix(np.eye(3))]})
+        mixed = _write_json(
+            tmp_path / "mixed.json",
+            {"matrices": [encode_matrix(np.eye(3)), encode_matrix(self.Y3)]},
+        )
+        argv = ["jordan-closure", "--observables", mixed if where == "observables" else real]
+        if where == "extra":
+            argv += ["--extra", mixed]
+        assert main(argv) == 2
+        assert "expected a real matrix" in capsys.readouterr().err
 
 
 class TestVerifyExamplesCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellcert import jordan as jordan_module
+from bellcert.config import DEFAULTS
 from bellcert.errors import DimMismatch, EmptyInput, NotSymmetric
 from bellcert.jordan import (
     SpanBasis,
@@ -73,6 +74,20 @@ class TestSpanBasis:
         member, _, residual = contains(b, X)
         assert not member
         assert residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+    def test_contains_checks_symmetry_at_sym_tol_and_membership_at_the_basis_tol(self):
+        skewed = X + 1e-8 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        b = span_basis([X, Z])
+        with pytest.raises(NotSymmetric):
+            contains(b, skewed)
+        assert contains(b, skewed, settings=DEFAULTS.replace(sym_tol=1e-6))[0]
+        # the membership threshold is the one the basis was built with
+        near = X + 1e-6 * Z
+        coarse = DEFAULTS.replace(membership_tol=1e-3)
+        assert not contains(span_basis([X]), near)[0]
+        assert not contains(span_basis([X]), near, settings=coarse)[0]
+        assert contains(span_basis([X], settings=coarse), near)[0]
+        assert span_basis([X], settings=coarse).tol == 1e-3
 
     def test_empty_family_raises(self):
         with pytest.raises(EmptyInput):

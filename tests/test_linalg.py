@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bellcert.config import DEFAULTS
 from bellcert.errors import DimMismatch, EmptyInput, NotSymmetric
 from bellcert.linalg import (
     BLOCK_ROWS,
@@ -244,7 +245,8 @@ def test_numerical_rank_basic_families():
     assert numerical_rank([np.eye(2), X, Z]) == 3
     assert numerical_rank([np.eye(2), X, Z, X + Z]) == 3
     assert numerical_rank([X, X + 1e-12 * Z]) == 1
-    assert numerical_rank([X, X + 1e-12 * Z], tol=1e-15) == 2
+    fine = DEFAULTS.replace(membership_tol=1e-15)
+    assert numerical_rank([X, X + 1e-12 * Z], settings=fine) == 2
 
 
 def test_numerical_rank_stable_under_reordering(rng):

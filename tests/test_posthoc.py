@@ -10,10 +10,13 @@ Expected values come from hand derivations frozen as literals:
   the ideal certificate Tr Q = d with Q = I.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from bellcert import posthoc
+from bellcert.cli import main
 from bellcert.certify import split_measurement
 from bellcert.config import DEFAULTS
 from bellcert.errors import (
@@ -42,6 +45,7 @@ from bellcert.posthoc import (
     sign_reachable,
     vector_recovery_bound,
 )
+from bellcert.serialize import measurement_to_json_dict
 from bellcert.simplex import (
     degenerate_pair_3d,
     maximal_independent_subset,
@@ -568,7 +572,8 @@ class TestMinTraceCertificate:
         assert np.linalg.eigvalsh(q)[0] >= 1.0 - 1e-7
         dm = st.matrix
         member, _, _ = contains(
-            span_basis([dm @ dm, dm @ X @ dm]), target @ dm @ q @ dm, tol=1e-7
+            span_basis([dm @ dm, dm @ X @ dm], settings=DEFAULTS.replace(membership_tol=1e-7)),
+            target @ dm @ q @ dm,
         )
         assert member
         assert tr == pytest.approx(float(np.trace(q)), abs=1e-12)
@@ -622,9 +627,11 @@ class TestMinTraceCertificate:
         assert tr == pytest.approx(float(np.trace(q)), rel=1e-12)
         dm = st.matrix
         member, _, _ = contains(
-            span_basis([dm @ dm] + [dm @ a @ dm for a in refs]),
+            span_basis(
+                [dm @ dm] + [dm @ a @ dm for a in refs],
+                settings=DEFAULTS.replace(membership_tol=1e-7),
+            ),
             target @ dm @ q @ dm,
-            tol=1e-7,
         )
         assert member
 
@@ -679,6 +686,44 @@ class TestMinTraceCertificate:
             tr, q = min_trace_Q(ME3, [obs[1], obs[2]], obs[1], outputs=3, power=power)
             assert tr == pytest.approx(3.0, abs=1e-5)
             assert np.linalg.eigvalsh(q)[0] == pytest.approx(1.0, abs=1e-5)
+
+
+    def test_order_l_solves_one_power_per_call(self, rng, monkeypatch, tmp_path, capsys):
+        calls = []
+        solve = posthoc._solve_pd_in_span
+
+        def counting(gens, **kwargs):
+            calls.append(len(gens))
+            return solve(gens, **kwargs)
+
+        monkeypatch.setattr(posthoc, "_solve_pd_in_span", counting)
+        d, outputs = 5, 4
+        refs = [
+            ProjectiveMeasurement(tuple(random_projective_measurement(rng, d, outputs)))
+            for _ in range(2)
+        ]
+        powers = [a for m in refs for a in generalized_observables(m)[1:]]
+        state = SchmidtState.maximally_entangled(d)
+        for power in range(1, outputs):
+            calls.clear()
+            min_trace_Q(state, powers, powers[0], outputs=outputs, power=power)
+            assert len(calls) == 1
+        # posthoc-check: one solve per power for the verdicts, one per power
+        # for the certificates, (L - 1) + (L - 1) = 6 and not (L - 1) + (L - 1)^2
+        files = {
+            "state": {"schmidt_coeffs": [float(c) for c in state.coeffs]},
+            "alice": [measurement_to_json_dict(m) for m in refs],
+            "target": measurement_to_json_dict(refs[0]),
+        }
+        argv = ["posthoc-check"]
+        for name, payload in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            argv += [f"--{name}", str(path)]
+        calls.clear()
+        assert main(argv) == 0
+        assert "criterion: feasible" in capsys.readouterr().out
+        assert len(calls) == 2 * (outputs - 1)
 
 
 def _random_unitary_measurement(rng, d: int, outputs: int) -> ProjectiveMeasurement:

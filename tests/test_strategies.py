@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bellcert.config import DEFAULTS
 from bellcert.errors import (
     BadParams,
     BellcertError,
@@ -249,6 +250,64 @@ class TestBinaryObservableFamily:
             assert np.array_equal(o, require_symmetric(m))
             assert np.array_equal(o, require_binary_observable(m))
         assert require_binary_observables([]).shape == (0, 0, 0)
+
+
+# a 2x2 antisymmetric nudge of 1e-8: its symmetric part is zero, so it
+# fails only the symmetry check at the default sym_tol (1e-10)
+SKEW = 1e-8 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+LOOSE = DEFAULTS.replace(sym_tol=1e-6, eig_tol=1e-6)
+
+
+class TestValidatorsReadSettings:
+    def test_binary_observables_symmetry_at_sym_tol(self):
+        loose = DEFAULTS.replace(sym_tol=1e-6)
+        with pytest.raises(NotSymmetric):
+            require_binary_observables([X, Z + SKEW])
+        assert np.array_equal(require_binary_observables([X, Z + SKEW], settings=loose)[1], Z)
+        with pytest.raises(NotSymmetric):
+            require_binary_observable(Z + SKEW)
+        assert np.array_equal(require_binary_observable(Z + SKEW, settings=loose), Z)
+
+    def test_binary_observables_involution_at_eig_tol(self):
+        nudged = (1.0 + 1e-8) * X  # squares to I within 2e-8
+        with pytest.raises(InvalidMeasurement):
+            require_binary_observables([nudged])
+        assert np.array_equal(
+            require_binary_observables([nudged], settings=DEFAULTS.replace(eig_tol=1e-6))[0],
+            nudged,
+        )
+        with pytest.raises(InvalidMeasurement):
+            ProjectiveMeasurement.from_observable(nudged)
+        m = ProjectiveMeasurement.from_observable(nudged, settings=LOOSE)
+        assert np.array_equal(m.observable(), nudged)
+
+    def test_measurement_at_eig_tol(self):
+        p0 = (1.0 + 4e-9) * 0.5 * (np.eye(2) + X)  # 2e-9 from idempotent
+        with pytest.raises(InvalidMeasurement, match=r"projection 0 is not idempotent"):
+            ProjectiveMeasurement((p0, np.eye(2) - p0))
+        m = ProjectiveMeasurement((p0, np.eye(2) - p0), settings=LOOSE)
+        assert np.array_equal(m.projections[0], p0)
+
+    def test_order_l_at_eig_tol(self):
+        nudged = (1.0 + 1e-8) * Z  # unitary within 2e-8
+        for check in (
+            lambda **kw: require_order_l(nudged, 2, **kw),
+            lambda **kw: povm_from_observable(nudged, 2, **kw),
+        ):
+            with pytest.raises(NotOrderL):
+                check()
+            check(settings=LOOSE)
+
+    def test_degenerate_pair_validates_at_the_given_settings(self):
+        state, refs, first, second = degenerate_pair_3d()
+        skew = np.zeros((3, 3))
+        skew[0, 1], skew[1, 0] = 1e-8, -1e-8
+        nudged = [refs[0] + skew, *refs[1:]]
+        with pytest.raises(NotSymmetric):
+            verify_degenerate_pair(state, nudged, first, second)
+        report = verify_degenerate_pair(state, nudged, first, second, settings=LOOSE)
+        assert report.degenerate
+        assert (report.gap_tol, report.distinct_tol) == (1e-9, 1e-6)
 
 
 class TestCorrelation:
