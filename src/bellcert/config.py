@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,8 @@ class Settings:
 
     Eigendecompositions and orthogonalization are LAPACK calls with no knob
     of their own; with a given LAPACK build their results are deterministic.
+    Every field must be finite, the tolerances positive and
+    ``robustness_constant`` nonnegative; anything else raises BadParams.
 
     Attributes
     ----------
@@ -54,6 +57,16 @@ class Settings:
     feas_tol: float = 1e-7
     membership_tol: float = 1e-8
     robustness_constant: float = 2.0
+
+    def __post_init__(self) -> None:
+        # a NaN threshold makes every `gap > tol` comparison false
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            constant = f.name == "robustness_constant"
+            if not (math.isfinite(value) and (value >= 0.0 if constant else value > 0.0)):
+                raise BadParams(
+                    f"{f.name} must be finite and {'>= 0' if constant else '> 0'}, got {value!r}"
+                )
 
     def replace(self, **overrides: float) -> "Settings":
         """Return a copy with the given fields replaced."""

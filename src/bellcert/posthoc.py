@@ -4,12 +4,13 @@ Given a Schmidt-diagonal reference state D and reference observables A_x, an
 extra observable O is certified by exhibiting a positive definite P with
 conj(O)^l P inside span{D A_x^j D} for every power l. Ruling such a P in or
 out is a small semidefinite feasibility problem over the span; this module
-decides it deterministically with a phase-I log-det barrier that returns
-either a positive definite witness or a Farkas dual certificate, refines
-feasible instances to the minimum-trace certificate Q = D^-1 P D^-1 with the
-same damped-Newton barrier core, over the same symmetric combinations of the
-same generators carried into that frame by congruence, and evaluates the
-closed-form robustness bounds that consume those certificates.
+decides it deterministically with one log-det barrier, the central path of
+the best minimum eigenvalue over the span's unit ball, whose points give a
+positive definite witness and whose dual gives a Farkas certificate. It
+refines feasible instances to the minimum-trace certificate Q = D^-1 P D^-1
+with the same damped-Newton barrier core, over the same symmetric combinations
+of the same generators carried into that frame by congruence, and evaluates
+the closed-form robustness bounds that consume those certificates.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .jordan import SpanBasis
 from .linalg import (
     as_square_matrix,
     derealify,
+    extend_orthonormal_rows,
     realify,
     sym_eig,
 )
@@ -95,9 +97,9 @@ class FeasibilityResult:
 # --------------------------------------------------------------------------
 # core solver: is some symmetric combination of the generators positive definite?
 
-# Central-path schedule shared by the phase-I and minimum-trace barriers: mu
-# shrinks by _MU_SHRINK after each centering, down to n * mu = _MU_FLOOR
-# (_MU_FLOOR * Tr Q for the minimum-trace barrier, whose objective is Tr Q).
+# Central-path schedule shared by the margin search and the minimum-trace
+# barrier: mu shrinks by _MU_SHRINK after each centering, down to N * mu =
+# _MU_FLOOR for block size N (_MU_FLOOR * Tr Q for the minimum-trace barrier).
 _MU_SHRINK = 0.15
 _MU_FLOOR = 5e-10
 # Centring: Newton decrement <= _DECREMENT_TOL within _MAX_NEWTON steps, line
@@ -107,6 +109,9 @@ _DECREMENT_TOL = 2e-11
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-14
 _RIDGE = 1e-13
+# Numerical rank: singular values at or below this times the largest (times
+# max(1, largest) for the asymmetry map) count as zero.
+_RANK_CUTOFF = 1e-12
 
 
 def _symmetric_combinations(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +123,7 @@ def _symmetric_combinations(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     asym = (gens - gens.transpose(0, 2, 1)).reshape(len(gens), -1)
     # the thin factor already holds every row of vt unless asym.T is wide
     _, sv, vt = np.linalg.svd(asym.T, full_matrices=asym.shape[0] > asym.shape[1])
-    cutoff = 1e-12 * max(1.0, float(sv[0]) if sv.size else 0.0)
+    cutoff = _RANK_CUTOFF * max(1.0, float(sv[0]) if sv.size else 0.0)
     null = vt[int(np.sum(sv > cutoff)):].T  # (n, n - rank)
     n = gens.shape[1]
     mats = (null.T @ gens.reshape(len(gens), -1)).reshape(-1, n, n)
@@ -129,11 +134,11 @@ def _frobenius_basis(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """A Frobenius-orthonormal symmetric basis B of span{mats}.
 
     Returns (U, sigma, B) with mats = U diag(sigma) B, keeping the singular
-    values above 1e-12 sigma_max.
+    values above _RANK_CUTOFF sigma_max.
     """
     n = mats.shape[1]
     u, sig, vt = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
-    keep = sig > 1e-12 * sig[0]
+    keep = sig > _RANK_CUTOFF * sig[0]
     basis = vt[keep].reshape(-1, n, n)
     return u[:, keep], sig[keep], 0.5 * (basis + basis.transpose(0, 2, 1))
 
@@ -175,101 +180,68 @@ def _best_sign(b: np.ndarray, settings: Settings) -> tuple[float, float, np.ndar
     return -hi, -1.0, cert
 
 
-def _phase_one(
-    mats: np.ndarray, settings: Settings
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Phase-I barrier for "is some sum_j t_j mats[j] positive definite?".
+def _margin_search(
+    mats: np.ndarray,
+) -> Iterator[tuple[float, np.ndarray, float, np.ndarray | None]]:
+    """Search span{mats} for a positive definite element.
 
     Runs over a Frobenius-orthonormal basis B of the span, mats =
-    U diag(sigma) B, so bounded matrices have bounded coordinates u; a point
-    is reported by its least-norm coefficients t = U (u / sigma). Follows the
-    central path of max s s.t. M(u) - s I > 0, Tr M(u) = 1, with u = u0 + V z
-    and V spanning the traces' orthogonal complement; there nu = s + n mu
-    bounds the optimum s* from above. Stops on lambda_min(M) / |t| > feas_tol
-    (witness), on nu < 0 (Y - nu I with Y = mu (M - s I)^-1, projected, is a
-    Farkas certificate), or on s >= -feas_tol |t| and nu |tau| <= feas_tol
-    (marginal: with tau_j = Tr mats[j], no unit t beats s* |tau|). Once
-    s > 0, or at the mu floor, _unit_ball_margin settles the margin.
-    Returns (lambda_min(M) / |t|, t, certificate or None).
+    U diag(sigma) B, in coordinates w with M(w) = sum_k w_k sigma_k B_k, so
+    that a point is t = U w over mats and |t| = |w|. Yields (lambda_min(M) /
+    |t|, t, bound, dual): first at the projection of I onto the span (bound
+    inf, no dual), then at each centre of max s s.t. blockdiag(M(w) - s I,
+    [[I, w], [w^T, 1]]) > 0 (the second block is |w| < 1), where with N the
+    total block size, s + N mu bounds max_{|t| <= 1} lambda_min(M(t)) and the
+    unit-trace dual Y = mu (M(w) - s I)^-1 has Tr(Y mats[j]) -> 0 as mu -> 0.
+    Ends once N mu reaches _MU_FLOOR.
     """
-    tol = settings.feas_tol
-    n = mats.shape[1]
     u_svd, sig, basis = _frobenius_basis(mats)
+    n, r = basis.shape[1], len(sig)
     traces = np.einsum("kaa->k", basis)
-    tau = float(np.linalg.norm(sig * traces))
-    r = len(sig)
-    u0 = traces / float(traces @ traces)
-    perp = np.linalg.svd(traces[None, :])[2][1:]  # (r - 1, r)
-    base = np.tensordot(u0, basis, axes=1)
-    stack = np.concatenate([np.tensordot(perp, basis, axes=1), -np.eye(n)[None]])
-    cost = -np.eye(r)[-1]
-
-    def evaluate(x: np.ndarray) -> tuple[np.ndarray, float, float]:
-        u = u0 + x[:-1] @ perp
-        lam = _lambda_min(np.tensordot(u, basis, axes=1))
-        return u / sig, float(np.linalg.norm(u / sig)), lam
-
-    x = np.zeros(r)
-    w, norm, lam = evaluate(x)
-    x[-1] = lam - 1.0  # lambda_min(M(u0) - s I) = 1
-    mu = 1.0 / float(np.trace(np.linalg.inv(base - x[-1] * np.eye(n))))
-    value = lam / norm
-    if value > tol:
-        return value, u_svd @ w, None
-    for x, mu in _central_path(x, cost, base, stack, mu):
-        w, norm, lam = evaluate(x)
-        value = lam / norm
-        if value > tol:
-            break
-        s, nu = float(x[-1]), float(x[-1]) + n * mu
-        if nu < 0.0:
-            slack = base + np.tensordot(x, stack, axes=1)
-            cert = _farkas(mu * np.linalg.inv(slack) - nu * np.eye(n), basis)
-            if cert is not None:
-                return value, u_svd @ w, cert
-        if s >= -tol * norm and nu * tau <= tol:
-            break
-        if s > 0.0 or n * mu <= _MU_FLOOR:
-            found = _unit_ball_margin(sig[:, None, None] * basis, w / norm, settings)
-            if found is not None:
-                value, w = found
-            elif value < -tol:
-                raise SolverStall(
-                    f"phase-I barrier reached n*mu = {n * mu:.1e} without a "
-                    f"certificate (lambda_min {value:.3e})"
-                )
-            break
-    return value, u_svd @ w, None
-
-
-def _unit_ball_margin(
-    mats: np.ndarray, direction: np.ndarray, settings: Settings
-) -> tuple[float, np.ndarray] | None:
-    """Some |t| <= 1 with lambda_min(M(t)) / |t| > feas_tol, or None if none.
-
-    Central path of max s s.t. blockdiag(M(t) - s I, [[I, t], [t^T, 1]]) > 0
-    (the second block is |t| < 1) from t = direction / 2; with N the total
-    block size, s + N mu bounds the optimum. Returns (that ratio, t).
-    """
-    m, n = mats.shape[0], mats.shape[1]
-    size = n + m + 1
-    stack = np.zeros((m + 1, size, size))
-    stack[:m, :n, :n] = mats
-    j = np.arange(m)
+    if traces @ traces > 0.0:
+        u0 = traces / float(traces @ traces)  # unit trace
+        lam = _lambda_min(np.tensordot(u0, basis, axes=1))
+        yield lam / float(np.linalg.norm(u0 / sig)), u_svd @ (u0 / sig), np.inf, None
+    dirs = sig[:, None, None] * basis
+    size = n + r + 1
+    stack = np.zeros((r + 1, size, size))
+    stack[:r, :n, :n] = dirs
+    j = np.arange(r)
     stack[j, n + j, -1] = stack[j, -1, n + j] = 1.0
-    stack[m, :n, :n] = -np.eye(n)
-    base = np.diag(np.r_[np.zeros(n), np.ones(m + 1)])
-    cost = -np.eye(m + 1)[m]
-    x = np.append(0.5 * direction, 0.0)
-    x[-1] = _lambda_min(np.tensordot(x[:-1], mats, axes=1)) - 1.0
-    mu = 1.0 / float(np.trace(np.linalg.inv(base + np.tensordot(x, stack, axes=1))))
-    for x, mu in _central_path(x, cost, base, stack, mu):
-        t = x[:-1]
-        value = _lambda_min(np.tensordot(t, mats, axes=1)) / np.linalg.norm(t)
-        if value > settings.feas_tol:
-            return value, t
-        if x[-1] + size * mu <= settings.feas_tol or size * mu <= _MU_FLOOR:
-            return None
+    stack[r, :n, :n] = -np.eye(n)
+    base = np.diag(np.r_[np.zeros(n), np.ones(r + 1)])
+    x = np.append(np.zeros(r), -1.0)
+    for x, mu in _central_path(x, -np.eye(r + 1)[r], base, stack, 1.0 / size):
+        w, s = x[:r], float(x[r])
+        m_w = np.tensordot(w, dirs, axes=1)
+        point = w if w.any() else np.eye(r)[0]  # a centre at w = 0 has no direction
+        margin = _lambda_min(np.tensordot(point, dirs, axes=1)) / float(np.linalg.norm(point))
+        yield margin, u_svd @ point, s + size * mu, mu * np.linalg.inv(m_w - s * np.eye(n))
+        if size * mu <= _MU_FLOOR:
+            return
+
+
+def _complement_certificate(mats: np.ndarray, settings: Settings) -> np.ndarray | None:
+    """A Farkas certificate for mats found by _margin_search on the complement.
+
+    Searches the orthogonal complement of span{mats} in the symmetric
+    matrices for a positive definite element and returns it at unit trace;
+    None if the search's bound drops to feas_tol first.
+    """
+    n = mats.shape[1]
+    span = _frobenius_basis(mats)[2].reshape(-1, n * n)
+    units = np.eye(n * n).reshape(-1, n, n)
+    sym_units = (units + units.transpose(0, 2, 1)).reshape(n * n, -1)
+    rows, added = extend_orthonormal_rows(span, sym_units, _RANK_CUTOFF)
+    if added == 0:
+        return None
+    comp = rows[len(span) :].reshape(-1, n, n)
+    for value, t, bound, _ in _margin_search(comp):
+        if value > 0.0 and (cert := _farkas(np.tensordot(t, comp, axes=1), mats)) is not None:
+            return cert
+        if bound <= settings.feas_tol:
+            break
+    return None
 
 
 def _solve_pd_in_span(
@@ -278,7 +250,10 @@ def _solve_pd_in_span(
     """Decide whether some symmetric combination of gens is positive definite.
 
     Only symmetric combinations are searched (the asymmetry null space is
-    factored out first). Returns (lambda_min at the returned unit-norm
+    factored out first). Stops on a margin above feas_tol, a dual that
+    _farkas projects to a certificate, or a bound at most feas_tol; a margin
+    below -feas_tol takes its certificate from the span's complement, or
+    raises SolverStall. Returns (lambda_min at the returned unit-norm
     coefficient vector, that vector in the ORIGINAL generator coordinates or
     None, Farkas certificate or None).
     """
@@ -287,15 +262,24 @@ def _solve_pd_in_span(
     n = mats.shape[1]
     if m == 0:
         return float("-inf"), None, np.eye(n) / n
-    traces = np.einsum("jaa->j", mats)
     if m == 1:
         value, sign, cert = _best_sign(mats[0], settings)
         return value, sign * null[:, 0], cert
-    if float(np.linalg.norm(traces)) <= 1e-12 * max(1.0, float(np.max(np.abs(mats)))):
-        # every combination is traceless, so none is positive definite
-        value, sign, _ = _best_sign(mats[0], settings)
-        return value, sign * null[:, 0], _farkas(np.eye(n) / n, mats)
-    value, t, cert = _phase_one(mats, settings)
+    tol = settings.feas_tol
+    cert = None
+    for value, t, bound, dual in _margin_search(mats):
+        if (
+            value > tol
+            or (dual is not None and (cert := _farkas(dual, mats)) is not None)
+            or bound <= tol
+        ):
+            break
+    if value < -tol and cert is None:
+        cert = _complement_certificate(mats, settings)
+        if cert is None:
+            raise SolverStall(
+                f"margin search ended at lambda_min {value:.3e} without a certificate"
+            )
     return value, null @ (t / np.linalg.norm(t)), cert
 
 
@@ -335,8 +319,8 @@ def posthoc_feasible_binary(
     An infeasible verdict carries a Farkas certificate.
 
     Raises SolverStall when the barrier cannot settle the verdict (its Newton
-    loop fails) - an honest "could not decide", never silently converted
-    into a verdict.
+    loop fails, or it ends below -feas_tol with no certificate) - an honest
+    "could not decide", never silently converted into a verdict.
     """
     s = settings or DEFAULTS
     obs = require_binary_observables([target, *alice], settings=s)

@@ -289,9 +289,6 @@ class CorrelationTable:
     def items(self):
         return self.entries.items()
 
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.entries.values())
-
     def is_real(self) -> bool:
         return all(abs(v.imag) <= _REAL_TOL for v in self.entries.values())
 

@@ -20,7 +20,7 @@ from bellcert.serialize import (
 from bellcert.simplex import initial_strategy, pair_observables, simplex_observables
 from bellcert.strategies import ProjectiveMeasurement, correlation_table
 
-from helpers import HADAMARD_DIR, X, Z
+from helpers import HADAMARD_DIR, X, Z, random_projective_measurement
 
 
 def _write_json(path, payload):
@@ -236,6 +236,25 @@ class TestCertifyCommand:
         assert (out_dir / "report.json").exists()
         assert not (out_dir / "table.csv").exists()
 
+    def test_measurement_target(self, tmp_path, capsys):
+        projs = random_projective_measurement(np.random.default_rng(0), 4, 3)
+        target = _write_json(
+            tmp_path / "target.json", {"projections": [encode_matrix(p) for p in projs]}
+        )
+        out_dir = tmp_path / "bundle"
+        assert main(["certify", "--target", target, "--out", str(out_dir)]) == 0
+        assert "all-feasible: True" in capsys.readouterr().out
+
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [(e["label"], e["verdict"]) for e in report["extensions"]] == [
+            (f"O{k}", "feasible") for k in range(3)
+        ]
+        strat = read_strategy(out_dir / "strategy.json")
+        write_strategy(tmp_path / "again.json", strat)
+        assert (tmp_path / "again.json").read_text() == (out_dir / "strategy.json").read_text()
+        table = table_from_csv(out_dir / "table.csv")
+        assert correlation_table(strat).max_difference(table) == 0.0
+
 
 class TestRobustnessCommand:
     FROZEN = {
@@ -389,6 +408,42 @@ class TestSettingsReachInputValidation:
         for via_config in (False, True):
             assert main(argv + _loose_flags(tmp_path, via_config, ("eig_tol",))) == 0
             assert capsys.readouterr().out.startswith("0,0,0,0,")
+
+
+class TestInvalidSettingsAreRejected:
+    """NaN, infinite and out-of-range settings exit 2, however they are given."""
+
+    def test_nan_tolerances_do_not_pass_a_non_involution(self, tmp_path, capsys):
+        o = np.array([[0.3, 0.1, 0.0], [0.1, 2.0, 0.0], [0.0, 0.0, -1.0]])
+        target = _write_json(tmp_path / "target.json", {"matrix": encode_matrix(o)})
+        argv = ["certify", "--target", target, "--out", str(tmp_path / "out")]
+        assert main(argv + ["--tol-sym", "nan", "--tol-eig", "nan"]) == 2
+        assert "sym_tol must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tol-sym", "nan"),
+            ("--tol-eig", "inf"),
+            ("--tol-singular", "0"),
+            ("--tol-feas", "-1"),
+            ("--tol-membership", "-inf"),
+            ("--robustness-constant", "-0.5"),
+            ("--robustness-constant", "nan"),
+        ],
+    )
+    def test_flag_and_config(self, tmp_path, capsys, flag, value):
+        field = cli._SETTINGS_FLAGS[flag[2:].replace("-", "_")]
+        params = _write_json(tmp_path / "params.json", TestRobustnessCommand.FROZEN)
+        config = _write_json(tmp_path / "config.json", {field: float(value)})
+        for extra in (f"{flag}={value}", f"--config={config}"):
+            assert main(["robustness", "--params", params, extra]) == 2
+            assert f"error: {field} must be finite and" in capsys.readouterr().err
+
+    def test_zero_robustness_constant_is_allowed(self, tmp_path, capsys):
+        params = _write_json(tmp_path / "params.json", TestRobustnessCommand.FROZEN)
+        assert main(["robustness", "--params", params, "--robustness-constant", "0"]) == 0
 
 
 class TestComplexInputsAreRejected:

@@ -56,7 +56,7 @@ def test_no_module_imports_private_names(path):
 @pytest.mark.parametrize(
     "source, expected",
     [
-        ("from .posthoc import _phase_one, min_trace_Q", ["posthoc._phase_one"]),
+        ("from .posthoc import _margin_search, min_trace_Q", ["posthoc._margin_search"]),
         ("from bellcert.linalg import _extend", ["bellcert.linalg._extend"]),
         ("from . import jordan\njordan._validated_family([])", ["jordan._validated_family"]),
         ("import bellcert.linalg as la\nla._canonical_columns", ["la._canonical_columns"]),

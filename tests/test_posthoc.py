@@ -82,6 +82,17 @@ class TestBinaryFeasibility:
         assert result.lambda_min_achieved == pytest.approx(-0.5, abs=1e-12)
         assert result.witness is None and result.coefficients is None
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("feas_tol", -1.0), ("feas_tol", 0.0), ("feas_tol", np.nan), ("sym_tol", np.inf),
+         ("eig_tol", np.nan), ("robustness_constant", -1.0)],
+    )
+    def test_settings_reject_non_finite_and_out_of_range_values(self, field, value):
+        # with feas_tol = -1 the Hadamard direction (lambda_min -1/2) would
+        # read "feasible"; no such Settings can be built
+        with pytest.raises(BadParams, match=f"{field} must be finite"):
+            DEFAULTS.replace(**{field: value})
+
     def test_reference_member_is_feasible_with_unit_value(self):
         # H = D^2 witnesses the reference observable itself: X * (D X D)>= 0
         st = SchmidtState(np.array([np.cos(0.5), np.sin(0.5)]))
@@ -341,6 +352,77 @@ class TestFarkasCertificate:
         assert checked >= 1
 
 
+def _boundary_family(index: int) -> np.ndarray:
+    """Family ``index`` of a seeded draw of badly scaled symmetric generators.
+
+    n in [3, 7) and m in [2, 5); generator k is 10^U(-3, 3) C (G + G^T) C^T
+    with G standard normal and C = Q diag(10^U(-3, 0)), Q a random
+    orthogonal matrix.
+    """
+    rng = np.random.default_rng(307)
+    for _ in range(index + 1):
+        n, m = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+        gens = []
+        for _ in range(m):
+            g = rng.standard_normal((n, n))
+            c = np.linalg.qr(rng.standard_normal((n, n)))[0] @ np.diag(10 ** rng.uniform(-3, 0, n))
+            gens.append(10 ** rng.uniform(-3, 3) * (c @ (g + g.T) @ c.T))
+    return np.array(gens)
+
+
+class TestMarginSearch:
+    # generator 0 shifted along I to just below the family's feasibility
+    # boundary (by 1e-4, 1e-5, 1e-5 and 1e-4)
+    @pytest.mark.parametrize(
+        "index, alpha",
+        [
+            (2, 0.6700206088308036),
+            (5, 0.7783882405551971),
+            (13, 225.27631985659983),
+            (21, 0.027261488557932072),
+        ],
+    )
+    def test_shifted_family_is_decided_with_a_certificate(self, index, alpha):
+        gens = _boundary_family(index)
+        gens[0] += alpha * np.eye(gens.shape[1])
+        value, _, certificate = posthoc._solve_pd_in_span(gens, settings=DEFAULTS)
+        assert value <= DEFAULTS.feas_tol
+        if value < -DEFAULTS.feas_tol:
+            assert_farkas_certificate(certificate, gens)
+
+    # the same shift, 1e-5 and 1e-6 below the boundary, on families where no
+    # dual of the search projects to a certificate
+    @pytest.mark.parametrize(
+        "index, alpha", [(74, 0.0007312557676991353), (120, 0.010132754185135647)]
+    )
+    def test_complement_supplies_the_certificate(self, index, alpha, monkeypatch):
+        searched = []
+        complement = posthoc._complement_certificate
+        monkeypatch.setattr(
+            posthoc,
+            "_complement_certificate",
+            lambda *args, **kw: searched.append(1) or complement(*args, **kw),
+        )
+        gens = _boundary_family(index)
+        gens[0] += alpha * np.eye(gens.shape[1])
+        value, _, certificate = posthoc._solve_pd_in_span(gens, settings=DEFAULTS)
+        assert searched == [1]
+        assert value < -DEFAULTS.feas_tol
+        assert_farkas_certificate(certificate, gens)
+
+    def test_centre_at_zero_reports_a_finite_margin(self):
+        # every span element is diagonal and exactly traceless, so each
+        # centre of the search sits at the zero combination
+        o = np.diag([1.0, 1.0, -1.0, -1.0])
+        refs = [np.diag([1.0, -1.0, 1.0, -1.0]), np.diag([1.0, -1.0, -1.0, 1.0])]
+        me4 = SchmidtState.maximally_entangled(4)
+        result = posthoc_feasible_binary(me4, refs, o)
+        assert result.verdict == "infeasible"
+        assert np.isfinite(result.lambda_min_achieved)
+        assert_farkas_certificate(result.certificate, _binary_generators(me4, refs, o))
+        assert np.max(np.abs(result.certificate - np.eye(4) / 4)) <= 1e-15
+
+
 class TestAnalyticFamily:
     def test_zero_offset_returns_the_flip(self):
         assert np.allclose(analytic_family_2d(0.3, 0.0), X, atol=1e-15)
@@ -526,7 +608,8 @@ class TestMinTraceCertificate:
             tr, q = min_trace_Q(me, bob, pair_observables(d)[key])
             assert tr == pytest.approx(d, rel=1e-9)
             assert tr == pytest.approx(float(np.trace(q)), rel=1e-12)
-            # the feasibility check's phase-I barrier makes none here
+            # the feasibility check stops at its first point, the projection
+            # of I, and makes none here
             assert 0 < len(calls) <= 20
 
     def test_pipeline_three_outcome_measurement_reaches_the_dimension(self):
