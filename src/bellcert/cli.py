@@ -29,6 +29,7 @@ from .posthoc import (
     RobustnessParams,
     analytic_family_2d,
     analytic_family_region,
+    is_binary_question,
     min_trace_Q,
     posthoc_feasible_binary,
     posthoc_feasible_general,
@@ -231,12 +232,11 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
         target_matrix = target
         outputs = args.outputs or 2
 
-    binary = outputs == 2 and not np.iscomplexobj(target_matrix)
-    if binary:
-        obs = [m.observable() for m in refs]
-        results = [posthoc_feasible_binary(state, obs, target_matrix, settings=settings)]
+    # a binary reference contributes its observable M_0 - M_1
+    powers = [a for m in refs for a in generalized_observables(m)[1:]]
+    if is_binary_question(target_matrix, powers, outputs):
+        results = [posthoc_feasible_binary(state, powers, target_matrix, settings=settings)]
     else:
-        powers = [a for m in refs for a in generalized_observables(m)[1:]]
         results = posthoc_feasible_general(
             state, powers, target_matrix, outputs, settings=settings
         )
@@ -248,7 +248,7 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
         for r in results:
             tr, q = min_trace_Q(
                 state,
-                obs if binary else powers,
+                powers,
                 target_matrix,
                 outputs=outputs,
                 power=r.power,
@@ -261,8 +261,9 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
     if args.json:
         print(json.dumps({"feasible": feasible, "results": payload}, indent=2))
     else:
-        for r in payload:
-            line = f"power {r['power']}: {r['verdict']} (lambda_min {r['lambda_min_achieved']:.3e})"
+        for result, r in zip(results, payload):
+            lam = result.lambda_min_achieved  # the payload holds null for -inf
+            line = f"power {r['power']}: {r['verdict']} (lambda_min {lam:.3e})"
             if "trace_q" in r:
                 line += f", TrQ = {r['trace_q']:.9f}"
             print(line)

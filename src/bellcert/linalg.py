@@ -211,27 +211,3 @@ def numerical_rank(mats: Sequence[np.ndarray], *, settings: Settings | None = No
     tol = (settings or DEFAULTS).membership_tol
     return orthonormal_rows(np.array(mats, dtype=float), tol).shape[0]
 
-
-def realify(m: np.ndarray) -> np.ndarray:
-    """Real 2d x 2d embedding [[Re, -Im], [Im, Re]] of a complex d x d matrix.
-
-    Hermitian inputs map to symmetric outputs, positive definiteness is
-    preserved, and traces double.
-    """
-    a = as_square_matrix(m, allow_complex=True)
-    re, im = a.real, a.imag
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    return np.vstack([top, bot])
-
-
-def derealify(r: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`realify` (averages the redundant blocks)."""
-    a = as_square_matrix(r)
-    n = a.shape[0]
-    if n % 2 != 0:
-        raise DimMismatch("realified matrix must have even dimension")
-    d = n // 2
-    re = 0.5 * (a[:d, :d] + a[d:, d:])
-    im = 0.5 * (a[d:, :d] - a[:d, d:])
-    return re + 1j * im

@@ -8,9 +8,13 @@ decides it deterministically with one log-det barrier, the central path of
 the best minimum eigenvalue over the span's unit ball, whose points give a
 positive definite witness and whose dual gives a Farkas certificate. It
 refines feasible instances to the minimum-trace certificate Q = D^-1 P D^-1
-with the same damped-Newton barrier core, over the same symmetric combinations
+with the same damped-Newton barrier core, over the same Hermitian combinations
 of the same generators carried into that frame by congruence, and evaluates
 the closed-form robustness bounds that consume those certificates.
+
+The solver core takes a real symmetric stack (the binary check) and a complex
+Hermitian one (the order-L check) alike, over real coefficients, so every
+witness, Farkas certificate and Q is a d x d matrix.
 """
 
 from __future__ import annotations
@@ -29,13 +33,7 @@ from .errors import (
     TrivialRegion,
 )
 from .jordan import SpanBasis
-from .linalg import (
-    as_square_matrix,
-    derealify,
-    extend_orthonormal_rows,
-    realify,
-    sym_eig,
-)
+from .linalg import as_square_matrix, extend_orthonormal_rows
 from .strategies import SchmidtState, require_binary_observables, require_order_l
 
 
@@ -55,8 +53,8 @@ class FeasibilityResult:
         at all. With one symmetric direction this is the exact optimum; with
         more, the barrier stops once the verdict is settled.
     witness:
-        For a feasible real check, the span element H with O H symmetric
-        positive definite; for a complex check, the Hermitian positive
+        For a feasible binary check, the span element H with O H symmetric
+        positive definite; for an order-L check, the d x d Hermitian positive
         definite P itself. None when infeasible.
     coefficients:
         Coefficients of the witness combination over the span generators
@@ -67,10 +65,11 @@ class FeasibilityResult:
         Which power l of the target the result certifies.
     certificate:
         Farkas certificate, present on every infeasible verdict (and on a
-        marginal one when it was found): a symmetric positive semidefinite Z
-        with Tr Z = 1 and Tr(Z G) = 0 for every symmetric combination G of the
-        generators target @ S_k (realified 2d x 2d for the order-L check), so
-        that no such G is positive definite. None when feasible.
+        marginal one when it was found): a d x d positive semidefinite Z,
+        symmetric for the binary check and Hermitian for the order-L check,
+        with Tr Z = 1 and Tr(Z G) = 0 for every Hermitian real combination G
+        of the check's generators (target @ S_k, or W^dag S_k and i W^dag S_k),
+        so that no such G is positive definite. None when feasible.
     """
 
     verdict: str
@@ -86,16 +85,18 @@ class FeasibilityResult:
         return self.verdict == "feasible"
 
     def to_json_dict(self) -> dict:
+        """JSON fields; a non-finite lambda_min_achieved (-inf) becomes null."""
+        value = self.lambda_min_achieved
         return {
             "verdict": self.verdict,
             "power": self.power,
-            "lambda_min_achieved": self.lambda_min_achieved,
+            "lambda_min_achieved": value if np.isfinite(value) else None,
             "certificate_tol": self.certificate_tol,
         }
 
 
 # --------------------------------------------------------------------------
-# core solver: is some symmetric combination of the generators positive definite?
+# core solver: is some Hermitian combination of the generators positive definite?
 
 # Central-path schedule shared by the margin search and the minimum-trace
 # barrier: mu shrinks by _MU_SHRINK after each centering, down to N * mu =
@@ -115,36 +116,39 @@ _RANK_CUTOFF = 1e-12
 
 
 def _symmetric_combinations(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric combinations of gens, as (null, mats).
+    """The Hermitian real combinations of gens, as (null, mats).
 
-    null has orthonormal columns spanning {t : sum_k t_k gens[k] is
-    symmetric}, and mats[j] = sum_k null[k, j] gens[k].
+    gens is a real or complex stack. null is real, with orthonormal columns
+    spanning {t real : sum_k t_k gens[k] is Hermitian}, and mats[j] =
+    sum_k null[k, j] gens[k].
     """
-    asym = (gens - gens.transpose(0, 2, 1)).reshape(len(gens), -1)
+    asym = (gens - gens.conj().transpose(0, 2, 1)).reshape(len(gens), -1).view(float)
     # the thin factor already holds every row of vt unless asym.T is wide
     _, sv, vt = np.linalg.svd(asym.T, full_matrices=asym.shape[0] > asym.shape[1])
     cutoff = _RANK_CUTOFF * max(1.0, float(sv[0]) if sv.size else 0.0)
     null = vt[int(np.sum(sv > cutoff)):].T  # (n, n - rank)
     n = gens.shape[1]
     mats = (null.T @ gens.reshape(len(gens), -1)).reshape(-1, n, n)
-    return null, 0.5 * (mats + mats.transpose(0, 2, 1))
+    return null, 0.5 * (mats + mats.conj().transpose(0, 2, 1))
 
 
 def _frobenius_basis(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A Frobenius-orthonormal symmetric basis B of span{mats}.
+    """A Frobenius-orthonormal Hermitian basis B of the real span of mats.
 
-    Returns (U, sigma, B) with mats = U diag(sigma) B, keeping the singular
-    values above _RANK_CUTOFF sigma_max.
+    Returns (U, sigma, B) with mats = U diag(sigma) B, U real, keeping the
+    singular values above _RANK_CUTOFF sigma_max. Orthonormal is in Re Tr(A^dag
+    B), the dot product of the matrices' float views.
     """
     n = mats.shape[1]
-    u, sig, vt = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
+    flat = mats.reshape(len(mats), -1).view(float)
+    u, sig, vt = np.linalg.svd(flat, full_matrices=False)
     keep = sig > _RANK_CUTOFF * sig[0]
-    basis = vt[keep].reshape(-1, n, n)
-    return u[:, keep], sig[keep], 0.5 * (basis + basis.transpose(0, 2, 1))
+    basis = vt[keep].view(mats.dtype).reshape(-1, n, n)
+    return u[:, keep], sig[keep], 0.5 * (basis + basis.conj().transpose(0, 2, 1))
 
 
 def _lambda_min(m: np.ndarray) -> float:
-    # solver-internal: m is symmetric by construction
+    # solver-internal: m is Hermitian by construction
     return float(np.linalg.eigvalsh(m)[0])
 
 
@@ -152,29 +156,29 @@ def _farkas(z: np.ndarray, mats: np.ndarray) -> np.ndarray | None:
     """Project z onto {Z : Tr(Z M_j) = 0 for all j} and scale it to unit trace.
 
     Returns None unless the projection is positive definite, i.e. unless it
-    is a certificate that no combination of the M_j is positive definite.
+    is a certificate that no real combination of the M_j is positive definite.
     """
-    flat = mats.reshape(len(mats), -1)
-    sym = 0.5 * (z + z.T)
-    coef = np.linalg.lstsq(flat.T, sym.ravel(), rcond=None)[0]
-    z = sym - np.tensordot(coef, mats, axes=1)
+    flat = mats.reshape(len(mats), -1).view(float)
+    herm = 0.5 * (z + z.conj().T)
+    coef = np.linalg.lstsq(flat.T, herm.ravel().view(float), rcond=None)[0]
+    z = herm - np.tensordot(coef, mats, axes=1)
     if _lambda_min(z) <= 0.0:
         return None
-    return z / np.trace(z)
+    return z / np.trace(z).real
 
 
-def _best_sign(b: np.ndarray, settings: Settings) -> tuple[float, float, np.ndarray | None]:
+def _best_sign(b: np.ndarray) -> tuple[float, float, np.ndarray | None]:
     """The one-direction case: max of lambda_min(+b) and lambda_min(-b).
 
     Returns (value, sign, certificate). When b is indefinite, the
     certificate weights its extreme eigenvectors so that Tr(Z b) = 0.
     """
-    vals, vecs = sym_eig(b, settings=settings)
-    hi, lo = float(vals[0]), float(vals[-1])
+    vals, vecs = np.linalg.eigh(b)
+    lo, hi = float(vals[0]), float(vals[-1])
     cert = None
     if lo < 0.0 < hi:
-        u, w = vecs[:, -1], vecs[:, 0]
-        cert = (hi * np.outer(u, u) - lo * np.outer(w, w)) / (hi - lo)
+        u, w = vecs[:, 0], vecs[:, -1]
+        cert = (hi * np.outer(u, u.conj()) - lo * np.outer(w, w.conj())) / (hi - lo)
     if lo >= -hi:
         return lo, 1.0, cert
     return -hi, -1.0, cert
@@ -197,14 +201,14 @@ def _margin_search(
     """
     u_svd, sig, basis = _frobenius_basis(mats)
     n, r = basis.shape[1], len(sig)
-    traces = np.einsum("kaa->k", basis)
+    traces = np.einsum("kaa->k", basis).real
     if traces @ traces > 0.0:
         u0 = traces / float(traces @ traces)  # unit trace
         lam = _lambda_min(np.tensordot(u0, basis, axes=1))
         yield lam / float(np.linalg.norm(u0 / sig)), u_svd @ (u0 / sig), np.inf, None
     dirs = sig[:, None, None] * basis
     size = n + r + 1
-    stack = np.zeros((r + 1, size, size))
+    stack = np.zeros((r + 1, size, size), dtype=basis.dtype)
     stack[:r, :n, :n] = dirs
     j = np.arange(r)
     stack[j, n + j, -1] = stack[j, -1, n + j] = 1.0
@@ -224,18 +228,23 @@ def _margin_search(
 def _complement_certificate(mats: np.ndarray, settings: Settings) -> np.ndarray | None:
     """A Farkas certificate for mats found by _margin_search on the complement.
 
-    Searches the orthogonal complement of span{mats} in the symmetric
-    matrices for a positive definite element and returns it at unit trace;
-    None if the search's bound drops to feas_tol first.
+    Searches the orthogonal complement of span{mats} in the symmetric (for a
+    complex stack, Hermitian) matrices, spanned by E_ab + E_ba (and
+    i(E_ab - E_ba)), for a positive definite element and returns it at unit
+    trace; None if the search's bound drops to feas_tol first.
     """
     n = mats.shape[1]
-    span = _frobenius_basis(mats)[2].reshape(-1, n * n)
+    span = _frobenius_basis(mats)[2].reshape(-1, n * n).view(float)
     units = np.eye(n * n).reshape(-1, n, n)
-    sym_units = (units + units.transpose(0, 2, 1)).reshape(n * n, -1)
-    rows, added = extend_orthonormal_rows(span, sym_units, _RANK_CUTOFF)
+    herm = units + units.transpose(0, 2, 1)
+    if np.iscomplexobj(mats):
+        herm = np.concatenate([herm, 1j * (units - units.transpose(0, 2, 1))])
+    rows, added = extend_orthonormal_rows(
+        span, herm.reshape(len(herm), -1).view(float), _RANK_CUTOFF
+    )
     if added == 0:
         return None
-    comp = rows[len(span) :].reshape(-1, n, n)
+    comp = rows[len(span) :].view(mats.dtype).reshape(-1, n, n)
     for value, t, bound, _ in _margin_search(comp):
         if value > 0.0 and (cert := _farkas(np.tensordot(t, comp, axes=1), mats)) is not None:
             return cert
@@ -247,10 +256,11 @@ def _complement_certificate(mats: np.ndarray, settings: Settings) -> np.ndarray 
 def _solve_pd_in_span(
     gens: Sequence[np.ndarray], *, settings: Settings
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Decide whether some symmetric combination of gens is positive definite.
+    """Decide whether some real combination of gens is positive definite.
 
-    Only symmetric combinations are searched (the asymmetry null space is
-    factored out first). Stops on a margin above feas_tol, a dual that
+    gens is a real or complex stack. Only Hermitian (for real gens,
+    symmetric) combinations are searched (the null space of the map to the
+    anti-Hermitian part is factored out first). Stops on a margin above feas_tol, a dual that
     _farkas projects to a certificate, or a bound at most feas_tol; a margin
     below -feas_tol takes its certificate from the span's complement, or
     raises SolverStall. Returns (lambda_min at the returned unit-norm
@@ -263,7 +273,7 @@ def _solve_pd_in_span(
     if m == 0:
         return float("-inf"), None, np.eye(n) / n
     if m == 1:
-        value, sign, cert = _best_sign(mats[0], settings)
+        value, sign, cert = _best_sign(mats[0])
         return value, sign * null[:, 0], cert
     tol = settings.feas_tol
     cert = None
@@ -372,24 +382,24 @@ def _span_generators_complex(
 
 
 def _power_generators(span: np.ndarray, u: np.ndarray, power: int) -> np.ndarray:
-    """Realified generators of P in span{W^dag S_k} over C, W = conj(u)^power.
+    """Generators of P in span{W^dag S_k} over C, W = conj(u)^power.
 
     Each W^dag S_k contributes itself and i W^dag S_k, so that real
     coefficients (interleaved real and imaginary parts) cover the complex span.
     """
     base = np.linalg.matrix_power(u.conj(), power).conj().T @ span
-    return np.array([realify(m) for b in base for m in (b, 1j * b)])
+    return np.stack([base, 1j * base], axis=1).reshape(-1, *base.shape[1:])
 
 
 def _power_feasibility(gens: np.ndarray, power: int, settings: Settings) -> FeasibilityResult:
-    """The order-L check of one power over its realified generators."""
+    """The order-L check of one power over its complex generators."""
     value, coeffs, certificate = _solve_pd_in_span(gens, settings=settings)
     verdict = _verdict(value, settings.feas_tol)
     feasible = verdict == "feasible"
     return FeasibilityResult(
         verdict=verdict,
         lambda_min_achieved=value,
-        witness=derealify(np.tensordot(coeffs, gens, axes=1)) if feasible else None,
+        witness=np.tensordot(coeffs, gens, axes=1) if feasible else None,
         coefficients=coeffs[0::2] + 1j * coeffs[1::2] if feasible else None,
         certificate_tol=settings.feas_tol,
         power=power,
@@ -414,10 +424,9 @@ def posthoc_feasible_general(
     conj(target)^l P in the complex span; the l = 0 instance is omitted since
     P = D^2 always witnesses it.
 
-    The search realifies the complex problem ([[Re,-Im],[Im,Re]] embedding),
-    which turns Hermitian positive definite into symmetric positive definite
-    and lets one real solver core serve every case; Farkas certificates are
-    therefore realified 2d x 2d matrices.
+    The search runs on the d x d Hermitian problem itself, over real
+    coefficients of the generators W^dag S_k and i W^dag S_k, so witnesses
+    and Farkas certificates are d x d Hermitian matrices.
     """
     s = settings or DEFAULTS
     u = require_order_l(target, outputs, settings=s)
@@ -426,6 +435,20 @@ def posthoc_feasible_general(
         _power_feasibility(_power_generators(span, u, power), power, s)
         for power in range(1, outputs)
     ]
+
+
+def is_binary_question(
+    target: np.ndarray, references: Sequence[np.ndarray], outputs: int
+) -> bool:
+    """Whether the binary check, not the order-L one, decides a question.
+
+    True for two outcomes when the target and every reference operator are
+    real-typed arrays; a complex-typed one sends the question to
+    posthoc_feasible_general. posthoc-check and min_trace_Q both route here.
+    """
+    return outputs == 2 and not any(
+        np.iscomplexobj(np.asarray(m)) for m in (target, *references)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -446,10 +469,10 @@ def min_trace_Q(
     Solves min Tr Q over Hermitian Q >= I subject to conj(target)^power D Q D
     lying in span{D^2, D A D}. The feasible set is the congruence
     Q = D^-1 P D^-1 of the feasibility check's own parametrization: P runs
-    over the symmetric combinations of its generators (realified, with
-    D^-1 replaced by diag(1/lambda, 1/lambda), for the order-L check), and
-    the barrier starts from the check's witness, so the robustness bound can
-    consume Tr Q and lambda_min(Q) = 1.
+    over the Hermitian real combinations of its generators, and the barrier
+    starts from the check's witness, so the robustness bound can consume
+    Tr Q and lambda_min(Q) = 1. Q is d x d: real symmetric on the binary
+    path, Hermitian on the order-L one (is_binary_question picks the path).
 
     Runs the feasibility check itself (for the order-L check, of ``power``
     alone) and raises Infeasible when it fails, and SolverStall if the
@@ -459,15 +482,13 @@ def min_trace_Q(
     s = settings or DEFAULTS
     if not (1 <= power < outputs):
         raise BadParams(f"power must lie in [1, {outputs - 1}]")
-    is_real = (
-        not np.iscomplexobj(np.asarray(target))
-        and all(not np.iscomplexobj(np.asarray(a)) for a in alice_powers)
-        and outputs == 2
-    )
-    if is_real:
+    binary = is_binary_question(target, alice_powers, outputs)
+    if binary:
         feasibility = posthoc_feasible_binary(
             state, list(alice_powers), target, settings=s
         )
+        obs = require_binary_observables([target, *alice_powers], settings=s)
+        gens = _binary_generators(state, obs)[1]
     else:
         u = require_order_l(target, outputs, settings=s)
         gens = _power_generators(_span_generators_complex(state, alice_powers), u, power)
@@ -479,20 +500,16 @@ def min_trace_Q(
             f"(verdict {feasibility.verdict})"
         )
     coeffs = feasibility.coefficients
-    scale = 1.0 / state.coeffs
-    if is_real:
-        obs = require_binary_observables([target, *alice_powers], settings=s)
-        gens = _binary_generators(state, obs)[1]
-    else:
+    if not binary:  # real coefficients of W^dag S_k and i W^dag S_k, interleaved
         coeffs = np.column_stack([coeffs.real, coeffs.imag]).ravel()
-        scale = np.tile(scale, 2)
 
-    # Q-frame directions D^-1 M D^-1 over the symmetric combinations M, and
+    # Q-frame directions D^-1 M D^-1 over the Hermitian combinations M, and
     # the witness's coordinates in their orthonormal basis
     null, mats = _symmetric_combinations(gens)
+    scale = 1.0 / state.coeffs
     u_svd, sig, basis = _frobenius_basis(scale[:, None] * mats * scale)
     n = basis.shape[1]
-    traces = state.dim / n * np.einsum("kaa->k", basis)  # Tr Q, not the realified trace
+    traces = np.einsum("kaa->k", basis).real
     c = sig * (u_svd.T @ (null.T @ coeffs))
     lam0 = _lambda_min(np.tensordot(c, basis, axes=1))
     if lam0 <= 0.0:
@@ -504,26 +521,23 @@ def min_trace_Q(
     for c, mu in _central_path(c, traces, -np.eye(n), basis, mu):
         if n * mu <= _MU_FLOOR * max(1.0, float(traces @ c)):
             break
-    q_final = np.tensordot(c, basis, axes=1)
-    if is_real:
-        q_out: np.ndarray = 0.5 * (q_final + q_final.T)
-    else:
-        q_out = derealify(q_final)
-        q_out = 0.5 * (q_out + q_out.conj().T)
-    return float(traces @ c), q_out
+    q = np.tensordot(c, basis, axes=1)
+    return float(traces @ c), 0.5 * (q + q.conj().T)
 
 
 def barrier_derivatives(k: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of -log det(S0 + sum_i c_i B_i) with respect to c.
 
     ``k`` is the inverse of that slack at the current point and ``mats``
-    stacks the symmetric directions B_i, shape (m, n, n). Returns (g, H) with
-    g_i = -Tr(K B_i) and H_ij = Tr(K B_i K B_j) = <K B_i, (K B_j)^T>, both
-    from one stacked K B_i; H is a single GEMM.
+    stacks the symmetric or Hermitian directions B_i, shape (m, n, n), over
+    real c. Returns (g, H) with g_i = -Tr(K B_i) and H_ij = Tr(K B_i K B_j) =
+    <K B_i, (K B_j)^T>, both real and from one stacked K B_i; H is a single
+    GEMM.
     """
     m = len(mats)
     km = k @ mats
-    return -np.einsum("iaa->i", km), km.reshape(m, -1) @ km.transpose(0, 2, 1).reshape(m, -1).T
+    hess = km.reshape(m, -1) @ km.transpose(0, 2, 1).reshape(m, -1).T
+    return -np.einsum("iaa->i", km).real, hess.real
 
 
 def _central_path(
@@ -587,7 +601,7 @@ def _logdet(m: np.ndarray) -> float | None:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    return float(2.0 * np.sum(np.log(np.diag(chol).real)))
 
 
 # --------------------------------------------------------------------------

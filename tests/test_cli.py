@@ -9,6 +9,7 @@ import pytest
 from bellcert import cli
 from bellcert.cli import main
 from bellcert.config import Settings
+from bellcert.posthoc import posthoc_feasible_binary
 from bellcert.serialize import (
     decode_matrix,
     encode_matrix,
@@ -18,7 +19,7 @@ from bellcert.serialize import (
     write_strategy,
 )
 from bellcert.simplex import initial_strategy, pair_observables, simplex_observables
-from bellcert.strategies import ProjectiveMeasurement, correlation_table
+from bellcert.strategies import ProjectiveMeasurement, SchmidtState, correlation_table
 
 from helpers import HADAMARD_DIR, X, Z, random_projective_measurement
 
@@ -168,6 +169,63 @@ class TestPosthocCheckCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "marginal" in out
+
+    def test_no_hermitian_combination_prints_null(self, tmp_path, capsys):
+        # O D^2 and O D X D are not symmetric for the skewed state, nor is any
+        # combination of them: lambda_min_achieved is -inf, which JSON spells null
+        coeffs = np.array([0.8, 0.5, 0.3]) / np.linalg.norm([0.8, 0.5, 0.3])
+        state = _write_json(tmp_path / "state.json", {"schmidt_coeffs": list(coeffs)})
+        swap_12 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        swap_13 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        meas = ProjectiveMeasurement.from_observable(swap_12)
+        alice = _write_json(tmp_path / "alice.json", [measurement_to_json_dict(meas)])
+        target = _write_json(tmp_path / "target.json", {"matrix": encode_matrix(swap_13)})
+        argv = ["posthoc-check", "--state", state, "--alice", alice, "--target", target]
+        assert main(argv + ["--json"]) == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["results"][0]["verdict"] == "infeasible"
+        assert payload["results"][0]["lambda_min_achieved"] is None
+        assert main(argv) == 1
+        assert "(lambda_min -inf)" in capsys.readouterr().out
+
+    def test_complex_binary_references_take_the_order_l_check(self, tmp_path, capsys):
+        # a real binary target against complex rank-1 binary references: the
+        # order-L check decides it, where the binary check would reject the
+        # references as complex
+        rng = np.random.default_rng(2)
+        refs = []
+        for _ in range(2):
+            v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            p0 = np.outer(v, v.conj()) / np.vdot(v, v).real
+            refs.append(ProjectiveMeasurement((p0, np.eye(3) - p0)))
+        state = _write_json(tmp_path / "state.json", {"schmidt_coeffs": [3 ** -0.5] * 3})
+        alice = _write_json(tmp_path / "alice.json", [measurement_to_json_dict(m) for m in refs])
+        target = _write_json(
+            tmp_path / "target.json", {"matrix": encode_matrix(np.diag([1.0, -1.0, 1.0]))}
+        )
+        code = main(["posthoc-check", "--state", state, "--alice", alice, "--target", target])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "power 1: infeasible (lambda_min -3.333e-01)" in out
+
+    def test_real_references_take_the_binary_check(self, posthoc_files, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("real binary question sent to the order-L check")
+
+        monkeypatch.setattr(cli, "posthoc_feasible_general", unexpected)
+        state, alice, target = posthoc_files
+        argv = ["posthoc-check", "--state", state, "--alice", alice, "--target", target]
+        assert main(argv + ["--json"]) == 0
+        entry = json.loads(capsys.readouterr().out)["results"][0]
+        gamma = np.pi / 6
+        expected = posthoc_feasible_binary(
+            SchmidtState(np.array([np.cos(gamma), np.sin(gamma)])), [X], X
+        ).to_json_dict()
+        assert {k: entry[k] for k in expected} == expected
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "state.json"

@@ -7,12 +7,10 @@ from bellcert.config import DEFAULTS
 from bellcert.errors import DimMismatch, EmptyInput, NotSymmetric
 from bellcert.linalg import (
     BLOCK_ROWS,
-    derealify,
     extend_orthonormal_rows,
     frobenius_inner,
     numerical_rank,
     orthonormal_rows,
-    realify,
     require_hermitian_stack,
     require_symmetric,
     sgn_map,
@@ -331,16 +329,3 @@ def test_blocked_kernel_span_is_independent_of_row_order(rng):
     p = _assert_same_span([mats[i] for i in perm], 1e-8)
     assert np.allclose(p.T @ p, q.T @ q, atol=1e-10)
 
-
-# ------------------------------------------------------------- realification
-
-
-def test_realify_hermitian_to_symmetric_and_back():
-    m = np.array([[1.0, 1.0j], [-1.0j, 2.0]])
-    r = realify(m)
-    assert np.allclose(r, r.T, atol=0)
-    assert np.trace(r) == pytest.approx(2 * np.trace(m).real)
-    doubled = np.sort(np.linalg.eigvalsh(r))
-    single = np.sort(np.linalg.eigvalsh(m))
-    assert np.allclose(doubled, np.repeat(single, 2), atol=1e-12)
-    assert np.allclose(derealify(r), m, atol=0)

@@ -28,7 +28,7 @@ from bellcert.errors import (
     TrivialRegion,
 )
 from bellcert.jordan import contains, span_basis
-from bellcert.linalg import realify, sgn_map
+from bellcert.linalg import sgn_map
 from bellcert.posthoc import (
     _DECREMENT_TOL,
     _MU_SHRINK,
@@ -238,6 +238,16 @@ class TestBinaryFeasibility:
             target = (vecs * np.sign(vals)) @ vecs.T
             assert posthoc_feasible_binary(state, refs, target).verdict == "feasible"
 
+    def test_binary_results_stay_float64(self):
+        # the solver core takes complex stacks too; real ones must stay real
+        st = SchmidtState(np.array([np.cos(0.5), np.sin(0.5)]))
+        feasible = posthoc_feasible_binary(st, [X], X)
+        assert feasible.witness.dtype == feasible.coefficients.dtype == np.float64
+        state, refs, first, _ = degenerate_pair_3d()
+        for args in ((ME2, [X], HADAMARD_DIR), (state, refs, first)):
+            assert posthoc_feasible_binary(*args).certificate.dtype == np.float64
+        assert min_trace_Q(st, [X], analytic_family_2d(0.5, 0.8))[1].dtype == np.float64
+
     def test_repeated_calls_are_bit_identical(self):
         state, refs, first, _ = degenerate_pair_3d()
         gamma = 0.45
@@ -260,23 +270,28 @@ class TestBinaryFeasibility:
 
 
 def _symmetric_directions(gens) -> np.ndarray:
-    """Directions M_j spanning the symmetric combinations of gens, by SVD."""
-    asym = np.stack([(g - g.T).ravel() for g in gens], axis=1)
+    """Directions M_j spanning the Hermitian real combinations of gens, by SVD.
+
+    The real null space of t -> sum_k t_k (G_k - G_k^dag), on the real and
+    imaginary parts of the entries; for real gens, the symmetric combinations.
+    """
+    asym = np.stack([(g - g.conj().T).ravel().view(float) for g in gens], axis=1)
     _, sv, vt = np.linalg.svd(asym)
     rank = int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
     dirs = np.einsum("km,kij->mij", vt[rank:].T, np.array(gens))
-    return 0.5 * (dirs + dirs.transpose(0, 2, 1))
+    return 0.5 * (dirs + dirs.conj().transpose(0, 2, 1))
 
 
 def assert_farkas_certificate(z, gens) -> None:
-    """Z >= 0, Tr Z = 1 and Tr(Z M_j) = 0: no symmetric combination is PD."""
+    """Z = Z^dag >= 0, Tr Z = 1 and Re Tr(Z M_j) = 0: no Hermitian combination is PD."""
     dirs = _symmetric_directions(gens)
     assert z is not None
-    assert np.max(np.abs(z - z.T)) <= 1e-15
+    assert z.shape == np.shape(gens)[1:]
+    assert np.max(np.abs(z - z.conj().T)) <= 1e-15
     assert np.linalg.eigvalsh(z)[0] >= -1e-12
     assert abs(np.trace(z) - 1.0) <= 1e-12
     if len(dirs):
-        pairing = np.einsum("ij,mij->m", z, dirs)
+        pairing = np.einsum("ij,mji->m", z, dirs).real
         assert np.max(np.abs(pairing)) <= 1e-9 * np.max(np.abs(dirs))
 
 
@@ -331,25 +346,34 @@ class TestFarkasCertificate:
         assert infeasible >= 20
         assert several_directions >= 5
 
-    def test_order_three_certificate_in_the_realified_frame(self, rng):
-        a = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 3, 3)))
-        b = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 3, 3)))
-        powers = generalized_observables(a)[1:]
-        target = generalized_observables(b)[1]
-        results = posthoc_feasible_general(ME3, powers, target, 3)
-        dm = ME3.matrix.astype(complex)
-        span = [dm @ dm] + [dm @ p @ dm for p in powers]
+    @pytest.mark.parametrize("per_power, infeasible_min", [(1, 48), (3, 25)])
+    def test_order_l_certificates_are_d_by_d_hermitian(self, per_power, infeasible_min):
+        # references D^-1 conj(U)^l H D^-1 put the indefinite Hermitian H
+        # among the power-l generators conj(U)^-l S_k: one per power gives
+        # one Hermitian direction, never positive definite either way; three
+        # give at least three, and a mix of verdicts (29 of 48 infeasible)
+        rng = np.random.default_rng(9)
         checked = 0
-        for r in results:
-            if r.verdict != "infeasible":
-                continue
-            wh = np.linalg.matrix_power(target.conj(), r.power).conj().T
-            gens = []
-            for s in span:
-                gens += [realify(wh @ s), realify(1j * wh @ s)]
-            assert_farkas_certificate(r.certificate, gens)
-            checked += 1
-        assert checked >= 1
+        for trial in range(24):
+            d, outputs = (3, 3) if trial % 2 else (4, 3)
+            state = SchmidtState(random_schmidt_coeffs(rng, d))
+            u = generalized_observables(_random_unitary_measurement(rng, d, outputs))[1]
+            dinv = np.diag(1.0 / state.coeffs)
+            powers = [
+                dinv @ np.linalg.matrix_power(u.conj(), l) @ _random_indefinite(rng, d) @ dinv
+                for l in range(1, outputs)
+                for _ in range(per_power)
+            ]
+            dm = state.matrix
+            span = [dm @ dm] + [dm @ p @ dm for p in powers]
+            for r in posthoc_feasible_general(state, powers, u, outputs):
+                wh = np.linalg.matrix_power(u.conj(), r.power).conj().T
+                gens = [g for s in span for g in (wh @ s, 1j * wh @ s)]
+                assert len(_symmetric_directions(gens)) >= per_power
+                if r.verdict == "infeasible":
+                    assert_farkas_certificate(r.certificate, gens)
+                    checked += 1
+        assert checked >= infeasible_min
 
 
 def _boundary_family(index: int) -> np.ndarray:
@@ -409,6 +433,24 @@ class TestMarginSearch:
         assert searched == [1]
         assert value < -DEFAULTS.feas_tol
         assert_farkas_certificate(certificate, gens)
+
+    def test_complement_of_a_hermitian_family(self):
+        # the span: every element of W = (real symmetric) + i span{J12, J13}
+        # orthogonal to P_W(Z0), Z0 = v v^dag + I/20 > 0 with v = (1, i, 1)/sqrt(3).
+        # Z0 is orthogonal to the span, so no element is positive definite;
+        # P_W(Z0) is indefinite, so every certificate needs the i J23
+        # direction, which only the complement's i(E_ab - E_ba) units supply
+        units = np.eye(9).reshape(-1, 3, 3)
+        w = [units[k] for k in (0, 4, 8)] + [units[k] + units[k].T for k in (1, 2, 5)]
+        w = np.array(w + [1j * (units[k] - units[k].T) for k in (1, 2)])
+        w /= np.linalg.norm(w, axis=(1, 2))[:, None, None]
+        v = np.array([1.0, 1.0j, 1.0]) / np.sqrt(3.0)
+        z0 = np.outer(v, v.conj()) + 0.05 * np.eye(3)
+        pz = np.tensordot(np.einsum("kij,ij->k", w.conj(), z0).real, w, axes=1)
+        assert np.linalg.eigvalsh(pz)[0] < -0.05
+        overlap = np.einsum("kij,ij->k", w.conj(), pz).real / np.vdot(pz, pz).real
+        mats = w - overlap[:, None, None] * pz
+        assert_farkas_certificate(posthoc._complement_certificate(mats, DEFAULTS), mats)
 
     def test_centre_at_zero_reports_a_finite_margin(self):
         # every span element is diagonal and exactly traceless, so each
@@ -564,16 +606,22 @@ class TestSignReachable:
 
 
 class TestMinTraceCertificate:
-    def test_barrier_derivatives_match_the_reference_loop(self, rng):
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_barrier_derivatives_match_the_reference_loop(self, rng, hermitian):
+        # real coefficients over complex Hermitian directions give a real
+        # gradient and Hessian too
         n, m = 6, 9
-        a = rng.standard_normal((n, n))
-        k = np.linalg.inv(a @ a.T + np.eye(n))
+        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if hermitian else 0)
+        k = np.linalg.inv(a @ a.conj().T + np.eye(n))
         mats = [random_symmetric(rng, n) for _ in range(m)]
+        if hermitian:
+            mats = [b + 1j * (c - c.T) for b, c in zip(mats, rng.standard_normal((m, n, n)))]
         ref = barrier_hessian_loop(k, mats)
         tol = 1e-12 * float(np.max(np.abs(ref)))
         grad, hess = barrier_derivatives(k, np.array(mats))
+        assert grad.dtype == hess.dtype == np.float64
         assert np.max(np.abs(hess - ref)) <= tol
-        assert np.allclose(grad, [-np.sum(k * b) for b in mats], rtol=0, atol=1e-12)
+        assert np.allclose(grad, [-np.trace(k @ b) for b in mats], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 12), (10, 46)])
     def test_barrier_derivatives_match_the_loop_at_other_shapes(self, rng, n, m):
@@ -718,7 +766,7 @@ class TestMinTraceCertificate:
         )
         assert member
 
-    def test_realified_path_agrees_with_the_real_path(self, rng):
+    def test_complex_typed_path_agrees_with_the_real_path(self, rng):
         for d in (3, 4, 5):
             st = SchmidtState(random_schmidt_coeffs(rng, d))
             refs = [random_reflection(rng, d) for _ in range(d)]
@@ -732,9 +780,10 @@ class TestMinTraceCertificate:
                 st, [a.astype(complex) for a in refs], target.astype(complex), outputs=2
             )
             assert np.iscomplexobj(q)
+            assert q.shape == (d, d)
             assert abs(tr_complex - tr_real) <= 1e-9 * tr_real
 
-    @pytest.mark.parametrize("kappa", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("kappa", [1.0, 10.0, 100.0, 1e3, 1e4])
     def test_order_l_certificate_satisfies_the_constraints(self, rng, kappa):
         # feasible by construction: among the references are D^-1 W_l P0 D^-1
         # with W_l = conj(U)^l, so P0 witnesses every power l
@@ -807,6 +856,13 @@ class TestMinTraceCertificate:
         assert main(argv) == 0
         assert "criterion: feasible" in capsys.readouterr().out
         assert len(calls) == 2 * (outputs - 1)
+
+
+def _random_indefinite(rng, d: int) -> np.ndarray:
+    """Random Hermitian d x d matrix with eigenvalues of both signs."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    vals = rng.uniform(0.2, 1.0, d) * np.where(np.arange(d) % 2, -1.0, 1.0)
+    return (q * vals) @ q.conj().T
 
 
 def _random_unitary_measurement(rng, d: int, outputs: int) -> ProjectiveMeasurement:
