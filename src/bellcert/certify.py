@@ -32,12 +32,7 @@ from .jordan import (
     span_basis,
 )
 from .linalg import extend_orthonormal_rows
-from .posthoc import (
-    min_trace_Q,
-    posthoc_feasible_binary,
-    RobustnessParams,
-    sign_reachable,
-)
+from .posthoc import RobustnessParams, posthoc_check, sign_reachable
 from .serialize import encode_matrix
 from .simplex import maximal_independent_subset, simplex_observables
 from .strategies import (
@@ -373,24 +368,16 @@ def certificate_report(
 
     extensions = []
     for idx in range(base, strategy.alice_questions):
-        label = strategy.alice_labels[idx]
-        o = strategy.alice[idx].observable()
-        feas = posthoc_feasible_binary(strategy.state, bob_obs, o, settings=s)
-        trace_q = None
-        lambda_min_q = None
-        if feas.feasible:
-            tr, q = min_trace_Q(
-                strategy.state, bob_obs, o, outputs=2, power=1, settings=s
-            )
-            trace_q = float(tr)
-            lambda_min_q = float(np.linalg.eigvalsh(q)[0])
+        [result] = posthoc_check(
+            strategy.state, strategy.bob, strategy.alice[idx].observable(), settings=s
+        )
         extensions.append(
             ExtensionCertificate(
-                label=label,
-                verdict=feas.verdict,
-                lambda_min=feas.lambda_min_achieved,
-                trace_q=trace_q,
-                lambda_min_q=lambda_min_q,
+                label=strategy.alice_labels[idx],
+                verdict=result.verdict,
+                lambda_min=result.lambda_min_achieved,
+                trace_q=result.trace_q,
+                lambda_min_q=result.lambda_min_q,
             )
         )
 

@@ -29,10 +29,8 @@ from .posthoc import (
     RobustnessParams,
     analytic_family_2d,
     analytic_family_region,
-    is_binary_question,
-    min_trace_Q,
+    posthoc_check,
     posthoc_feasible_binary,
-    posthoc_feasible_general,
     robustness_bound,
 )
 from .serialize import (
@@ -56,7 +54,6 @@ from .strategies import (
     SchmidtState,
     brute_force_correlation,
     correlation_table,
-    generalized_observables,
     verify_cheating_povm,
     verify_degenerate_pair,
 )
@@ -137,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="JSON with schmidt_coeffs")
     p.add_argument("--alice", required=True, help="JSON list of reference measurements")
     p.add_argument("--target", required=True, help="JSON observable or measurement")
-    p.add_argument(
-        "--outputs",
-        type=int,
-        help="target outcome count (default: inferred, 2 for a plain matrix)",
-    )
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser(
@@ -224,48 +216,16 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
     state = state_from_json(_load_json(args.state))
     refs = measurements_from_json(_load_json(args.alice), settings=settings)
     target = target_from_json(_load_json(args.target), settings=settings)
-
-    if isinstance(target, ProjectiveMeasurement):
-        outputs = target.outputs
-        target_matrix = generalized_observables(target)[1]
-    else:
-        target_matrix = target
-        outputs = args.outputs or 2
-
-    # a binary reference contributes its observable M_0 - M_1
-    powers = [a for m in refs for a in generalized_observables(m)[1:]]
-    if is_binary_question(target_matrix, powers, outputs):
-        results = [posthoc_feasible_binary(state, powers, target_matrix, settings=settings)]
-    else:
-        results = posthoc_feasible_general(
-            state, powers, target_matrix, outputs, settings=settings
-        )
-
-    payload = [r.to_json_dict() for r in results]
+    results = posthoc_check(state, refs, target, settings=settings)
     feasible = all(r.feasible for r in results)
-    if feasible:
-        trace_values = []
-        for r in results:
-            tr, q = min_trace_Q(
-                state,
-                powers,
-                target_matrix,
-                outputs=outputs,
-                power=r.power,
-                settings=settings,
-            )
-            lam = float(np.linalg.eigvalsh(q)[0])
-            trace_values.append({"power": r.power, "trace_q": tr, "lambda_min_q": lam})
-        for entry, r in zip(trace_values, payload):
-            r.update(entry)
     if args.json:
+        payload = [r.to_json_dict() for r in results]
         print(json.dumps({"feasible": feasible, "results": payload}, indent=2))
     else:
-        for result, r in zip(results, payload):
-            lam = result.lambda_min_achieved  # the payload holds null for -inf
-            line = f"power {r['power']}: {r['verdict']} (lambda_min {lam:.3e})"
-            if "trace_q" in r:
-                line += f", TrQ = {r['trace_q']:.9f}"
+        for r in results:
+            line = f"power {r.power}: {r.verdict} (lambda_min {r.lambda_min_achieved:.3e})"
+            if r.trace_q is not None:
+                line += f", TrQ = {r.trace_q:.9f}"
             print(line)
         print("criterion:", "feasible" if feasible else "not feasible")
     return 0 if feasible else 1

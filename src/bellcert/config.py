@@ -74,7 +74,7 @@ class Settings:
 
     @classmethod
     def from_file(cls, path: str | Path, base: "Settings | None" = None) -> "Settings":
-        """Load overrides from a JSON file of {field: value} on top of `base`."""
+        """Load overrides from a JSON file of {field: number} on top of `base`."""
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise BadParams(f"settings file {path} must hold a JSON object")
@@ -82,6 +82,12 @@ class Settings:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise BadParams(f"unknown settings key(s): {', '.join(unknown)}")
+        # float() would also read true as 1.0 and "1e-3" as 1e-3
+        wrong = sorted(
+            k for k, v in raw.items() if isinstance(v, bool) or not isinstance(v, (int, float))
+        )
+        if wrong:
+            raise BadParams(f"settings value(s) must be JSON numbers: {', '.join(wrong)}")
         start = base if base is not None else DEFAULTS
         return start.replace(**{k: float(v) for k, v in raw.items()})
 

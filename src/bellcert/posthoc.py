@@ -19,7 +19,7 @@ witness, Farkas certificate and Q is a d x d matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,8 +33,14 @@ from .errors import (
     TrivialRegion,
 )
 from .jordan import SpanBasis
-from .linalg import as_square_matrix, extend_orthonormal_rows
-from .strategies import SchmidtState, require_binary_observables, require_order_l
+from .linalg import extend_orthonormal_rows
+from .strategies import (
+    ProjectiveMeasurement,
+    SchmidtState,
+    generalized_observables,
+    require_binary_observables,
+    require_order_l,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +76,10 @@ class FeasibilityResult:
         with Tr Z = 1 and Tr(Z G) = 0 for every Hermitian real combination G
         of the check's generators (target @ S_k, or W^dag S_k and i W^dag S_k),
         so that no such G is positive definite. None when feasible.
+    trace_q, lambda_min_q:
+        Tr Q and lambda_min(Q) of the minimum-trace certificate for this
+        power; posthoc_check sets them when every power of its question is
+        feasible, and they are None otherwise.
     """
 
     verdict: str
@@ -79,20 +89,28 @@ class FeasibilityResult:
     certificate_tol: float
     power: int = 1
     certificate: np.ndarray | None = None
+    trace_q: float | None = None
+    lambda_min_q: float | None = None
 
     @property
     def feasible(self) -> bool:
         return self.verdict == "feasible"
 
     def to_json_dict(self) -> dict:
-        """JSON fields; a non-finite lambda_min_achieved (-inf) becomes null."""
+        """JSON fields; a non-finite lambda_min_achieved (-inf) becomes null.
+
+        trace_q and lambda_min_q follow only when they are set.
+        """
         value = self.lambda_min_achieved
-        return {
+        payload = {
             "verdict": self.verdict,
             "power": self.power,
             "lambda_min_achieved": value if np.isfinite(value) else None,
             "certificate_tol": self.certificate_tol,
         }
+        if self.trace_q is not None:
+            payload.update(trace_q=self.trace_q, lambda_min_q=self.lambda_min_q)
+        return payload
 
 
 # --------------------------------------------------------------------------
@@ -305,13 +323,19 @@ def _verdict(value: float, tol: float) -> str:
 # the two public feasibility checks
 
 
-def _binary_generators(
-    state: SchmidtState, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Span elements S_k (D^2, then D A_x D) and generators O S_k, for obs = [O, A_x]."""
+def _span(state: SchmidtState, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Span elements S_k of a question ops = [target, *references]: D^2, then D A D.
+
+    Every operator, the target included, must be d x d for the state's d
+    (DimMismatch otherwise); the target itself adds no span element.
+    """
+    d = state.dim
+    bad = [np.shape(a) for a in ops if np.shape(a) != (d, d)]
+    if bad:
+        raise DimMismatch(f"operator of shape {bad[0]} does not match the state's dimension {d}")
     dm = state.matrix
-    span = np.concatenate([(dm @ dm)[None], dm @ obs[1:] @ dm])
-    return span, obs[0] @ span
+    refs = np.array(ops[1:]).reshape(-1, d, d)
+    return np.concatenate([(dm @ dm)[None], dm @ refs @ dm])
 
 
 def posthoc_feasible_binary(
@@ -334,10 +358,8 @@ def posthoc_feasible_binary(
     """
     s = settings or DEFAULTS
     obs = require_binary_observables([target, *alice], settings=s)
-    if obs.shape[1] != state.dim:
-        raise DimMismatch("observable dimension does not match the state")
-    span, gens = _binary_generators(state, obs)
-    value, coeffs, certificate = _solve_pd_in_span(gens, settings=s)
+    span = _span(state, obs)
+    value, coeffs, certificate = _solve_pd_in_span(obs[0] @ span, settings=s)
     verdict = _verdict(value, s.feas_tol)
     feasible = verdict == "feasible"
     return FeasibilityResult(
@@ -366,19 +388,6 @@ def sign_reachable(
     s = settings or DEFAULTS
     value, _, _ = _solve_pd_in_span(target @ span.basis, settings=s)
     return value > s.feas_tol
-
-
-def _span_generators_complex(
-    state: SchmidtState, alice_powers: Sequence[np.ndarray]
-) -> np.ndarray:
-    dm = state.matrix.astype(complex)
-    gens = [dm @ dm]
-    for a in alice_powers:
-        m = as_square_matrix(a, allow_complex=True).astype(complex)
-        if m.shape[0] != state.dim:
-            raise DimMismatch("reference operator dimension does not match the state")
-        gens.append(dm @ m @ dm)
-    return np.array(gens)
 
 
 def _power_generators(span: np.ndarray, u: np.ndarray, power: int) -> np.ndarray:
@@ -430,7 +439,7 @@ def posthoc_feasible_general(
     """
     s = settings or DEFAULTS
     u = require_order_l(target, outputs, settings=s)
-    span = _span_generators_complex(state, alice_powers)
+    span = _span(state, [u, *alice_powers])
     return [
         _power_feasibility(_power_generators(span, u, power), power, s)
         for power in range(1, outputs)
@@ -444,11 +453,47 @@ def is_binary_question(
 
     True for two outcomes when the target and every reference operator are
     real-typed arrays; a complex-typed one sends the question to
-    posthoc_feasible_general. posthoc-check and min_trace_Q both route here.
+    posthoc_feasible_general. posthoc_check and min_trace_Q both route here.
     """
     return outputs == 2 and not any(
         np.iscomplexobj(np.asarray(m)) for m in (target, *references)
     )
+
+
+def posthoc_check(
+    state: SchmidtState,
+    references: Sequence[ProjectiveMeasurement],
+    target: np.ndarray | ProjectiveMeasurement,
+    *,
+    settings: Settings | None = None,
+) -> list[FeasibilityResult]:
+    """Decide one post-hoc question: a target against reference measurements.
+
+    A matrix target is a two-outcome observable; a measurement target is
+    checked through its generalized observable A^(1), one power l = 1..L-1
+    at a time. Each reference contributes its generalized observables A^(j),
+    j >= 1, and is_binary_question picks the binary or the order-L check.
+    When every power is feasible, each result carries the trace_q and
+    lambda_min_q of its power's min_trace_Q certificate. A target with fewer
+    than two outcomes raises BadParams.
+    """
+    s = settings or DEFAULTS
+    outputs = 2
+    if isinstance(target, ProjectiveMeasurement):
+        # A^(1); a one-outcome target has only A^(0) = I, which require_order_l rejects
+        outputs, target = target.outputs, generalized_observables(target)[:2][-1]
+    powers = [a for m in references for a in generalized_observables(m)[1:]]
+    if is_binary_question(target, powers, outputs):
+        results = [posthoc_feasible_binary(state, powers, target, settings=s)]
+    else:
+        results = posthoc_feasible_general(state, powers, target, outputs, settings=s)
+    if not all(r.feasible for r in results):
+        return results
+    quantified = []
+    for r in results:
+        trace_q, q = min_trace_Q(state, powers, target, outputs, r.power, settings=s)
+        quantified.append(replace(r, trace_q=trace_q, lambda_min_q=_lambda_min(q)))
+    return quantified
 
 
 # --------------------------------------------------------------------------
@@ -488,10 +533,10 @@ def min_trace_Q(
             state, list(alice_powers), target, settings=s
         )
         obs = require_binary_observables([target, *alice_powers], settings=s)
-        gens = _binary_generators(state, obs)[1]
+        gens = obs[0] @ _span(state, obs)
     else:
         u = require_order_l(target, outputs, settings=s)
-        gens = _power_generators(_span_generators_complex(state, alice_powers), u, power)
+        gens = _power_generators(_span(state, [u, *alice_powers]), u, power)
         feasibility = _power_feasibility(gens, power, s)
     if not feasibility.feasible:
         raise Infeasible(
@@ -629,34 +674,21 @@ class RobustnessParams:
     delta: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lambda_min_gram": self.lambda_min_gram,
-            "trace_q": self.trace_q,
-            "lambda_min_q": self.lambda_min_q,
-            "lambda_max_schmidt": self.lambda_max_schmidt,
-            "kappa_schmidt": self.kappa_schmidt,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "RobustnessParams":
-        return cls(
-            n=int(raw["n"]),
-            lambda_min_gram=float(raw["lambda_min_gram"]),
-            trace_q=float(raw["trace_q"]),
-            lambda_min_q=float(raw["lambda_min_q"]),
-            lambda_max_schmidt=float(raw["lambda_max_schmidt"]),
-            kappa_schmidt=float(raw["kappa_schmidt"]),
-            epsilon=float(raw["epsilon"]),
-            delta=float(raw["delta"]),
-        )
+        """Read every field as a float; robustness_bound checks that n is whole."""
+        return cls(**{f.name: float(raw[f.name]) for f in fields(cls)})
 
 
 def _validate_robustness(p: RobustnessParams) -> None:
-    if p.n < 1:
-        raise BadParams("need at least one reference observable")
+    # NaN passes every `< 0` test below
+    for f in fields(p):
+        if not np.isfinite(getattr(p, f.name)):
+            raise BadParams(f"{f.name} must be finite, got {getattr(p, f.name)!r}")
+    if p.n < 1 or p.n != int(p.n):
+        raise BadParams("need a whole number n >= 1 of reference observables")
     if p.lambda_min_gram <= 0.0:
         raise BadParams("Gram minimum eigenvalue must be positive")
     if p.lambda_min_q <= 0.0 or p.trace_q < p.lambda_min_q:

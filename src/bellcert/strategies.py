@@ -164,8 +164,11 @@ def require_binary_observables(
 def require_order_l(a: np.ndarray, outputs: int, *, settings: Settings | None = None) -> np.ndarray:
     """Validate a unitary with a^outputs = I and return it as a complex array.
 
-    Raises NotOrderL when either identity fails entrywise by more than eig_tol.
+    Raises BadParams for fewer than two outputs and NotOrderL when either
+    identity fails entrywise by more than eig_tol.
     """
+    if outputs < 2:
+        raise BadParams(f"a measurement needs at least two outputs, got {outputs}")
     tol = (settings or DEFAULTS).eig_tol
     u = as_square_matrix(a, allow_complex=True).astype(complex)
     eye = np.eye(u.shape[0])
@@ -239,10 +242,9 @@ def povm_from_observable(
 ) -> ProjectiveMeasurement:
     """Invert the Fourier duality: recover M_a = (1/L) sum_j omega^(-aj) A^j.
 
-    Raises NotOrderL unless ``a`` is unitary with a^outputs = I (within eig_tol).
+    Raises BadParams for fewer than two outputs and NotOrderL unless ``a`` is
+    unitary with a^outputs = I (within eig_tol).
     """
-    if outputs < 2:
-        raise BadParams("a measurement needs at least two outputs")
     u = require_order_l(a, outputs, settings=settings)
     d = u.shape[0]
     powers = [np.eye(d, dtype=complex)]

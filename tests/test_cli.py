@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bellcert import cli
+from bellcert import cli, posthoc
 from bellcert.cli import main
 from bellcert.config import Settings
 from bellcert.posthoc import posthoc_feasible_binary
@@ -216,7 +216,7 @@ class TestPosthocCheckCommand:
         def unexpected(*args, **kwargs):
             raise AssertionError("real binary question sent to the order-L check")
 
-        monkeypatch.setattr(cli, "posthoc_feasible_general", unexpected)
+        monkeypatch.setattr(posthoc, "posthoc_feasible_general", unexpected)
         state, alice, target = posthoc_files
         argv = ["posthoc-check", "--state", state, "--alice", alice, "--target", target]
         assert main(argv + ["--json"]) == 0
@@ -226,6 +226,37 @@ class TestPosthocCheckCommand:
             SchmidtState(np.array([np.cos(gamma), np.sin(gamma)])), [X], X
         ).to_json_dict()
         assert {k: entry[k] for k in expected} == expected
+
+    def test_removed_outputs_flag_is_rejected(self, posthoc_files, capsys):
+        # a matrix target is binary; --outputs -2 used to print "criterion: feasible"
+        state, alice, target = posthoc_files
+        argv = ["posthoc-check", "--state", state, "--alice", alice, "--target", target]
+        assert main(argv + ["--outputs", "-2"]) == 2
+        assert "unrecognized arguments: --outputs -2" in capsys.readouterr().err
+
+    def test_one_outcome_target_exits_two(self, posthoc_files, tmp_path, capsys):
+        state, alice, _ = posthoc_files
+        target = _write_json(tmp_path / "one.json", {"projections": [encode_matrix(np.eye(2))]})
+        argv = ["posthoc-check", "--state", state, "--alice", alice, "--target", target]
+        assert main(argv) == 2
+        assert "error: a measurement needs at least two outputs, got 1" in capsys.readouterr().err
+
+    def test_order_l_target_of_the_wrong_size_exits_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        ref = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 3, 3)))
+        target = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 4, 3)))
+        argv = [
+            "posthoc-check",
+            "--state",
+            _write_json(tmp_path / "state.json", {"schmidt_coeffs": [3 ** -0.5] * 3}),
+            "--alice",
+            _write_json(tmp_path / "alice.json", [measurement_to_json_dict(ref)]),
+            "--target",
+            _write_json(tmp_path / "target.json", measurement_to_json_dict(target)),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "operator of shape (4, 4) does not match the state's dimension 3" in err
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "state.json"
@@ -365,6 +396,20 @@ class TestRobustnessCommand:
         assert config_out != default_out
         assert flag_out == default_out
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_error_flags_exit_two(self, tmp_path, capsys, flag, value):
+        params = _write_json(tmp_path / "params.json", self.FROZEN)
+        assert main(["robustness", "--params", params, flag, value]) == 2
+        assert f"error: {flag[2:]} must be finite, got {value}" in capsys.readouterr().err
+
+    def test_nan_in_params_file_exits_two(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**self.FROZEN, "trace_q": float("nan")}))
+        assert "NaN" in params.read_text()
+        assert main(["robustness", "--params", str(params)]) == 2
+        assert "error: trace_q must be finite, got nan" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         params = _write_json(tmp_path / "params.json", self.FROZEN)
         config = _write_json(tmp_path / "config.json", {"frobnicate": 1.0})
@@ -498,6 +543,20 @@ class TestInvalidSettingsAreRejected:
         for extra in (f"{flag}={value}", f"--config={config}"):
             assert main(["robustness", "--params", params, extra]) == 2
             assert f"error: {field} must be finite and" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [{"feas_tol": True}, {"sym_tol": "1e-3"}, {"eig_tol": None}])
+    def test_config_values_must_be_json_numbers(self, tmp_path, capsys, raw):
+        params = _write_json(tmp_path / "params.json", TestRobustnessCommand.FROZEN)
+        config = _write_json(tmp_path / "config.json", raw)
+        assert main(["robustness", "--params", params, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert f"error: settings value(s) must be JSON numbers: {next(iter(raw))}" in err
+
+    def test_integer_config_values_are_accepted(self, tmp_path, capsys):
+        params = _write_json(tmp_path / "params.json", TestRobustnessCommand.FROZEN)
+        config = _write_json(tmp_path / "config.json", {"robustness_constant": 2})
+        assert main(["robustness", "--params", params, "--config", config]) == 0
+        assert capsys.readouterr().out.strip() == "0.034641016151377546"
 
     def test_zero_robustness_constant_is_allowed(self, tmp_path, capsys):
         params = _write_json(tmp_path / "params.json", TestRobustnessCommand.FROZEN)

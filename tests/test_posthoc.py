@@ -39,6 +39,7 @@ from bellcert.posthoc import (
     analytic_family_region,
     barrier_derivatives,
     min_trace_Q,
+    posthoc_check,
     posthoc_feasible_binary,
     posthoc_feasible_general,
     robustness_bound,
@@ -576,6 +577,73 @@ class TestGeneralFeasibility:
         assert all(r.feasible for r in results)
 
 
+class TestPosthocCheck:
+    REFS = [ProjectiveMeasurement.from_observable(X)]
+
+    def test_feasible_binary_question_carries_the_min_trace_certificate(self):
+        st = SchmidtState(np.array([np.cos(0.5), np.sin(0.5)]))
+        [result] = posthoc_check(st, self.REFS, X)
+        check = posthoc_feasible_binary(st, [X], X)
+        assert result.feasible and result.power == 1
+        assert result.lambda_min_achieved == check.lambda_min_achieved
+        tr, q = min_trace_Q(st, [X], X)
+        assert result.trace_q == tr
+        assert result.lambda_min_q == float(np.linalg.eigvalsh(q)[0])
+        assert list(result.to_json_dict()) == [
+            "verdict",
+            "power",
+            "lambda_min_achieved",
+            "certificate_tol",
+            "trace_q",
+            "lambda_min_q",
+        ]
+
+    def test_measurement_target_of_two_outcomes_matches_its_observable(self):
+        st = SchmidtState(np.array([np.cos(0.5), np.sin(0.5)]))
+        [matrix] = posthoc_check(st, self.REFS, X)
+        [measurement] = posthoc_check(st, self.REFS, ProjectiveMeasurement.from_observable(X))
+        assert measurement.to_json_dict() == matrix.to_json_dict()
+
+    def test_infeasible_question_carries_no_trace_fields(self):
+        [result] = posthoc_check(ME2, self.REFS, HADAMARD_DIR)
+        assert result.verdict == "infeasible"
+        assert result.trace_q is None and result.lambda_min_q is None
+        assert set(result.to_json_dict()) == {
+            "verdict",
+            "power",
+            "lambda_min_achieved",
+            "certificate_tol",
+        }
+
+    def test_order_l_question_with_an_infeasible_power_carries_no_trace_fields(self):
+        # against the coarse-graining {E0 + E2, E1 + E3}, only power 2 of the
+        # diagonal four-outcome target (A^2 = diag(1, -1, 1, -1)) is feasible
+        target = ProjectiveMeasurement(tuple(np.diag(row) for row in np.eye(4)))
+        ref = ProjectiveMeasurement((np.diag([1.0, 0, 1, 0]), np.diag([0.0, 1, 0, 1])))
+        results = posthoc_check(SchmidtState.maximally_entangled(4), [ref], target)
+        assert [r.verdict for r in results] == ["infeasible", "feasible", "infeasible"]
+        assert all(r.trace_q is None and r.lambda_min_q is None for r in results)
+
+    def test_order_l_question_feasible_at_every_power_is_quantified(self, rng):
+        m = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 3, 3)))
+        results = posthoc_check(ME3, [m], m)
+        obs = generalized_observables(m)
+        assert [r.power for r in results] == [1, 2]
+        for r in results:
+            tr, q = min_trace_Q(ME3, obs[1:], obs[1], outputs=3, power=r.power)
+            assert (r.trace_q, r.lambda_min_q) == (tr, float(np.linalg.eigvalsh(q)[0]))
+
+    def test_one_outcome_target_raises(self):
+        with pytest.raises(BadParams, match="at least two outputs, got 1"):
+            posthoc_check(ME2, self.REFS, ProjectiveMeasurement((np.eye(2),)))
+
+    def test_order_l_target_dimension_is_checked_against_the_state(self, rng):
+        refs = [ProjectiveMeasurement(tuple(random_projective_measurement(rng, 3, 3)))]
+        target = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 4, 3)))
+        with pytest.raises(DimMismatch, match="shape \\(4, 4\\) does not match the state's dimension 3"):
+            posthoc_check(ME3, refs, target)
+
+
 class TestSymmetricCombinations:
     def test_more_generators_than_matrix_entries(self, rng):
         # d = 2 with five references: six generators against four entries, so
@@ -968,6 +1036,19 @@ class TestRobustnessBound:
         ]:
             with pytest.raises(BadParams):
                 robustness_bound(RobustnessParams(**{**good, key: bad}))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_are_rejected(self, value):
+        # a NaN epsilon used to pass the `< 0` test and print nan
+        good = RobustnessParams(4, 1.0, 3.0, 1.0, 0.5, 1.2, 1e-3, 1e-4).to_json_dict()
+        for key in good:
+            with pytest.raises(BadParams, match=f"{key} must be finite"):
+                robustness_bound(RobustnessParams(**{**good, key: value}))
+
+    def test_fractional_reference_count_is_rejected(self):
+        params = RobustnessParams(4.5, 1.0, 3.0, 1.0, 0.5, 1.2, 1e-3, 1e-4)
+        with pytest.raises(BadParams, match="whole number"):
+            robustness_bound(params)
 
     def test_json_round_trip(self):
         params = RobustnessParams(4, 1.0, 3.0, 1.0, 0.5, 1.2, 1e-3, 1e-4)

@@ -207,6 +207,18 @@ class TestGeneralizedObservables:
         u = require_order_l(Z, 2)
         assert u.dtype == complex and np.array_equal(u, Z)
 
+    @pytest.mark.parametrize("outputs", [1, 0, -2])
+    def test_fewer_than_two_outputs_raise(self, outputs):
+        # one check in require_order_l; the order-L criterion used to return []
+        me2 = SchmidtState.maximally_entangled(2)
+        for check in (
+            lambda: require_order_l(Z, outputs),
+            lambda: povm_from_observable(Z, outputs),
+            lambda: posthoc_feasible_general(me2, [X], Z, outputs),
+        ):
+            with pytest.raises(BadParams, match=f"at least two outputs, got {outputs}"):
+                check()
+
     def test_require_binary_observable(self):
         assert np.allclose(require_binary_observable(X), X)
         with pytest.raises(InvalidMeasurement):
