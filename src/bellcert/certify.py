@@ -11,7 +11,7 @@ only become certifiable after both parties' families have grown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +32,13 @@ from .jordan import (
     span_basis,
 )
 from .linalg import extend_orthonormal_rows
-from .posthoc import RobustnessParams, posthoc_check, sign_reachable
+from .posthoc import FeasibilityResult, RobustnessParams, posthoc_check, sign_reachable
 from .serialize import encode_matrix
 from .simplex import maximal_independent_subset, simplex_observables
 from .strategies import (
-    CorrelationTable,
     ProjectiveMeasurement,
     SchmidtState,
     Strategy,
-    correlation_table,
     require_binary_observable,
     require_binary_observables,
 )
@@ -257,33 +255,14 @@ def iterative_plan(
 
 
 @dataclass(frozen=True)
-class ExtensionCertificate:
-    """Post-hoc certification data for one extension question."""
-
-    label: str
-    verdict: str
-    lambda_min: float
-    trace_q: float | None
-    lambda_min_q: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "verdict": self.verdict,
-            "lambda_min": self.lambda_min,
-            "trace_q": self.trace_q,
-            "lambda_min_q": self.lambda_min_q,
-        }
-
-
-@dataclass(frozen=True)
 class CertificateReport:
     """Everything the robustness bound needs, plus structural diagnostics.
 
     ``gram_lambda_min`` is the smallest eigenvalue of the Gram matrix
     Tr[B_j B_k] over Bob's reference observables; ``closure_dimension`` and
-    ``full_algebra`` describe the algebra Bob's family generates; one
-    ExtensionCertificate per Alice question beyond the base family.
+    ``full_algebra`` describe the algebra Bob's family generates;
+    ``extensions`` pairs each Alice question beyond the base family with its
+    label and the FeasibilityResult posthoc_check returned for it.
     """
 
     dim: int
@@ -295,20 +274,19 @@ class CertificateReport:
     closure_dimension: int
     closure_iterations: int
     full_algebra: bool
-    extensions: tuple[ExtensionCertificate, ...]
-    table: CorrelationTable | None = field(default=None, compare=False)
+    extensions: tuple[tuple[str, FeasibilityResult], ...]
 
     def all_feasible(self) -> bool:
-        return all(e.verdict == "feasible" for e in self.extensions)
+        return all(r.feasible for _, r in self.extensions)
 
     def robustness_params(
         self, epsilon: float, delta: float, extension_index: int = 0
     ) -> RobustnessParams:
         if not 0 <= extension_index < len(self.extensions):
             raise BadParams(f"no extension with index {extension_index}")
-        ext = self.extensions[extension_index]
-        if ext.trace_q is None or ext.lambda_min_q is None:
-            raise BadParams(f"extension {ext.label!r} has no trace certificate")
+        label, ext = self.extensions[extension_index]
+        if ext.trace_q is None:
+            raise BadParams(f"extension {label!r} has no trace certificate")
         return RobustnessParams(
             n=self.bob_questions,
             lambda_min_gram=self.gram_lambda_min,
@@ -332,15 +310,14 @@ class CertificateReport:
             "closure_iterations": self.closure_iterations,
             "full_algebra": self.full_algebra,
             "all_feasible": self.all_feasible(),
-            "extensions": [e.to_json_dict() for e in self.extensions],
+            "extensions": [
+                {"label": label, **r.to_json_dict()} for label, r in self.extensions
+            ],
         }
 
 
 def certificate_report(
-    strategy: Strategy,
-    *,
-    settings: Settings | None = None,
-    include_table: bool = True,
+    strategy: Strategy, *, settings: Settings | None = None
 ) -> CertificateReport:
     """Certify every extension question of a strategy against Bob's family.
 
@@ -367,21 +344,10 @@ def certificate_report(
     full = closure.dimension == d * (d + 1) // 2
 
     extensions = []
-    for idx in range(base, strategy.alice_questions):
-        [result] = posthoc_check(
-            strategy.state, strategy.bob, strategy.alice[idx].observable(), settings=s
-        )
-        extensions.append(
-            ExtensionCertificate(
-                label=strategy.alice_labels[idx],
-                verdict=result.verdict,
-                lambda_min=result.lambda_min_achieved,
-                trace_q=result.trace_q,
-                lambda_min_q=result.lambda_min_q,
-            )
-        )
+    for label, m in zip(strategy.alice_labels[base:], strategy.alice[base:], strict=True):
+        [result] = posthoc_check(strategy.state, strategy.bob, m.observable(), settings=s)
+        extensions.append((label, result))
 
-    table = correlation_table(strategy) if include_table else None
     return CertificateReport(
         dim=d,
         alice_questions=strategy.alice_questions,
@@ -393,5 +359,4 @@ def certificate_report(
         closure_iterations=closure_iters,
         full_algebra=full,
         extensions=tuple(extensions),
-        table=table,
     )

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS, Settings
-from .errors import BellcertError, Infeasible, Unreachable
+from .config import DEFAULTS, Settings, json_numbers
+from .errors import BadParams, BellcertError, Infeasible, Unreachable
 from .jordan import has_trivial_centralizer, jordan_closure, degeneracy_possible
 from .linalg import sgn_map
 from .posthoc import (
@@ -88,6 +88,14 @@ def _build_settings(args: argparse.Namespace) -> Settings:
 
 def _load_json(path: str):
     return json.loads(Path(path).read_text())
+
+
+def _load_matrices(path: str) -> list[np.ndarray]:
+    raw = _load_json(path)
+    mats = raw.get("matrices") if isinstance(raw, dict) else None
+    if not isinstance(mats, list):
+        raise BadParams(f"{path} needs a 'matrices' list")
+    return [decode_matrix(m) for m in mats]
 
 
 def _parent_parser() -> argparse.ArgumentParser:
@@ -186,7 +194,7 @@ def _cmd_simplex(args, settings: Settings) -> int:
             f"{j},{k}": encode_matrix(m)
             for (j, k), m in sorted(pair_observables(d).items())
         }
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
@@ -219,8 +227,8 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
     results = posthoc_check(state, refs, target, settings=settings)
     feasible = all(r.feasible for r in results)
     if args.json:
-        payload = [r.to_json_dict() for r in results]
-        print(json.dumps({"feasible": feasible, "results": payload}, indent=2))
+        payload = {"feasible": feasible, "results": [r.to_json_dict() for r in results]}
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         for r in results:
             line = f"power {r.power}: {r.verdict} (lambda_min {r.lambda_min_achieved:.3e})"
@@ -232,11 +240,8 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
 
 
 def _cmd_jordan_closure(args, settings: Settings) -> int:
-    raw = _load_json(args.observables)
-    mats = [decode_matrix(m) for m in raw["matrices"]]
-    extras = []
-    if args.extra:
-        extras = [decode_matrix(m) for m in _load_json(args.extra)["matrices"]]
+    mats = _load_matrices(args.observables)
+    extras = _load_matrices(args.extra) if args.extra else []
     basis, iterations = jordan_closure(mats, extras, settings=settings)
     d = basis.matrix_dim
     full = basis.dimension == d * (d + 1) // 2
@@ -254,32 +259,28 @@ def _cmd_certify(args, settings: Settings) -> int:
         strategy = measurement_certification_strategy(target, settings=settings)
     else:
         strategy = binary_certification_strategy(target, settings=settings)
-    report = certificate_report(
-        strategy,
-        settings=settings,
-        include_table=not args.no_table,
-    )
+    report = certificate_report(strategy, settings=settings)
+    text = json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
+    table = None if args.no_table else correlation_table(strategy)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_strategy(out / "strategy.json", strategy)
-    (out / "report.json").write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-    if report.table is not None:
-        table_to_csv(out / "table.csv", report.table)
-    for ext in report.extensions:
-        print(f"{ext.label}: {ext.verdict}", end="")
-        if ext.trace_q is not None:
-            print(f" (TrQ = {ext.trace_q:.9f})", end="")
+    (out / "report.json").write_text(text + "\n")
+    if table is not None:
+        table_to_csv(out / "table.csv", table)
+    for label, r in report.extensions:
+        print(f"{label}: {r.verdict}", end="")
+        if r.trace_q is not None:
+            print(f" (TrQ = {r.trace_q:.9f})", end="")
         print()
     print("all-feasible:", report.all_feasible())
     return 0 if report.all_feasible() else 1
 
 
 def _cmd_robustness(args, settings: Settings) -> int:
-    raw = _load_json(args.params)
-    if args.epsilon is not None:
-        raw["epsilon"] = args.epsilon
-    if args.delta is not None:
-        raw["delta"] = args.delta
+    raw = json_numbers(_load_json(args.params), "robustness parameters")
+    flags = {"epsilon": args.epsilon, "delta": args.delta}
+    raw.update({k: v for k, v in flags.items() if v is not None})
     params = RobustnessParams.from_json_dict(raw)
     print(f"{robustness_bound(params, settings=settings)!r}")
     return 0

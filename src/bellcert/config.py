@@ -75,21 +75,28 @@ class Settings:
     @classmethod
     def from_file(cls, path: str | Path, base: "Settings | None" = None) -> "Settings":
         """Load overrides from a JSON file of {field: number} on top of `base`."""
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise BadParams(f"settings file {path} must hold a JSON object")
+        values = json_numbers(json.loads(Path(path).read_text()), "settings")
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(values) - known)
         if unknown:
             raise BadParams(f"unknown settings key(s): {', '.join(unknown)}")
-        # float() would also read true as 1.0 and "1e-3" as 1e-3
-        wrong = sorted(
-            k for k, v in raw.items() if isinstance(v, bool) or not isinstance(v, (int, float))
-        )
-        if wrong:
-            raise BadParams(f"settings value(s) must be JSON numbers: {', '.join(wrong)}")
         start = base if base is not None else DEFAULTS
-        return start.replace(**{k: float(v) for k, v in raw.items()})
+        return start.replace(**values)
+
+
+def json_numbers(raw: object, what: str) -> dict[str, float]:
+    """A parsed JSON object of numbers as {key: float}; else BadParams naming `what`.
+
+    float() alone would also read true as 1.0 and "1e-3" as 1e-3.
+    """
+    if not isinstance(raw, dict):
+        raise BadParams(f"{what} must be a JSON object, got {type(raw).__name__}")
+    wrong = sorted(
+        k for k, v in raw.items() if isinstance(v, bool) or not isinstance(v, (int, float))
+    )
+    if wrong:
+        raise BadParams(f"{what} value(s) must be JSON numbers: {', '.join(wrong)}")
+    return {k: float(v) for k, v in raw.items()}
 
 
 DEFAULTS = Settings()

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, Settings
+from .config import DEFAULTS, Settings, json_numbers
 from .errors import (
     BadParams,
     DimMismatch,
@@ -678,8 +678,15 @@ class RobustnessParams:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "RobustnessParams":
-        """Read every field as a float; robustness_bound checks that n is whole."""
-        return cls(**{f.name: float(raw[f.name]) for f in fields(cls)})
+        """Read every field as a float from a JSON object of numbers (json_numbers).
+
+        A missing field raises BadParams; robustness_bound checks that n is whole.
+        """
+        values = json_numbers(raw, "robustness parameters")
+        missing = [f.name for f in fields(cls) if f.name not in values]
+        if missing:
+            raise BadParams(f"robustness parameters lack field(s): {', '.join(missing)}")
+        return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def _validate_robustness(p: RobustnessParams) -> None:

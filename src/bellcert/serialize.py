@@ -33,19 +33,32 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(raw: Sequence) -> np.ndarray:
+    """A matrix from a non-empty list of equal-length rows.
+
+    Entries are numbers or [re, im] pairs, mixed freely; the result is real
+    when no pair appears. Any other shape raises BadParams.
+    """
+    sequence = (list, tuple)
+    if not (isinstance(raw, sequence) and raw) or not all(
+        isinstance(row, sequence) and len(row) == len(raw[0]) for row in raw
+    ):
+        raise BadParams("a matrix must be a non-empty list of equal-length rows")
     rows = []
     complex_seen = False
-    for raw_row in raw:
-        row = []
-        for v in raw_row:
-            if isinstance(v, (list, tuple)):
-                if len(v) != 2:
-                    raise BadParams("complex entries must be [re, im] pairs")
-                row.append(complex(float(v[0]), float(v[1])))
-                complex_seen = True
-            else:
-                row.append(complex(float(v), 0.0))
-        rows.append(row)
+    try:
+        for raw_row in raw:
+            row = []
+            for v in raw_row:
+                if isinstance(v, sequence):
+                    if len(v) != 2:
+                        raise BadParams("complex entries must be [re, im] pairs")
+                    row.append(complex(float(v[0]), float(v[1])))
+                    complex_seen = True
+                else:
+                    row.append(complex(float(v), 0.0))
+            rows.append(row)
+    except TypeError as exc:
+        raise BadParams("matrix entries must be numbers or [re, im] pairs") from exc
     arr = np.array(rows, dtype=complex)
     if not complex_seen and np.all(arr.imag == 0.0):
         return arr.real.copy()
@@ -127,7 +140,10 @@ def state_from_json(raw: dict) -> SchmidtState:
 def measurements_from_json(
     raw: dict | list, *, settings: Settings | None = None
 ) -> list[ProjectiveMeasurement]:
-    """Accept a list of measurement dicts, or {"measurements": [...]}."""
+    """Accept a list of measurement dicts, or {"measurements": [...]}.
+
+    A strategy dictionary's {"alice": [...]} is accepted too.
+    """
     if isinstance(raw, dict):
         if "measurements" in raw:
             raw = raw["measurements"]

@@ -44,6 +44,8 @@ class SchmidtState:
         lam = np.asarray(self.coeffs, dtype=float).ravel()
         if lam.size == 0:
             raise BadParams("need at least one Schmidt coefficient")
+        if not np.all(np.isfinite(lam)):  # NaN would pass both tests below
+            raise BadParams(f"Schmidt coefficients must be finite, got {lam.tolist()!r}")
         if np.any(lam <= 0.0):
             raise BadParams("Schmidt coefficients must be strictly positive")
         total = float(np.sum(lam * lam))

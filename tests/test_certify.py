@@ -1,5 +1,7 @@
 """End-to-end certification pipeline: strategy builders, reports, plans."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,9 @@ from bellcert.errors import (
     Unreachable,
 )
 from bellcert.linalg import sym_eig
-from bellcert.posthoc import min_trace_Q
+from bellcert.posthoc import min_trace_Q, posthoc_check
 from bellcert.simplex import degenerate_pair_3d, pair_observables, simplex_observables
-from bellcert.strategies import ProjectiveMeasurement
+from bellcert.strategies import ProjectiveMeasurement, SchmidtState, Strategy
 
 from helpers import X, Z, random_projective_measurement
 
@@ -143,8 +145,8 @@ class TestCertificateReport:
 
     def test_extension_certificate(self, report):
         assert len(report.extensions) == 1
-        cert = report.extensions[0]
-        assert cert.label == "O"
+        label, cert = report.extensions[0]
+        assert label == "O"
         assert cert.verdict == "feasible"
         # A maximally entangled state with a spanning reference family
         # forces the minimum-trace witness to the identity.
@@ -152,14 +154,17 @@ class TestCertificateReport:
         assert abs(cert.lambda_min_q - 1.0) < 1e-5
         assert report.all_feasible()
 
-    def test_table_round_trips_identity_entries(self, report):
-        assert report.table is not None
-        assert abs(report.table[(0, 0, 0, 0)] - 1.0) < 1e-12
+    def test_extensions_hold_posthoc_check_results(self, report):
+        strat = binary_certification_strategy(simplex_observables(3)[2])
+        [result] = posthoc_check(strat.state, strat.bob, strat.alice[-1].observable())
+        _, cert = report.extensions[0]
+        assert cert.to_json_dict() == result.to_json_dict()
+        assert np.array_equal(cert.witness, result.witness)
 
     def test_robustness_wiring(self, report):
         params = report.robustness_params(epsilon=0.0, delta=1e-4)
         assert params.n == report.bob_questions
-        assert params.trace_q == report.extensions[0].trace_q
+        assert params.trace_q == report.extensions[0][1].trace_q
         assert params.epsilon == 0.0
         with pytest.raises(BadParams):
             report.robustness_params(epsilon=0.0, delta=1e-4, extension_index=5)
@@ -168,13 +173,50 @@ class TestCertificateReport:
         payload = report.to_json_dict()
         assert payload["all_feasible"] is True
         assert "table" not in payload
-        assert len(payload["extensions"]) == 1
-        assert payload["extensions"][0]["verdict"] == "feasible"
+        # each entry is posthoc-check --json's result object plus its label
+        [(label, cert)] = report.extensions
+        assert payload["extensions"] == [{"label": label, **cert.to_json_dict()}]
+        assert list(payload["extensions"][0]) == [
+            "label",
+            "verdict",
+            "power",
+            "lambda_min_achieved",
+            "certificate_tol",
+            "trace_q",
+            "lambda_min_q",
+        ]
+
+    def test_no_hermitian_combination_writes_strict_json(self):
+        # O D^2 and O D X D are not symmetric for the skewed state, nor is any
+        # combination of them: lambda_min_achieved is -inf, which JSON spells null
+        coeffs = np.array([0.8, 0.5, 0.3]) / np.linalg.norm([0.8, 0.5, 0.3])
+        swap_12 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        swap_13 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        strat = Strategy(
+            state=SchmidtState(coeffs),
+            alice=tuple(ProjectiveMeasurement.from_observable(o) for o in (swap_12, swap_13)),
+            bob=(ProjectiveMeasurement.from_observable(swap_12),),
+            meta={"base_questions": 1},
+        )
+        got = certificate_report(strat)
+        assert not got.all_feasible()
+        with pytest.raises(BadParams, match="has no trace certificate"):
+            got.robustness_params(epsilon=0.0, delta=1e-4)
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = json.dumps(got.to_json_dict(), allow_nan=False)
+        [entry] = json.loads(text, parse_constant=reject)["extensions"]
+        assert entry["label"] == "A1"
+        assert entry["verdict"] == "infeasible"
+        assert entry["lambda_min_achieved"] is None
+        assert "trace_q" not in entry and "lambda_min_q" not in entry
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_smallest_eigenvalues_match_the_full_decomposition(self, d):
         strat = binary_certification_strategy(pair_observables(d)[(0, 1)])
-        got = certificate_report(strat, include_table=False)
+        got = certificate_report(strat)
         bob = np.array([m.observable().ravel() for m in strat.bob])
         gram_min = sym_eig(bob @ bob.T).values[-1]
         assert got.gram_lambda_min == pytest.approx(gram_min, rel=1e-12, abs=0)
@@ -182,7 +224,7 @@ class TestCertificateReport:
             strat.state, [m.observable() for m in strat.bob], strat.alice[-1].observable()
         )
         q_min = sym_eig(q).values[-1]
-        assert got.extensions[0].lambda_min_q == pytest.approx(q_min, rel=1e-12, abs=0)
+        assert got.extensions[0][1].lambda_min_q == pytest.approx(q_min, rel=1e-12, abs=0)
 
     def test_rejects_strategy_without_metadata(self):
         strat = binary_certification_strategy(simplex_observables(3)[0])

@@ -192,6 +192,14 @@ class TestPosthocCheckCommand:
         assert main(argv) == 1
         assert "(lambda_min -inf)" in capsys.readouterr().out
 
+    def test_nan_schmidt_coefficient_exits_two(self, posthoc_files, tmp_path, capsys):
+        _, alice, target = posthoc_files
+        state = tmp_path / "nan_state.json"
+        state.write_text('{"schmidt_coeffs": [0.5, NaN, 0.5]}')
+        argv = ["posthoc-check", "--state", str(state), "--alice", alice, "--target", target]
+        assert main(argv) == 2
+        assert "error: Schmidt coefficients must be finite" in capsys.readouterr().err
+
     def test_complex_binary_references_take_the_order_l_check(self, tmp_path, capsys):
         # a real binary target against complex rank-1 binary references: the
         # order-L check decides it, where the binary check would reject the
@@ -288,6 +296,39 @@ class TestJordanClosureCommand:
         assert "iterations: 0" in out
         assert "full-algebra: True" in out
         assert "trivial-centralizer: True" in out
+
+
+class TestMatrixInputsAreChecked:
+    @pytest.mark.parametrize(
+        "matrix", [5, [1, 2], [], [[1.0, 0.0], [0.0]], [[1.0, 0.0, 0.0], "abc", [0, 0, 1]]]
+    )
+    def test_certify_target(self, tmp_path, capsys, matrix):
+        target = _write_json(tmp_path / "target.json", {"matrix": matrix})
+        assert main(["certify", "--target", target, "--out", str(tmp_path / "out")]) == 2
+        assert "error: a matrix must be a non-empty list of equal-length rows" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("where", ["observables", "extra"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"matrices": 3}, "needs a 'matrices' list"),
+            ({"matrices": {"a": [[1.0]]}}, "needs a 'matrices' list"),
+            ({"observables": []}, "needs a 'matrices' list"),
+            ([[[1.0, 0.0], [0.0, 1.0]]], "needs a 'matrices' list"),
+            ({"matrices": [[1, 2]]}, "a matrix must be a non-empty list of equal-length rows"),
+            ({"matrices": [[[1, 0], [0]]]}, "a matrix must be a non-empty list of equal-length rows"),
+        ],
+    )
+    def test_jordan_closure(self, tmp_path, capsys, where, payload, message):
+        good = _write_json(tmp_path / "good.json", {"matrices": [encode_matrix(X)]})
+        bad = _write_json(tmp_path / "bad.json", payload)
+        argv = ["jordan-closure", "--observables", bad if where == "observables" else good]
+        if where == "extra":
+            argv += ["--extra", bad]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCertifyCommand:
@@ -409,6 +450,32 @@ class TestRobustnessCommand:
         assert "NaN" in params.read_text()
         assert main(["robustness", "--params", str(params)]) == 2
         assert "error: trace_q must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--epsilon", "0.1", "--delta", "0.1"]])
+    def test_params_file_must_hold_an_object(self, tmp_path, capsys, extra):
+        params = _write_json(tmp_path / "params.json", list(self.FROZEN.values()))
+        assert main(["robustness", "--params", params, *extra]) == 2
+        assert "error: robustness parameters must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["4", True, None])
+    def test_params_values_must_be_json_numbers(self, tmp_path, capsys, value):
+        params = _write_json(tmp_path / "params.json", {**self.FROZEN, "n": value})
+        assert main(["robustness", "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert "error: robustness parameters value(s) must be JSON numbers: n" in err
+
+    def test_missing_params_field_is_named(self, tmp_path, capsys):
+        raw = {k: v for k, v in self.FROZEN.items() if k not in ("trace_q", "delta")}
+        params = _write_json(tmp_path / "params.json", raw)
+        assert main(["robustness", "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert "error: robustness parameters lack field(s): trace_q, delta" in err
+        # the error flags supply what the file leaves out
+        raw = {k: v for k, v in self.FROZEN.items() if k not in ("epsilon", "delta")}
+        params = _write_json(tmp_path / "params.json", raw)
+        argv = ["robustness", "--params", params, "--epsilon", "0", "--delta", "1e-4"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "0.034641016151377546"
 
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         params = _write_json(tmp_path / "params.json", self.FROZEN)
@@ -584,6 +651,44 @@ class TestComplexInputsAreRejected:
             argv += ["--extra", mixed]
         assert main(argv) == 2
         assert "expected a real matrix" in capsys.readouterr().err
+
+
+class TestStrictJsonOutput:
+    """A non-finite value exits 2 instead of writing NaN or Infinity."""
+
+    def test_simplex(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "simplex_vectors", lambda d: np.full((d + 1, d), np.nan))
+        assert main(["simplex", "--dim", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Out of range float values are not JSON compliant" in captured.err
+
+    def test_posthoc_check_json(self, posthoc_files, monkeypatch, capsys):
+        state, alice, target = posthoc_files
+        real = cli.posthoc_check
+        monkeypatch.setattr(
+            cli,
+            "posthoc_check",
+            lambda *a, **k: [dataclasses.replace(r, trace_q=np.inf) for r in real(*a, **k)],
+        )
+        argv = ["posthoc-check", "--state", state, "--alice", alice, "--target", target]
+        assert main(argv + ["--json"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_certify_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        real = cli.certificate_report
+        monkeypatch.setattr(
+            cli,
+            "certificate_report",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), gram_lambda_min=np.nan),
+        )
+        target = _write_json(
+            tmp_path / "target.json", {"matrix": encode_matrix(simplex_observables(3)[0])}
+        )
+        out_dir = tmp_path / "bundle"
+        assert main(["certify", "--target", target, "--out", str(out_dir)]) == 2
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestVerifyExamplesCommand:

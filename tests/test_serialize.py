@@ -67,6 +67,21 @@ class TestMatrixCodec:
         with pytest.raises(BadParams):
             decode_matrix([[[1.0, 2.0, 3.0]]])
 
+    def test_mixed_entries_decode_complex(self):
+        got = decode_matrix([[1, [0.0, 2.0]], [[0.0, -2.0], 3]])
+        assert np.array_equal(got, np.array([[1, 2j], [-2j, 3]]))
+        # a pair with a zero imaginary part still makes the matrix complex
+        assert np.iscomplexobj(decode_matrix([[1, [0.0, 0.0]]]))
+        assert decode_matrix([[1, 0], [0, 1]]).dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "raw",
+        [5, None, "ab", {"rows": []}, [], [1, 2], [[1, 2], 3], [[1, 0], [0]], [[None]], [[[1, None]]]],
+    )
+    def test_non_matrices_are_rejected(self, raw):
+        with pytest.raises(BadParams):
+            decode_matrix(raw)
+
 
 class TestStrategyCodec:
     def test_round_trip_preserves_everything(self):

@@ -1,11 +1,13 @@
 """One tolerance path: package code takes its tolerances from the caller's Settings."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import bellcert
+from bellcert.config import Settings
 
 SRC = Path(bellcert.__file__).resolve().parent
 
@@ -81,3 +83,40 @@ def test_the_scan_sees_each_form(source, expected):
 
 def test_config_may_read_its_defaults():
     assert tolerance_leaks("DEFAULTS.sym_tol", defaults_allowed=True) == []
+
+
+def unread_fields(sources: list[str], names: list[str]) -> list[str]:
+    """The names that no source reads as an attribute, ``<expr>.<name>``.
+
+    A keyword (``replace(eig_tol=...)``), a string, a ``getattr`` call or an
+    assignment to the attribute does not count as a read.
+    """
+    read = {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in names if name not in read]
+
+
+def test_every_settings_field_is_read():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "config.py"]
+    names = [f.name for f in dataclasses.fields(Settings)]
+    assert unread_fields(sources, names) == []
+
+
+@pytest.mark.parametrize(
+    "sources, expected",
+    [
+        (["s.sym_tol"], ["eig_tol"]),
+        (["s.sym_tol", "(settings or DEFAULTS).eig_tol"], []),
+        (["def f(settings):\n    return settings.eig_tol < settings.sym_tol"], []),
+        (["s.sym_tol\ns.replace(eig_tol=1e-6)"], ["eig_tol"]),
+        (["s.sym_tol\nx = 'eig_tol'\ngetattr(s, 'eig_tol')"], ["eig_tol"]),
+        (["s.sym_tol\ns.eig_tol = 1e-6"], ["eig_tol"]),
+        (["def eig_tol(sym_tol): pass"], ["sym_tol", "eig_tol"]),
+    ],
+)
+def test_the_field_scan_sees_each_form(sources, expected):
+    assert unread_fields(sources, ["sym_tol", "eig_tol"]) == expected

@@ -53,6 +53,14 @@ class TestSchmidtState:
         with pytest.raises(BadParams):
             SchmidtState(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "coeffs", [[np.nan] * 3, [0.5, np.nan, 0.5], [np.inf, 0.5], [-np.inf, 1.0]]
+    )
+    def test_finite_coefficients_required(self, coeffs):
+        # NaN passes both the sign test and the unit-norm test
+        with pytest.raises(BadParams, match="must be finite"):
+            SchmidtState(np.array(coeffs))
+
     def test_maximally_entangled_values(self):
         st = SchmidtState.maximally_entangled(4)
         assert st.dim == 4
