@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULTS, Settings, json_numbers
-from .errors import BadParams, BellcertError, Infeasible, Unreachable
+from .errors import BellcertError, Infeasible, Unreachable
 from .jordan import has_trivial_centralizer, jordan_closure, degeneracy_possible
 from .linalg import sgn_map
 from .posthoc import (
@@ -34,11 +34,12 @@ from .posthoc import (
     robustness_bound,
 )
 from .serialize import (
-    decode_matrix,
     encode_matrix,
+    matrices_from_json,
     measurements_from_json,
     read_strategy,
     state_from_json,
+    table_rows,
     table_to_csv,
     target_from_json,
     write_strategy,
@@ -88,14 +89,6 @@ def _build_settings(args: argparse.Namespace) -> Settings:
 
 def _load_json(path: str):
     return json.loads(Path(path).read_text())
-
-
-def _load_matrices(path: str) -> list[np.ndarray]:
-    raw = _load_json(path)
-    mats = raw.get("matrices") if isinstance(raw, dict) else None
-    if not isinstance(mats, list):
-        raise BadParams(f"{path} needs a 'matrices' list")
-    return [decode_matrix(m) for m in mats]
 
 
 def _parent_parser() -> argparse.ArgumentParser:
@@ -215,8 +208,7 @@ def _cmd_correlations(args, settings: Settings) -> int:
             print("MISMATCH between fast and explicit correlation computations")
             return 1
     if not args.out:
-        for (x, j, y, k), value in sorted(table.items()):
-            print(f"{x},{j},{y},{k},{value.real!r},{value.imag!r}")
+        sys.stdout.write(table_rows(table))
     return 0
 
 
@@ -240,8 +232,8 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
 
 
 def _cmd_jordan_closure(args, settings: Settings) -> int:
-    mats = _load_matrices(args.observables)
-    extras = _load_matrices(args.extra) if args.extra else []
+    mats = matrices_from_json(_load_json(args.observables))
+    extras = matrices_from_json(_load_json(args.extra)) if args.extra else []
     basis, iterations = jordan_closure(mats, extras, settings=settings)
     d = basis.matrix_dim
     full = basis.dimension == d * (d + 1) // 2
@@ -370,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except BellcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

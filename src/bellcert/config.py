@@ -84,16 +84,16 @@ class Settings:
         return start.replace(**values)
 
 
-def json_numbers(raw: object, what: str) -> dict[str, float]:
-    """A parsed JSON object of numbers as {key: float}; else BadParams naming `what`.
+def is_number(v: object) -> bool:
+    """An int or a float, not a bool: float() alone would also read true and "1e-3"."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    float() alone would also read true as 1.0 and "1e-3" as 1e-3.
-    """
+
+def json_numbers(raw: object, what: str) -> dict[str, float]:
+    """A parsed JSON object of numbers as {key: float}; else BadParams naming `what`."""
     if not isinstance(raw, dict):
         raise BadParams(f"{what} must be a JSON object, got {type(raw).__name__}")
-    wrong = sorted(
-        k for k, v in raw.items() if isinstance(v, bool) or not isinstance(v, (int, float))
-    )
+    wrong = sorted(k for k, v in raw.items() if not is_number(v))
     if wrong:
         raise BadParams(f"{what} value(s) must be JSON numbers: {', '.join(wrong)}")
     return {k: float(v) for k, v in raw.items()}

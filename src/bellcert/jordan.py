@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULTS, Settings
-from .errors import DimMismatch, EmptyInput
+from .errors import BadParams, DimMismatch, EmptyInput
 from .linalg import (
     as_square_matrix,
     extend_orthonormal_rows,
@@ -213,7 +213,10 @@ def degeneracy_possible(d: int, n: int, maximally_entangled: bool = False) -> bo
     With d the local dimension and n the number of reference observables, a
     degenerate pair generically exists whenever floor(d^2/4) exceeds n+1
     (n for a maximally entangled state, whose identity marginal is fixed).
+    Raises BadParams for d < 1 or n < 0.
     """
+    if d < 1 or n < 0:
+        raise BadParams(f"need a dimension d >= 1 and n >= 0 questions, got d={d}, n={n}")
     fiber = (d * d) // 4
     if maximally_entangled:
         return fiber > n

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULTS, Settings
-from .errors import DimMismatch, EmptyInput, NotSymmetric
+from .errors import BadParams, DimMismatch, EmptyInput, NotSymmetric
 
 
 class EigenDecomposition(NamedTuple):
@@ -51,9 +51,10 @@ def require_hermitian_stack(
 
     Every matrix must be square and of one shape (DimMismatch otherwise).
     Complex entries raise NotSymmetric unless ``allow_complex`` is set. Matrix
-    M fails with NotSymmetric when max|M - M^dag| > tol * max(1, max|M|); the
-    message names the first such index. Returns the (k, d, d) stack of
-    (M + M^dag)/2, real unless complex entries are allowed and present.
+    M fails with BadParams when an entry is not finite, and with NotSymmetric
+    when max|M - M^dag| > tol * max(1, max|M|); the message names the first
+    such index. Returns the (k, d, d) stack of (M + M^dag)/2, real unless
+    complex entries are allowed and present.
     """
     mats = list(mats)
     if len({np.shape(m) for m in mats}) > 1:
@@ -68,6 +69,10 @@ def require_hermitian_stack(
     a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     adj = a.conj().transpose(0, 2, 1)
     scale = np.abs(a).max(axis=(1, 2), initial=1.0)
+    # NaN passes every `gap > tol` test; max and sum propagate it, and inf
+    if not scale.sum() < np.inf:
+        k = np.flatnonzero(~np.isfinite(scale))[0]
+        raise BadParams(f"matrix {k} has a non-finite entry")
     gap = np.abs(a - adj).max(axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(gap > tol * scale)
     if bad.size:

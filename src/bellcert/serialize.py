@@ -2,8 +2,10 @@
 
 Matrices travel as nested row-major lists; complex entries become [re, im]
 pairs so files stay valid JSON. Floats round-trip exactly (repr-based, 17
-significant digits). Reader helpers are deliberately tolerant about which
-top-level shape they accept so command-line inputs can stay minimal.
+significant digits). JSON inputs are read under one rule: a field sits in a
+JSON object and holds the JSON type asked for (``_field``), and a number is a
+JSON number (``config.is_number``: not ``"0.6"`` or ``true``); anything else
+raises BadParams. NaN and Infinity are left to the objects' validators.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import Settings
+from .config import Settings, is_number
 from .errors import BadParams
 from .strategies import (
     CorrelationTable,
@@ -32,37 +34,38 @@ def encode_matrix(m: np.ndarray) -> list:
     return arr.astype(float).tolist()
 
 
+def _field(raw: object, key: str, kind: type, what: str):
+    """raw[key] when raw is a JSON object holding a `kind` there; else BadParams."""
+    if isinstance(raw, dict) and key in raw and isinstance(raw[key], kind):
+        return raw[key]
+    noun = {list: "list", dict: "object"}.get(kind, "entry")
+    raise BadParams(f"{what} needs {'an' if key[0] in 'aeiou' else 'a'} '{key}' {noun}")
+
+
+def _all_numbers(values: list) -> bool:
+    # the set of types is one C-level pass; is_number settles any other type
+    return set(map(type, values)) <= {int, float} or all(map(is_number, values))
+
+
 def decode_matrix(raw: Sequence) -> np.ndarray:
     """A matrix from a non-empty list of equal-length rows.
 
-    Entries are numbers or [re, im] pairs, mixed freely; the result is real
-    when no pair appears. Any other shape raises BadParams.
+    Entries are JSON numbers or [re, im] pairs of them, mixed freely; the
+    result is real when no pair appears. Any other shape raises BadParams.
     """
     sequence = (list, tuple)
     if not (isinstance(raw, sequence) and raw) or not all(
         isinstance(row, sequence) and len(row) == len(raw[0]) for row in raw
     ):
         raise BadParams("a matrix must be a non-empty list of equal-length rows")
-    rows = []
-    complex_seen = False
-    try:
-        for raw_row in raw:
-            row = []
-            for v in raw_row:
-                if isinstance(v, sequence):
-                    if len(v) != 2:
-                        raise BadParams("complex entries must be [re, im] pairs")
-                    row.append(complex(float(v[0]), float(v[1])))
-                    complex_seen = True
-                else:
-                    row.append(complex(float(v), 0.0))
-            rows.append(row)
-    except TypeError as exc:
-        raise BadParams("matrix entries must be numbers or [re, im] pairs") from exc
-    arr = np.array(rows, dtype=complex)
-    if not complex_seen and np.all(arr.imag == 0.0):
-        return arr.real.copy()
-    return arr
+    flat = [v for row in raw for v in row]
+    if _all_numbers(flat):
+        return np.array(raw, dtype=float)
+    cells = [v if isinstance(v, sequence) else (v, 0.0) for v in flat]
+    parts = [x for c in cells for x in c]
+    if set(map(len, cells)) != {2} or not _all_numbers(parts):
+        raise BadParams("matrix entries must be JSON numbers or [re, im] pairs")
+    return np.array(parts, dtype=float).view(complex).reshape(len(raw), -1)
 
 
 def measurement_to_json_dict(m: ProjectiveMeasurement) -> dict:
@@ -72,11 +75,8 @@ def measurement_to_json_dict(m: ProjectiveMeasurement) -> dict:
 def measurement_from_json_dict(
     raw: dict, *, settings: Settings | None = None
 ) -> ProjectiveMeasurement:
-    if "projections" not in raw:
-        raise BadParams("measurement entry needs a 'projections' list")
-    return ProjectiveMeasurement(
-        tuple(decode_matrix(p) for p in raw["projections"]), settings=settings
-    )
+    projections = _field(raw, "projections", list, "a measurement")
+    return ProjectiveMeasurement(tuple(map(decode_matrix, projections)), settings=settings)
 
 
 def strategy_to_json_dict(s: Strategy) -> dict:
@@ -96,30 +96,22 @@ def strategy_to_json_dict(s: Strategy) -> dict:
 
 
 def strategy_from_json_dict(raw: dict, *, settings: Settings | None = None) -> Strategy:
-    try:
-        coeffs = np.array([float(c) for c in raw["schmidt_coeffs"]])
-        alice_raw = raw["alice"]
-        bob_raw = raw["bob"]
-    except KeyError as exc:
-        raise BadParams(f"strategy file is missing field {exc}") from exc
-    state = SchmidtState(coeffs)
-    alice = tuple(measurement_from_json_dict(m, settings=settings) for m in alice_raw)
-    bob = tuple(measurement_from_json_dict(m, settings=settings) for m in bob_raw)
-    labels_a = tuple(str(m.get("label", f"A{i}")) for i, m in enumerate(alice_raw))
-    labels_b = tuple(str(m.get("label", f"B{i}")) for i, m in enumerate(bob_raw))
+    state = state_from_json(raw)
+    alice_raw, bob_raw = (_field(raw, key, list, "a strategy") for key in ("alice", "bob"))
+    meta = _field(raw, "meta", dict, "a strategy") if "meta" in raw else {}
     return Strategy(
         state=state,
-        alice=alice,
-        bob=bob,
-        alice_labels=labels_a,
-        bob_labels=labels_b,
-        meta=dict(raw.get("meta", {})),
+        alice=tuple(measurements_from_json(alice_raw, settings=settings)),
+        bob=tuple(measurements_from_json(bob_raw, settings=settings)),
+        alice_labels=tuple(str(m.get("label", f"A{i}")) for i, m in enumerate(alice_raw)),
+        bob_labels=tuple(str(m.get("label", f"B{i}")) for i, m in enumerate(bob_raw)),
+        meta=dict(meta),
     )
 
 
 def write_strategy(path: str | Path, s: Strategy) -> None:
     # one line, no indent: json then runs its C encoder
-    Path(path).write_text(json.dumps(strategy_to_json_dict(s)) + "\n")
+    Path(path).write_text(json.dumps(strategy_to_json_dict(s), allow_nan=False) + "\n")
 
 
 def read_strategy(path: str | Path, *, settings: Settings | None = None) -> Strategy:
@@ -127,14 +119,15 @@ def read_strategy(path: str | Path, *, settings: Settings | None = None) -> Stra
 
 
 # --------------------------------------------------------------------------
-# tolerant readers for command-line inputs
+# readers for command-line inputs
 
 
 def state_from_json(raw: dict) -> SchmidtState:
     """Accept {"schmidt_coeffs": [...]} or a full strategy dictionary."""
-    if "schmidt_coeffs" in raw:
-        return SchmidtState(np.array([float(c) for c in raw["schmidt_coeffs"]]))
-    raise BadParams("state file needs a 'schmidt_coeffs' list")
+    coeffs = _field(raw, "schmidt_coeffs", list, "a state")
+    if not _all_numbers(coeffs):
+        raise BadParams("Schmidt coefficients must be JSON numbers")
+    return SchmidtState(np.array(coeffs, dtype=float))
 
 
 def measurements_from_json(
@@ -144,13 +137,9 @@ def measurements_from_json(
 
     A strategy dictionary's {"alice": [...]} is accepted too.
     """
-    if isinstance(raw, dict):
-        if "measurements" in raw:
-            raw = raw["measurements"]
-        elif "alice" in raw:
-            raw = raw["alice"]
-        else:
-            raise BadParams("expected a 'measurements' (or 'alice') list")
+    if not isinstance(raw, list):
+        alice = isinstance(raw, dict) and "measurements" not in raw and "alice" in raw
+        raw = _field(raw, "alice" if alice else "measurements", list, "a reference list")
     return [measurement_from_json_dict(m, settings=settings) for m in raw]
 
 
@@ -158,11 +147,14 @@ def target_from_json(
     raw: dict, *, settings: Settings | None = None
 ) -> np.ndarray | ProjectiveMeasurement:
     """Accept {"matrix": [...]} for an observable or {"projections": [...]}."""
-    if "matrix" in raw:
-        return decode_matrix(raw["matrix"])
-    if "projections" in raw:
+    if isinstance(raw, dict) and "matrix" not in raw and "projections" in raw:
         return measurement_from_json_dict(raw, settings=settings)
-    raise BadParams("target file needs 'matrix' or 'projections'")
+    return decode_matrix(_field(raw, "matrix", object, "a target"))
+
+
+def matrices_from_json(raw: dict) -> list[np.ndarray]:
+    """Accept {"matrices": [matrix, ...]}."""
+    return [decode_matrix(m) for m in _field(raw, "matrices", list, "a matrix file")]
 
 
 # --------------------------------------------------------------------------
@@ -171,14 +163,18 @@ def target_from_json(
 _CSV_HEADER = ["x", "j", "y", "k", "re", "im"]
 
 
-def table_to_csv(path: str | Path, table: CorrelationTable) -> None:
-    # the text csv.writer writes (no field needs quoting), built in one join
-    rows = "".join(
-        f"{x},{j},{y},{k},{float(v.real)!r},{float(v.imag)!r}\r\n"
+def table_rows(table: CorrelationTable, end: str = "\n") -> str:
+    """One x,j,y,k,re,im line per entry in key order, floats by repr, each ending `end`."""
+    return "".join(
+        f"{x},{j},{y},{k},{float(v.real)!r},{float(v.imag)!r}{end}"
         for (x, j, y, k), v in sorted(table.items())
     )
+
+
+def table_to_csv(path: str | Path, table: CorrelationTable) -> None:
+    # the text csv.writer writes (no field needs quoting), built in one join
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\r\n" + rows)
+        fh.write(",".join(_CSV_HEADER) + "\r\n" + table_rows(table, "\r\n"))
 
 
 def table_from_csv(path: str | Path) -> CorrelationTable:

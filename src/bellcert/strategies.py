@@ -166,13 +166,15 @@ def require_binary_observables(
 def require_order_l(a: np.ndarray, outputs: int, *, settings: Settings | None = None) -> np.ndarray:
     """Validate a unitary with a^outputs = I and return it as a complex array.
 
-    Raises BadParams for fewer than two outputs and NotOrderL when either
-    identity fails entrywise by more than eig_tol.
+    Raises BadParams for fewer than two outputs or a non-finite entry, and
+    NotOrderL when either identity fails entrywise by more than eig_tol.
     """
     if outputs < 2:
         raise BadParams(f"a measurement needs at least two outputs, got {outputs}")
     tol = (settings or DEFAULTS).eig_tol
     u = as_square_matrix(a, allow_complex=True).astype(complex)
+    if not np.isfinite(u).all():
+        raise BadParams("the matrix has a non-finite entry")
     eye = np.eye(u.shape[0])
     if float(np.max(np.abs(u @ u.conj().T - eye))) > tol:
         raise NotOrderL("matrix is not unitary")

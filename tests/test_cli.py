@@ -86,6 +86,22 @@ class TestCorrelationsCommand:
         assert main(["correlations", "--strategy", str(spath), "--out", str(out)]) == 0
         assert correlation_table(strat).max_difference(table_from_csv(out)) == 0.0
 
+    def test_stdout_rows_are_the_csv_rows(self, tmp_path, capsys):
+        # one row format: stdout has no header and ends lines with \n
+        strat = initial_strategy(3)
+        spath = tmp_path / "strategy.json"
+        write_strategy(spath, strat)
+        out = tmp_path / "table.csv"
+        assert main(["correlations", "--strategy", str(spath), "--out", str(out)]) == 0
+        assert main(["correlations", "--strategy", str(spath)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == "".join(
+            f"{x},{j},{y},{k},{v.real!r},{v.imag!r}\n"
+            for (x, j, y, k), v in sorted(correlation_table(strat).items())
+        )
+        header, rows = out.read_bytes().decode().split("\r\n", 1)
+        assert header == "x,j,y,k,re,im" and rows.replace("\r\n", "\n") == printed
+
 
 class TestPosthocCheckCommand:
     def test_feasible_instance_exits_zero(self, posthoc_files, capsys):
@@ -725,6 +741,14 @@ class TestDegeneracyCheckCommand:
             == 0
         )
         assert "degenerate-pair-possible: False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dim, questions", [("-1", "-3"), ("0", "3"), ("3", "-1")])
+    def test_impossible_sizes_exit_two(self, capsys, dim, questions):
+        # "--dim -1 --questions -3" used to print True and "--dim 0" False, exit 0
+        assert main(["degeneracy-check", "--dim", dim, "--questions", questions]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need a dimension d >= 1 and n >= 0")
 
 
 class TestUsageErrors:

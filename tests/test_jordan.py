@@ -5,7 +5,7 @@ import pytest
 
 from bellcert import jordan as jordan_module
 from bellcert.config import DEFAULTS
-from bellcert.errors import DimMismatch, EmptyInput, NotSymmetric
+from bellcert.errors import BadParams, DimMismatch, EmptyInput, NotSymmetric
 from bellcert.jordan import (
     SpanBasis,
     contains,
@@ -274,6 +274,11 @@ class TestDegeneracyPossible:
         # count only because its references are linearly dependent
         assert degeneracy_possible(3, 1, maximally_entangled=True)
         assert not degeneracy_possible(3, 2, maximally_entangled=True)
+
+    @pytest.mark.parametrize("d, n", [(0, 3), (-1, -3), (3, -1)])
+    def test_impossible_sizes_raise(self, d, n):
+        with pytest.raises(BadParams, match="d >= 1 and n >= 0"):
+            degeneracy_possible(d, n)
 
     def test_count_grows_quadratically(self):
         # floor(100/4) = 25 free fiber dimensions against n+1 constraints

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellcert.config import DEFAULTS
-from bellcert.errors import DimMismatch, EmptyInput, NotSymmetric
+from bellcert.errors import BadParams, DimMismatch, EmptyInput, NotSymmetric
 from bellcert.linalg import (
     BLOCK_ROWS,
     extend_orthonormal_rows,
@@ -145,6 +145,9 @@ class TestHermitianStack:
         "mixed shapes": (lambda m: m[:-1, :-1], DimMismatch),
         "complex": (lambda m: m + 1e-3j * np.eye(len(m)), NotSymmetric),
         "asymmetric": (lambda m: m + np.triu(np.full_like(m, 1e-6), 1), NotSymmetric),
+        # NaN fails no `gap > tol` test, so it is caught before the gaps
+        "nan": (lambda m: np.where(np.eye(len(m)) > 0, np.nan, m), BadParams),
+        "infinite": (lambda m: m + np.diag(np.r_[np.inf, np.zeros(len(m) - 1)]), BadParams),
     }
 
     @pytest.mark.parametrize("where", [0, 2, 4])
@@ -155,9 +158,9 @@ class TestHermitianStack:
         family[where] = spoil(family[where])
         with pytest.raises(expected) as caught:
             require_hermitian_stack(family, 1e-10)
-        if defect == "asymmetric":
+        if defect in ("asymmetric", "nan", "infinite"):
             assert f"matrix {where} " in str(caught.value)
-        if defect in ("non-square", "complex", "asymmetric"):
+        if defect in ("non-square", "complex", "asymmetric", "nan", "infinite"):
             with pytest.raises(expected):
                 require_symmetric(family[where])
 

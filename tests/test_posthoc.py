@@ -94,6 +94,14 @@ class TestBinaryFeasibility:
         with pytest.raises(BadParams, match=f"{field} must be finite"):
             DEFAULTS.replace(**{field: value})
 
+    @pytest.mark.parametrize("where", ["target", "reference"])
+    def test_non_finite_entries_raise_bad_params(self, where):
+        # they used to reach LAPACK and end in numpy's LinAlgError
+        nan = np.array([[np.nan, 1.0], [1.0, 0.0]])
+        target, ref = (nan, X) if where == "target" else (X, nan)
+        with pytest.raises(BadParams, match="non-finite entry"):
+            posthoc_feasible_binary(ME2, [ref], target)
+
     def test_reference_member_is_feasible_with_unit_value(self):
         # H = D^2 witnesses the reference observable itself: X * (D X D)>= 0
         st = SchmidtState(np.array([np.cos(0.5), np.sin(0.5)]))

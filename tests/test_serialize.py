@@ -76,7 +76,9 @@ class TestMatrixCodec:
 
     @pytest.mark.parametrize(
         "raw",
-        [5, None, "ab", {"rows": []}, [], [1, 2], [[1, 2], 3], [[1, 0], [0]], [[None]], [[[1, None]]]],
+        [5, None, "ab", {"rows": []}, [], [1, 2], [[1, 2], 3], [[1, 0], [0]], [[None]], [[[1, None]]],
+         # float() would read "0.5" as 0.5 and true as 1.0
+         [["0.5", 1.0]], [[True, 0], [0, 1]], [[1, [0.0, "2"]]], [[[False, 1.0]]]],
     )
     def test_non_matrices_are_rejected(self, raw):
         with pytest.raises(BadParams):
@@ -127,6 +129,18 @@ class TestStrategyCodec:
         with pytest.raises(BadParams):
             strategy_from_json_dict({"schmidt_coeffs": [1.0]})
 
+    def test_non_finite_values_are_not_written(self, tmp_path):
+        strat = Strategy(
+            state=SchmidtState(np.array([0.8, 0.6])),
+            alice=(ProjectiveMeasurement.from_observable(X),),
+            bob=(ProjectiveMeasurement.from_observable(X),),
+            meta={"offset": float("nan")},
+        )
+        path = tmp_path / "strategy.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_strategy(path, strat)
+        assert not path.exists()
+
     def test_default_labels_fill_in(self):
         strat = initial_strategy(3)
         raw = strategy_to_json_dict(strat)
@@ -142,6 +156,9 @@ class TestTolerantReaders:
         assert np.allclose(st.coeffs, [0.8, 0.6])
         with pytest.raises(BadParams):
             state_from_json({"coeffs": [1.0]})
+        for coeffs in (["0.8", "0.6"], [True]):
+            with pytest.raises(BadParams, match="JSON numbers"):
+                state_from_json({"schmidt_coeffs": coeffs})
 
     def test_measurements_reader_accepts_plain_list(self, rng):
         projs = random_projective_measurement(rng, 3, 3)

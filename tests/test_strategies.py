@@ -227,6 +227,22 @@ class TestGeneralizedObservables:
             with pytest.raises(BadParams, match=f"at least two outputs, got {outputs}"):
                 check()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        # each validator compares `gap > tol`, which is false for NaN
+        me2 = SchmidtState.maximally_entangled(2)
+        spoilt = np.diag([bad, 1.0])
+        for check in (
+            lambda: ProjectiveMeasurement((np.diag([bad, 0.0]), np.diag([0.0, 1.0]))),
+            lambda: require_order_l(spoilt, 3),
+            lambda: povm_from_observable(spoilt, 2),
+            lambda: posthoc_feasible_general(me2, [np.eye(2)], spoilt, 3),
+        ):
+            with pytest.raises(BadParams, match="non-finite entry"):
+                check()
+        with pytest.raises(BadParams, match="^matrix 1 has a non-finite entry$"):
+            require_binary_observables([X, spoilt])
+
     def test_require_binary_observable(self):
         assert np.allclose(require_binary_observable(X), X)
         with pytest.raises(InvalidMeasurement):
