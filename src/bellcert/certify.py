@@ -78,13 +78,10 @@ def _certification_strategy(
     bob_mats, bob_labels = maximal_independent_subset(d)
     return Strategy(
         state=SchmidtState.maximally_entangled(d),
-        alice=tuple(
-            ProjectiveMeasurement.from_observable(o, settings=settings)
-            for o in (*simplex_observables(d), *extras)
+        alice=ProjectiveMeasurement.binary_family(
+            [*simplex_observables(d), *extras], settings=settings
         ),
-        bob=tuple(
-            ProjectiveMeasurement.from_observable(o, settings=settings) for o in bob_mats
-        ),
+        bob=ProjectiveMeasurement.binary_family(bob_mats, settings=settings),
         alice_labels=tuple(f"T{j}" for j in range(d + 1)) + tuple(labels),
         bob_labels=tuple(bob_labels),
         # "kind" keeps its first place: the key order is strategy.json's

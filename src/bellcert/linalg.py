@@ -45,39 +45,50 @@ def as_square_matrix(h: np.ndarray, *, allow_complex: bool = False) -> np.ndarra
 
 
 def require_hermitian_stack(
-    mats: Sequence[np.ndarray], tol: float, *, allow_complex: bool = False
+    mats: Sequence[np.ndarray] | np.ndarray, tol: float, *, allow_complex: bool = False
 ) -> np.ndarray:
     """Validate a family of Hermitian matrices and return the Hermitized stack.
 
-    Every matrix must be square and of one shape (DimMismatch otherwise).
-    Complex entries raise NotSymmetric unless ``allow_complex`` is set. Matrix
-    M fails with BadParams when an entry is not finite, and with NotSymmetric
-    when max|M - M^dag| > tol * max(1, max|M|); the message names the first
-    such index. Returns the (k, d, d) stack of (M + M^dag)/2, real unless
-    complex entries are allowed and present.
+    The matrices are stacked along one or more leading axes: a sequence of
+    them, or for instance the (k, L, d, d) array of k measurements' L
+    projections. Every matrix must be square and of one shape (DimMismatch
+    otherwise). Complex entries raise NotSymmetric unless ``allow_complex``
+    is set. Matrix M fails with BadParams when an entry is not finite, and
+    with NotSymmetric when max|M - M^dag| > tol * max(1, max|M|). Each message
+    names the first failing matrix by its index along the leading axes (an
+    int for one axis, a tuple for more). Returns the stack of (M + M^dag)/2,
+    of the input's shape, real unless complex entries are allowed and present.
     """
-    mats = list(mats)
-    if len({np.shape(m) for m in mats}) > 1:
-        raise DimMismatch("matrices have mixed shapes")
-    a = np.array(mats)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+    try:
+        a = np.array(list(mats))
+    except ValueError as exc:  # a ragged sequence
+        raise DimMismatch("matrices have mixed shapes") from exc
+    if a.ndim < 3 or a.shape[-1] != a.shape[-2]:
         raise DimMismatch(f"expected square matrices, got shape {a.shape[1:]}")
+
+    def at(flat: int) -> int | tuple[int, ...]:
+        index = tuple(int(i) for i in np.unravel_index(flat, a.shape[:-2]))
+        return index[0] if len(index) == 1 else index
+
     if np.iscomplexobj(a) and not np.any(a.imag):
         a = a.real
     if np.iscomplexobj(a) and not allow_complex:
-        raise NotSymmetric("expected a real matrix, got complex entries")
+        k = np.flatnonzero(np.any(a.imag, axis=(-2, -1)))[0]
+        raise NotSymmetric(f"expected a real matrix, got complex entries in matrix {at(k)}")
     a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
-    adj = a.conj().transpose(0, 2, 1)
-    scale = np.abs(a).max(axis=(1, 2), initial=1.0)
+    adj = np.swapaxes(a.conj(), -2, -1)
+    scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
     # NaN passes every `gap > tol` test; max and sum propagate it, and inf
     if not scale.sum() < np.inf:
         k = np.flatnonzero(~np.isfinite(scale))[0]
-        raise BadParams(f"matrix {k} has a non-finite entry")
-    gap = np.abs(a - adj).max(axis=(1, 2), initial=0.0)
+        raise BadParams(f"matrix {at(k)} has a non-finite entry")
+    gap = np.abs(a - adj).max(axis=(-2, -1), initial=0.0)
     bad = np.flatnonzero(gap > tol * scale)
     if bad.size:
         k = bad[0]
-        raise NotSymmetric(f"matrix {k} is not Hermitian: max |H - H^dag| = {gap[k]:.3e}")
+        raise NotSymmetric(
+            f"matrix {at(k)} is not Hermitian: max |H - H^dag| = {gap.flat[k]:.3e}"
+        )
     return 0.5 * (a + adj)
 
 

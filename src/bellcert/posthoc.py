@@ -520,9 +520,15 @@ def min_trace_Q(
     path, Hermitian on the order-L one (is_binary_question picks the path).
 
     Runs the feasibility check itself (for the order-L check, of ``power``
-    alone) and raises Infeasible when it fails, and SolverStall if the
-    barrier Newton iteration cannot make progress. The path-following is
-    deterministic, so repeated calls agree to well below 1e-8.
+    alone) and raises Infeasible when it fails. Then, when I lies in the
+    Q-frame span, Q = I is the exact optimum and is returned with Tr Q = d
+    without a barrier: the exit is taken when I is within
+    ``membership_tol * max(1, sqrt(d))`` of its projection onto the span, in
+    Frobenius norm (the rule of jordan.contains). This holds for every
+    pipeline target against Bob's spanning family, at any Schmidt spectrum.
+    Otherwise a barrier follows the central path from the check's witness,
+    raising SolverStall if its Newton iteration cannot make progress. Both
+    are deterministic, so repeated calls agree to well below 1e-8.
     """
     s = settings or DEFAULTS
     if not (1 <= power < outputs):
@@ -544,17 +550,24 @@ def min_trace_Q(
             f"lambda_min {feasibility.lambda_min_achieved:.3e} "
             f"(verdict {feasibility.verdict})"
         )
-    coeffs = feasibility.coefficients
-    if not binary:  # real coefficients of W^dag S_k and i W^dag S_k, interleaved
-        coeffs = np.column_stack([coeffs.real, coeffs.imag]).ravel()
 
-    # Q-frame directions D^-1 M D^-1 over the Hermitian combinations M, and
-    # the witness's coordinates in their orthonormal basis
+    # Q-frame directions D^-1 M D^-1 over the Hermitian combinations M
     null, mats = _symmetric_combinations(gens)
     scale = 1.0 / state.coeffs
     u_svd, sig, basis = _frobenius_basis(scale[:, None] * mats * scale)
     n = basis.shape[1]
+    # Tr B_k = <B_k, I> are I's coordinates in the orthonormal basis: when I
+    # lies in the span it is the optimum, since Tr Q >= Tr I for every Q >= I
     traces = np.einsum("kaa->k", basis).real
+    eye = np.eye(n, dtype=basis.dtype)
+    residual = float(np.linalg.norm(np.tensordot(traces, basis, axes=1) - eye))
+    if residual <= s.membership_tol * max(1.0, np.sqrt(n)):
+        return float(n), eye
+
+    # the witness's coordinates in the basis
+    coeffs = feasibility.coefficients
+    if not binary:  # real coefficients of W^dag S_k and i W^dag S_k, interleaved
+        coeffs = np.column_stack([coeffs.real, coeffs.imag]).ravel()
     c = sig * (u_svd.T @ (null.T @ coeffs))
     lam0 = _lambda_min(np.tensordot(c, basis, axes=1))
     if lam0 <= 0.0:

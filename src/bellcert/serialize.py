@@ -96,15 +96,30 @@ def strategy_to_json_dict(s: Strategy) -> dict:
 
 
 def strategy_from_json_dict(raw: dict, *, settings: Settings | None = None) -> Strategy:
+    """A strategy from strategy_to_json_dict's shape.
+
+    A measurement's "label" is a JSON string (A{i} and B{i} when absent), and
+    "dim", when present, is the state's dimension as a JSON integer.
+    """
     state = state_from_json(raw)
+    if "dim" in raw and not (type(raw["dim"]) is int and raw["dim"] == state.dim):
+        raise BadParams(f"a strategy's 'dim' must be the integer {state.dim}, its state's")
     alice_raw, bob_raw = (_field(raw, key, list, "a strategy") for key in ("alice", "bob"))
     meta = _field(raw, "meta", dict, "a strategy") if "meta" in raw else {}
+    alice, bob = (measurements_from_json(r, settings=settings) for r in (alice_raw, bob_raw))
+
+    def labels(entries: list, prefix: str) -> tuple[str, ...]:
+        return tuple(
+            _field(m, "label", str, "a measurement") if "label" in m else f"{prefix}{i}"
+            for i, m in enumerate(entries)
+        )
+
     return Strategy(
         state=state,
-        alice=tuple(measurements_from_json(alice_raw, settings=settings)),
-        bob=tuple(measurements_from_json(bob_raw, settings=settings)),
-        alice_labels=tuple(str(m.get("label", f"A{i}")) for i, m in enumerate(alice_raw)),
-        bob_labels=tuple(str(m.get("label", f"B{i}")) for i, m in enumerate(bob_raw)),
+        alice=tuple(alice),
+        bob=tuple(bob),
+        alice_labels=labels(alice_raw, "A"),
+        bob_labels=labels(bob_raw, "B"),
         meta=dict(meta),
     )
 

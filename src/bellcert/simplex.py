@@ -90,7 +90,7 @@ def maximal_independent_subset(d: int) -> tuple[list[np.ndarray], list[str]]:
 def initial_strategy(d: int, *, settings: Settings | None = None) -> Strategy:
     """Maximally entangled state with the d+1 simplex reflections on each side."""
     obs = simplex_observables(d)
-    meas = tuple(ProjectiveMeasurement.from_observable(o, settings=settings) for o in obs)
+    meas = ProjectiveMeasurement.binary_family(obs, settings=settings)
     labels = tuple(f"T{j}" for j in range(d + 1))
     return Strategy(
         state=SchmidtState.maximally_entangled(d),

@@ -81,39 +81,18 @@ class ProjectiveMeasurement:
 
     Validation (raising InvalidMeasurement) checks, entrywise within
     ``settings.eig_tol``: Hermiticity, idempotence of each projection,
-    orthogonality of each pair, and completeness sum(projections) = I.
+    orthogonality of each pair, and completeness sum(projections) = I; see
+    :func:`require_projective_stack`. ``binary_family`` builds many binary
+    measurements at once and runs those checks once over all of them.
     """
 
     projections: tuple[np.ndarray, ...]
     settings: InitVar[Settings | None] = None
 
     def __post_init__(self, settings: Settings | None) -> None:
-        tol = (settings or DEFAULTS).eig_tol
         if not len(self.projections):
             raise InvalidMeasurement("a measurement needs at least one output")
-        stack = require_hermitian_stack(self.projections, tol, allow_complex=True)
-        # a projection that is real within tol is stored (and checked) real
-        real = np.abs(stack.imag).max(axis=(1, 2), initial=0.0) <= tol
-        stack = np.where(real[:, None, None], stack.real, stack)
-        # every product P_a P_b, less P_a on the diagonal: all should vanish
-        prod = stack[:, None] @ stack[None, :]
-        n = np.arange(len(stack))
-        prod[n, n] -= stack
-        gap = np.abs(prod).max(axis=(2, 3), initial=0.0)
-        bad = np.flatnonzero(gap.diagonal() > tol)
-        if bad.size:
-            a = bad[0]
-            raise InvalidMeasurement(f"projection {a} is not idempotent ({gap[a, a]:.2e})")
-        bad = np.argwhere((gap > tol) & (n[:, None] < n))
-        if bad.size:
-            a, b = bad[0]
-            raise InvalidMeasurement(
-                f"projections {a} and {b} are not orthogonal ({gap[a, b]:.2e})"
-            )
-        gap = float(np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))))
-        if gap > tol:
-            raise InvalidMeasurement(f"projections do not sum to identity ({gap:.2e})")
-        projs = tuple(p.real.copy() if r else p for p, r in zip(stack, real))
+        [projs] = require_projective_stack([self.projections], settings=settings)
         object.__setattr__(self, "projections", projs)
 
     @property
@@ -135,9 +114,81 @@ class ProjectiveMeasurement:
         cls, o: np.ndarray, *, settings: Settings | None = None
     ) -> "ProjectiveMeasurement":
         """Binary measurement {(I+O)/2, (I-O)/2} of a symmetric involution."""
-        m = require_binary_observable(o, settings=settings)
-        eye = np.eye(m.shape[0])
-        return cls((0.5 * (eye + m), 0.5 * (eye - m)), settings=settings)
+        return cls.binary_family([o], settings=settings)[0]
+
+    @classmethod
+    def binary_family(
+        cls, observables: Sequence[np.ndarray], *, settings: Settings | None = None
+    ) -> tuple["ProjectiveMeasurement", ...]:
+        """The binary measurements {(I+O)/2, (I-O)/2} of a family of observables.
+
+        The (k, d, d) stack is validated once by require_binary_observables,
+        and its (k, 2, d, d) projection stack once by require_projective_stack,
+        so each measurement passes the checks of the constructor; an error
+        names the index of the first failing observable.
+        """
+        obs = require_binary_observables(observables, settings=settings)
+        if not len(obs):
+            return ()
+        eye = np.eye(obs.shape[-1])
+        projs = require_projective_stack(
+            0.5 * np.stack([eye + obs, eye - obs], axis=1), settings=settings
+        )
+        out = []
+        for pair in projs:
+            m = object.__new__(cls)  # validated above, so __post_init__ is skipped
+            object.__setattr__(m, "projections", pair)
+            out.append(m)
+        return tuple(out)
+
+
+def require_projective_stack(
+    stack: Sequence[Sequence[np.ndarray]] | np.ndarray, *, settings: Settings | None = None
+) -> list[tuple[np.ndarray, ...]]:
+    """Validate k measurements of L projections each: a (k, L, d, d) stack.
+
+    Checks every measurement entrywise within ``settings.eig_tol``:
+    Hermiticity (require_hermitian_stack), idempotence of each projection,
+    orthogonality of each pair and completeness. A failure raises
+    InvalidMeasurement (or require_hermitian_stack's error) naming the
+    failing measurement's index. Returns each measurement's Hermitized
+    projections; a projection that is real within tol is stored real.
+    """
+    tol = (settings or DEFAULTS).eig_tol
+    stack = require_hermitian_stack(stack, tol, allow_complex=True)
+    if stack.ndim != 4:
+        raise DimMismatch(f"expected a (k, L, d, d) stack, got shape {stack.shape}")
+    real = None
+    if np.iscomplexobj(stack):  # a projection that is real within tol is checked real
+        real = np.abs(stack.imag).max(axis=(2, 3), initial=0.0) <= tol
+        stack = np.where(real[..., None, None], stack.real, stack)
+    # every product P_a P_b, less P_a on the diagonal: all should vanish
+    prod = stack[:, :, None] @ stack[:, None, :]
+    n = np.arange(stack.shape[1])
+    prod[:, n, n] -= stack
+    gap = np.abs(prod).max(axis=(3, 4), initial=0.0)
+    bad = np.argwhere(gap.diagonal(axis1=1, axis2=2) > tol)
+    if bad.size:
+        i, a = bad[0]
+        raise InvalidMeasurement(
+            f"measurement {i}: projection {a} is not idempotent ({gap[i, a, a]:.2e})"
+        )
+    bad = np.argwhere((gap > tol) & (n[:, None] < n))
+    if bad.size:
+        i, a, b = bad[0]
+        raise InvalidMeasurement(
+            f"measurement {i}: projections {a} and {b} are not orthogonal ({gap[i, a, b]:.2e})"
+        )
+    gap = np.abs(stack.sum(axis=1) - np.eye(stack.shape[-1])).max(axis=(1, 2))
+    bad = np.flatnonzero(gap > tol)
+    if bad.size:
+        i = bad[0]
+        raise InvalidMeasurement(
+            f"measurement {i}: projections do not sum to identity ({gap[i]:.2e})"
+        )
+    if real is None:
+        return [tuple(m) for m in stack]
+    return [tuple(p.real.copy() if r else p for p, r in zip(*pair)) for pair in zip(stack, real)]
 
 
 def require_binary_observable(o: np.ndarray, *, settings: Settings | None = None) -> np.ndarray:
@@ -158,8 +209,10 @@ def require_binary_observables(
         return np.zeros((0, 0, 0))
     m = require_hermitian_stack(obs, s.sym_tol)
     gap = np.abs(m @ m - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1, initial=0.0)
-    if np.any(gap > s.eig_tol):
-        raise InvalidMeasurement(f"matrix {gap.argmax()} squares to I within {gap.max():.2e}")
+    bad = np.flatnonzero(gap > s.eig_tol)
+    if bad.size:
+        k = bad[0]
+        raise InvalidMeasurement(f"matrix {k} squares to I within {gap[k]:.2e}")
     return m
 
 

@@ -17,7 +17,11 @@ import pytest
 
 from bellcert import posthoc
 from bellcert.cli import main
-from bellcert.certify import split_measurement
+from bellcert.certify import (
+    certificate_report,
+    measurement_certification_strategy,
+    split_measurement,
+)
 from bellcert.config import DEFAULTS
 from bellcert.errors import (
     BadParams,
@@ -712,12 +716,8 @@ class TestMinTraceCertificate:
             assert np.max(np.abs(hess - ref)) <= tol
             assert np.allclose(grad, [-np.trace(k @ b) for b in mats], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [4, 8, 10])
-    def test_pipeline_pair_targets_reach_the_dimension(self, d, monkeypatch):
-        # the certify pipeline's instance: maximally entangled state, Bob's
-        # spanning family, a simplex pair target; Q = I is optimal, and the
-        # central path (1 + mu) I is linear in mu, so each tangent step lands
-        # on the next centre: 13 centrings take 18 derivative evaluations
+    @staticmethod
+    def _count_barrier_derivatives(monkeypatch) -> list:
         calls = []
 
         def counted(k, mats):
@@ -725,16 +725,51 @@ class TestMinTraceCertificate:
             return barrier_derivatives(k, mats)
 
         monkeypatch.setattr(posthoc, "barrier_derivatives", counted)
+        return calls
+
+    @pytest.mark.parametrize("d", [4, 8, 10])
+    def test_pipeline_pair_targets_reach_the_dimension(self, d, monkeypatch):
+        # the certify pipeline's instance: maximally entangled state, Bob's
+        # spanning family, a simplex pair target; I lies in the Q-frame span,
+        # so Q = I is the exact optimum and no barrier runs
+        calls = self._count_barrier_derivatives(monkeypatch)
         bob, _ = maximal_independent_subset(d)
         me = SchmidtState.maximally_entangled(d)
         for key in ((0, 1), (2, d)):
-            calls.clear()
             tr, q = min_trace_Q(me, bob, pair_observables(d)[key])
-            assert tr == pytest.approx(d, rel=1e-9)
-            assert tr == pytest.approx(float(np.trace(q)), rel=1e-12)
-            # the feasibility check stops at its first point, the projection
-            # of I, and makes none here
-            assert 0 < len(calls) <= 20
+            assert tr == d
+            assert np.array_equal(q, np.eye(d))
+        assert calls == []
+
+    def test_quick_start_target_runs_the_tangent_stepped_barrier(self, monkeypatch):
+        # the README's d = 3 instance against the simplex family alone: I is
+        # not in the Q-frame span (Tr Q = 5 > 3), so the exact exit does not
+        # fire. The tangent step of each centring keeps the derivative
+        # evaluations at 34; without it they are 61
+        calls = self._count_barrier_derivatives(monkeypatch)
+        tr, q = min_trace_Q(ME3, simplex_observables(3), pair_observables(3)[(0, 1)])
+        assert tr == pytest.approx(5.0, rel=1e-9)
+        assert tr == pytest.approx(float(np.trace(q)), rel=1e-12)
+        assert np.linalg.eigvalsh(q)[0] == pytest.approx(1.0, abs=1e-8)
+        assert 0 < len(calls) <= 40
+
+    def test_skewed_spectrum_takes_the_exact_exit(self, monkeypatch):
+        # kappa = 1e3 and a target commuting with D, against Bob's spanning
+        # family: O D^2 is symmetric, so Q = I satisfies the constraint
+        calls = self._count_barrier_derivatives(monkeypatch)
+        coeffs = np.array([1.0, 1.0, 1e-3, 1e-3])
+        st = SchmidtState(coeffs / np.linalg.norm(coeffs))
+        assert st.kappa == pytest.approx(1e3)
+        target = np.block([[X, np.zeros((2, 2))], [np.zeros((2, 2)), Z]])
+        bob, _ = maximal_independent_subset(4)
+        tr, q = min_trace_Q(st, bob, target)
+        assert tr == 4.0 and np.array_equal(q, np.eye(4)) and calls == []
+        # Q = I re-checked apart from the solver: O D^2 by least squares
+        dm = st.matrix
+        span = np.array([dm @ dm] + [dm @ b @ dm for b in bob]).reshape(len(bob) + 1, -1).T
+        lhs = (target @ dm @ dm).ravel()
+        coef = np.linalg.lstsq(span, lhs, rcond=None)[0]
+        assert np.linalg.norm(span @ coef - lhs) <= 1e-8 * np.linalg.norm(lhs)
 
     def test_pipeline_three_outcome_measurement_reaches_the_dimension(self):
         # every binary coarse-graining of a fixed d = 4 three-outcome measurement
@@ -746,6 +781,15 @@ class TestMinTraceCertificate:
         for part in split_measurement(meas):
             tr, _ = min_trace_Q(me, bob, part)
             assert tr == pytest.approx(4.0, rel=1e-9)
+
+    def test_pipeline_three_outcome_report_takes_the_exact_exit(self):
+        meas = ProjectiveMeasurement(
+            tuple(random_projective_measurement(np.random.default_rng(0), 4, 3))
+        )
+        report = certificate_report(measurement_certification_strategy(meas))
+        assert [label for label, _ in report.extensions] == ["O0", "O1", "O2"]
+        for _, ext in report.extensions:
+            assert ext.trace_q == 4.0 and ext.lambda_min_q == 1.0
 
     def test_maximally_entangled_self_family_reaches_dimension(self):
         for d in (2, 3, 4):

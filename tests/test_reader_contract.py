@@ -34,8 +34,9 @@ VALID = {
     "measurements_from_json": {"measurements": [MEASUREMENT]},
     "target_from_json": {"matrix": encode_matrix(X)},
     "matrices_from_json": {"matrices": [encode_matrix(X)]},
-    # a strategy file's "dim" is written for its readers, and not read back
+    # a strategy's "dim" is optional, and read as the state's dimension
     "strategy_from_json_dict": {
+        "dim": 2,
         "schmidt_coeffs": [0.6, 0.8],
         "alice": [{"label": "A", **MEASUREMENT}],
         "bob": [{"label": "B", **MEASUREMENT}],
@@ -91,6 +92,24 @@ def test_wrong_typed_values_raise_bad_params(name, raw, tmp_path):
     else:
         with pytest.raises(BadParams):
             read(name, raw, tmp_path)
+
+
+@pytest.mark.parametrize("label", [None, [1], 5, True, {"A": 0}])
+def test_a_non_string_label_raises_bad_params(label):
+    raw = json.loads(json.dumps(VALID["strategy_from_json_dict"]))
+    raw["bob"][0]["label"] = label
+    with pytest.raises(BadParams, match="'label'"):
+        serialize.strategy_from_json_dict(raw)
+
+
+def test_absent_labels_and_dim_take_their_defaults():
+    raw = json.loads(json.dumps(VALID["strategy_from_json_dict"]))
+    for key in ("dim", "meta"):
+        del raw[key]
+    for m in (*raw["alice"], *raw["bob"]):
+        del m["label"]
+    s = serialize.strategy_from_json_dict(raw)
+    assert (s.alice_labels, s.bob_labels, s.dim) == (("A0",), ("B0",), 2)
 
 
 # --------------------------------------------------------------------------

@@ -29,9 +29,17 @@ from bellcert.strategies import (
     verify_cheating_povm,
     verify_degenerate_pair,
 )
+from bellcert import jordan, linalg, strategies
+from bellcert.certify import binary_certification_strategy
 from bellcert.linalg import require_symmetric
 from bellcert.posthoc import posthoc_feasible_general
-from bellcert.simplex import degenerate_pair_3d, initial_strategy
+from bellcert.simplex import (
+    degenerate_pair_3d,
+    initial_strategy,
+    maximal_independent_subset,
+    pair_observables,
+    simplex_observables,
+)
 
 from helpers import (
     X,
@@ -286,6 +294,86 @@ class TestBinaryObservableFamily:
             assert np.array_equal(o, require_symmetric(m))
             assert np.array_equal(o, require_binary_observable(m))
         assert require_binary_observables([]).shape == (0, 0, 0)
+
+
+def _binary_measurement_one_by_one(o: np.ndarray) -> ProjectiveMeasurement:
+    m = require_binary_observable(o)
+    eye = np.eye(len(m))
+    return ProjectiveMeasurement((0.5 * (eye + m), 0.5 * (eye - m)))
+
+
+class TestBinaryFamily:
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_equals_the_one_by_one_construction_bit_for_bit(self, d):
+        # the two parties' families of the certify pipeline, with a pair target
+        alice = [*simplex_observables(d), pair_observables(d)[(0, 1)]]
+        for family in (alice, maximal_independent_subset(d)[0]):
+            batched = ProjectiveMeasurement.binary_family(family)
+            assert len(batched) == len(family)
+            for m, o in zip(batched, family):
+                ref = _binary_measurement_one_by_one(o)
+                assert m.outputs == 2
+                for p, q in zip(m.projections, ref.projections):
+                    assert p.dtype == q.dtype and np.array_equal(p, q)
+
+    def test_from_observable_is_a_family_of_one(self):
+        m = ProjectiveMeasurement.from_observable(X)
+        [n] = ProjectiveMeasurement.binary_family([X])
+        assert all(np.array_equal(p, q) for p, q in zip(m.projections, n.projections))
+        assert ProjectiveMeasurement.binary_family([]) == ()
+
+    DEFECTS = {
+        "asymmetric": (lambda m: m + np.triu(np.full_like(m, 1e-6), 1), NotSymmetric),
+        "not an involution": (lambda m: 0.9 * m, InvalidMeasurement),
+        "NaN entry": (lambda m: np.where(np.eye(len(m), dtype=bool), np.nan, m), BadParams),
+        "complex entry": (lambda m: m + 1e-3j * np.eye(len(m)), NotSymmetric),
+    }
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_a_bad_observable_is_named_by_its_index(self, rng, defect, where):
+        spoil, expected = self.DEFECTS[defect]
+        family = [random_reflection(rng, 4) for _ in range(7)]
+        family[where] = spoil(family[where])
+        with pytest.raises(BellcertError) as single:
+            _binary_measurement_one_by_one(family[where])
+        with pytest.raises(BellcertError, match=rf"matrix {where}\b") as batched:
+            ProjectiveMeasurement.binary_family(family)
+        assert single.type is batched.type is expected
+
+    def test_the_first_bad_observable_is_named_not_the_worst(self):
+        family = simplex_observables(4)
+        family[1], family[3] = 0.99 * family[1], 0.5 * family[3]
+        with pytest.raises(InvalidMeasurement, match=r"matrix 1 squares to I within 1\.99e-02"):
+            ProjectiveMeasurement.binary_family(family)
+
+    def test_a_bad_projection_stack_is_named_by_its_measurement(self):
+        good = [0.5 * (np.eye(2) + X), 0.5 * (np.eye(2) - X)]
+        stack = np.array([good, good, [good[0], 0.9 * good[1]]])
+        with pytest.raises(InvalidMeasurement, match="measurement 2: projection 1 is not"):
+            strategies.require_projective_stack(stack)
+        stack[2, 1] = good[1] + [[0.0, 1e-6], [0.0, 0.0]]
+        with pytest.raises(NotSymmetric, match=r"matrix \(2, 1\) is not Hermitian"):
+            strategies.require_projective_stack(stack)
+
+    def test_strategy_validation_calls_do_not_grow_with_d(self, monkeypatch):
+        # one batched pass per party, not one per measurement: the target,
+        # then each party's observables and its projections
+        calls = []
+        original = linalg.require_hermitian_stack
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (linalg, jordan, strategies):
+            monkeypatch.setattr(module, "require_hermitian_stack", counted)
+        counts = {}
+        for d in (4, 10):
+            calls.clear()
+            binary_certification_strategy(pair_observables(d)[(0, 1)])
+            counts[d] = len(calls)
+        assert counts[4] == counts[10] == 5
 
 
 # a 2x2 antisymmetric nudge of 1e-8: its symmetric part is zero, so it
