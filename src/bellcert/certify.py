@@ -57,17 +57,6 @@ def split_measurement(
     return list(require_binary_observables(twice, settings=settings))
 
 
-def merge_binary_split(
-    observables: Sequence[np.ndarray], *, settings: Settings | None = None
-) -> ProjectiveMeasurement:
-    """Inverse of split_measurement: P_a = (I + O_a)/2, validated as projective."""
-    obs = require_binary_observables(observables, settings=settings)
-    if not len(obs):
-        raise BadParams("need at least one observable to merge")
-    eye = np.eye(obs[0].shape[0])
-    return ProjectiveMeasurement(tuple(0.5 * (eye + o) for o in obs), settings=settings)
-
-
 def _certification_strategy(
     extras: Sequence[np.ndarray], labels: Sequence[str], meta: dict, settings: Settings | None
 ) -> Strategy:
@@ -180,6 +169,10 @@ def _extension_batch(
         if stale >= 8:
             break
         h = np.tensordot(rng.standard_normal(source.dimension), source.basis, axes=1)
+        # h lies in Sym(d) by construction, but a basis row kept with a singular
+        # value just above the orthogonalizer's threshold is symmetric only to
+        # about eps/sigma, which can exceed sym_tol after a round of extension
+        h = 0.5 * (h + h.T)
         got_new = False
         for o in cut_point_observables(h, settings=settings):
             q2, added = extend_orthonormal_rows(q, [o.ravel()], into.tol)

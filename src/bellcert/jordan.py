@@ -15,7 +15,6 @@ import numpy as np
 from .config import DEFAULTS, Settings
 from .errors import BadParams, DimMismatch, EmptyInput
 from .linalg import (
-    as_square_matrix,
     extend_orthonormal_rows,
     orthonormal_rows,
     require_hermitian_stack,
@@ -34,7 +33,9 @@ class SpanBasis:
         Ambient matrix size d (elements are d x d).
     rows:
         The basis as the orthogonalizer returns it: orthonormal vectorized
-        matrices, shape (dimension, d*d), each symmetric to rounding.
+        matrices, shape (dimension, d*d). A row kept with singular value sigma
+        is symmetric only to about eps/sigma, so a combination of rows may need
+        symmetrizing before a check at ``sym_tol``.
     tol:
         Relative residual threshold used for membership decisions.
     """
@@ -71,8 +72,9 @@ def span_basis(
 ) -> SpanBasis:
     """Orthonormal basis of span{mats} for real symmetric matrices.
 
-    The basis size equals ``numerical_rank(mats, settings=settings)``, and
-    the basis keeps ``settings.membership_tol`` for membership tests. Raises
+    The orthogonalizer keeps a direction whose residual exceeds
+    ``settings.membership_tol * max(1, largest Frobenius norm)``, and the
+    basis keeps that tolerance for membership tests. Raises
     EmptyInput for an empty family and DimMismatch on inconsistent sizes.
     """
     s = settings or DEFAULTS
@@ -100,15 +102,6 @@ def contains(
     residual = float(np.linalg.norm(a.ravel() - coeffs @ b.rows))
     member = residual <= b.tol * max(1.0, float(np.linalg.norm(a)))
     return member, coeffs, residual
-
-
-def jordan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetrized product (ab + ba)/2; symmetric whenever both inputs are."""
-    x = as_square_matrix(a)
-    y = as_square_matrix(b)
-    if x.shape != y.shape:
-        raise DimMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
-    return 0.5 * (x @ y + y @ x)
 
 
 def jordan_closure(

@@ -2,8 +2,9 @@
 
 Every factorization is a LAPACK call through numpy: ``eigh`` for symmetric
 eigendecompositions and a blocked project-and-SVD kernel for orthogonalization.
-Eigenvalue ordering, eigenvector signs and tie-breaking are fixed after the
-call, so results are deterministic for a given LAPACK build.
+Eigenvalues come out descending. Eigenvectors are LAPACK's own, so their signs
+and the basis chosen within a repeated eigenvalue's eigenspace carry no
+meaning; every caller depends only on eigenvalues and eigenspaces.
 """
 
 from __future__ import annotations
@@ -100,28 +101,6 @@ def require_symmetric(h: np.ndarray, *, settings: Settings | None = None) -> np.
     return require_hermitian_stack([h], (settings or DEFAULTS).sym_tol)[0]
 
 
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product Tr[A^dag B], returned as a real scalar.
-
-    For real matrices this is Tr[A^T B] = sum_ij A_ij B_ij. Raises DimMismatch
-    when the shapes differ.
-    """
-    x = np.asarray(a)
-    y = np.asarray(b)
-    if x.shape != y.shape:
-        raise DimMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.vdot(x, y).real)
-
-
-def _canonical_columns(vals: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:
-    """Sort eigenpairs descending with sign-canonicalized, lexicographic tie-break."""
-    first = np.argmax(np.abs(vecs) > 1e-12, axis=0)
-    cols = vecs * np.where(vecs[first, np.arange(vals.size)] < 0.0, -1.0, 1.0)
-    # lexsort's last key is the primary one: -values, then -rows in row order
-    order = np.lexsort(np.vstack([-cols[::-1], -vals]))
-    return EigenDecomposition(vals[order], np.ascontiguousarray(cols[:, order]))
-
-
 def sym_eig(h: np.ndarray, *, settings: Settings | None = None) -> EigenDecomposition:
     """Full eigendecomposition of a real symmetric matrix (LAPACK ``eigh``).
 
@@ -136,17 +115,15 @@ def sym_eig(h: np.ndarray, *, settings: Settings | None = None) -> EigenDecompos
     Returns
     -------
     EigenDecomposition
-        ``values`` descending; ``vectors[:, i]`` is the unit eigenvector of
-        ``values[i]``, sign-fixed so its first component of magnitude > 1e-12
-        is positive. Ties in the eigenvalues are broken lexicographically on
-        the eigenvectors, making the output deterministic for a given LAPACK
-        build.
+        ``values`` descending; ``vectors[:, i]`` is a unit eigenvector of
+        ``values[i]``, with LAPACK's sign, and the columns of a repeated
+        eigenvalue are LAPACK's orthonormal basis of its eigenspace.
     """
     a = require_symmetric(h, settings=settings)
     if a.shape[0] == 0:
         raise EmptyInput("cannot decompose an empty matrix")
     vals, vecs = np.linalg.eigh(a)
-    return _canonical_columns(vals, vecs)
+    return EigenDecomposition(vals[::-1], vecs[:, ::-1])
 
 
 def sgn_map(h: np.ndarray, *, settings: Settings | None = None) -> SignImage:
@@ -210,20 +187,3 @@ def extend_orthonormal_rows(
     Returns the extended orthonormal array and the number of rows added.
     """
     return _extend(np.asarray(q, dtype=float), rows, tol)
-
-
-def numerical_rank(mats: Sequence[np.ndarray], *, settings: Settings | None = None) -> int:
-    """Dimension of the span of a family of equal-shaped real matrices.
-
-    Matrices are vectorized and run through the orthogonalizer at
-    ``settings.membership_tol``; the rank is the number of directions it
-    keeps. Raises EmptyInput for an empty family, DimMismatch on mixed shapes.
-    """
-    mats = list(mats)
-    if not mats:
-        raise EmptyInput("numerical_rank needs at least one matrix")
-    if len({np.shape(m) for m in mats}) > 1:
-        raise DimMismatch("matrices have mixed shapes")
-    tol = (settings or DEFAULTS).membership_tol
-    return orthonormal_rows(np.array(mats, dtype=float), tol).shape[0]
-

@@ -10,7 +10,6 @@ raises BadParams. NaN and Infinity are left to the objects' validators.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Sequence
@@ -190,20 +189,3 @@ def table_to_csv(path: str | Path, table: CorrelationTable) -> None:
     # the text csv.writer writes (no field needs quoting), built in one join
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_HEADER) + "\r\n" + table_rows(table, "\r\n"))
-
-
-def table_from_csv(path: str | Path) -> CorrelationTable:
-    entries: dict[tuple[int, int, int, int], complex] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise BadParams(f"unexpected CSV header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 6:
-                raise BadParams(f"malformed CSV row {row!r}")
-            x, j, y, k = (int(v) for v in row[:4])
-            entries[(x, j, y, k)] = complex(float(row[4]), float(row[5]))
-    return CorrelationTable(entries=entries)

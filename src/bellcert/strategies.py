@@ -25,9 +25,6 @@ from .jordan import has_trivial_centralizer
 from .linalg import as_square_matrix, require_hermitian_stack, sym_eig
 
 _BRUTE_FORCE_LIMIT = 4096
-# CorrelationTable: the largest |imag| of a real entry, and the slack of validate
-_REAL_TOL = 1e-12
-_NORMALIZATION_TOL = 1e-9
 # verify_degenerate_pair: the largest correlation gap of a degenerate pair and
 # the smallest Frobenius distance of two distinct observables
 _DEGENERACY_GAP_TOL = 1e-9
@@ -294,26 +291,6 @@ def generalized_observables(m: ProjectiveMeasurement) -> list[np.ndarray]:
     return [np.eye(d, dtype=complex), *powers]
 
 
-def povm_from_observable(
-    a: np.ndarray, outputs: int, *, settings: Settings | None = None
-) -> ProjectiveMeasurement:
-    """Invert the Fourier duality: recover M_a = (1/L) sum_j omega^(-aj) A^j.
-
-    Raises BadParams for fewer than two outputs and NotOrderL unless ``a`` is
-    unitary with a^outputs = I (within eig_tol).
-    """
-    u = require_order_l(a, outputs, settings=settings)
-    d = u.shape[0]
-    powers = [np.eye(d, dtype=complex)]
-    for _ in range(outputs - 1):
-        powers.append(powers[-1] @ u)
-    k = np.arange(outputs)
-    inverse = np.exp(-2j * np.pi / outputs) ** np.outer(k, k) / outputs
-    projs = np.tensordot(inverse, np.array(powers), axes=1)
-    projs = 0.5 * (projs + projs.conj().transpose(0, 2, 1))
-    return ProjectiveMeasurement(tuple(projs), settings=settings)
-
-
 def correlation(state: SchmidtState, alice_op: np.ndarray, bob_op: np.ndarray) -> complex:
     """Joint expectation <psi| A (x) B |psi> = Tr[D A D B^T] in the Schmidt basis.
 
@@ -348,21 +325,11 @@ class CorrelationTable:
     def items(self):
         return self.entries.items()
 
-    def is_real(self) -> bool:
-        return all(abs(v.imag) <= _REAL_TOL for v in self.entries.values())
-
-    def validate(self) -> None:
-        """Check the normalization invariants, raising BadParams on failure."""
-        for (x, j, y, k), v in self.entries.items():
-            if j == 0 and k == 0 and abs(v - 1.0) > _NORMALIZATION_TOL:
-                raise BadParams(f"identity entry ({x},0,{y},0) = {v}, expected 1")
-            if abs(v) > 1.0 + _NORMALIZATION_TOL:
-                raise BadParams(f"entry ({x},{j},{y},{k}) has magnitude {abs(v)} > 1")
-
     def max_difference(self, other: "CorrelationTable") -> float:
+        """Largest |entry difference| over the shared keys; 0.0 for two empty tables."""
         if set(self.entries) != set(other.entries):
             raise DimMismatch("correlation tables have different key sets")
-        return max(abs(self.entries[k] - other.entries[k]) for k in self.entries)
+        return max((abs(self.entries[k] - other.entries[k]) for k in self.entries), default=0.0)
 
 
 def correlation_table(strategy: Strategy) -> CorrelationTable:

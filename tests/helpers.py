@@ -5,11 +5,13 @@ Other oracles live in the tests.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from bellcert.config import DEFAULTS
-from bellcert.jordan import jordan_product
 from bellcert.linalg import orthonormal_rows
+from bellcert.strategies import CorrelationTable
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -98,35 +100,13 @@ def jordan_closure_reference(gens, tol: float = DEFAULTS.membership_tol):
     sweeps = 0
     while len(q) < d * (d + 1) // 2:
         mats = [row.reshape(d, d) for row in q]
-        products = [jordan_product(a, b) for i, a in enumerate(mats) for b in mats[i:]]
+        products = [0.5 * (a @ b + b @ a) for i, a in enumerate(mats) for b in mats[i:]]
         grown = orthonormal_rows(np.array(mats + products), tol)
         if len(grown) == len(q):
             break
         q = grown
         sweeps += 1
     return q, sweeps
-
-
-def canonical_columns_loop(vals: np.ndarray, vecs: np.ndarray):
-    """Per-column reference for sym_eig's canonicalization.
-
-    Flips each eigenvector so that its first entry of magnitude > 1e-12 is
-    positive, then sorts the pairs by (-value, -vector entries) with a stable
-    tuple sort. Returns (values, vectors).
-    """
-    d = vals.size
-    cols = []
-    for i in range(d):
-        u = vecs[:, i].copy()
-        nz = np.flatnonzero(np.abs(u) > 1e-12)
-        j = int(nz[0]) if nz.size else 0
-        if u[j] < 0.0:
-            u = -u
-        cols.append(u)
-    order = sorted(range(d), key=lambda i: (-vals[i], tuple(-cols[i])))
-    values = np.array([vals[i] for i in order])
-    vectors = np.column_stack([cols[i] for i in order]) if d else np.zeros((0, 0))
-    return values, vectors
 
 
 def fourier_duals_loop(projs) -> list[np.ndarray]:
@@ -142,17 +122,11 @@ def fourier_duals_loop(projs) -> list[np.ndarray]:
     return out
 
 
-def inverse_fourier_loop(u: np.ndarray, outputs: int) -> list[np.ndarray]:
-    """Reference loops for M_a = (1/L) sum_j omega^(-aj) U^j, Hermitized."""
-    powers = [np.eye(u.shape[0], dtype=complex)]
-    for _ in range(outputs - 1):
-        powers.append(powers[-1] @ u)
-    omega = np.exp(2j * np.pi / outputs)
-    projs = []
-    for out in range(outputs):
-        acc = np.zeros(u.shape, dtype=complex)
-        for j in range(outputs):
-            acc += omega ** (-out * j) * powers[j]
-        acc /= outputs
-        projs.append(0.5 * (acc + acc.conj().T))
-    return projs
+def read_table_csv(path) -> CorrelationTable:
+    """The correlation table in a file that table_to_csv wrote, read by csv.reader."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["x", "j", "y", "k", "re", "im"]
+    return CorrelationTable(
+        {tuple(map(int, r[:4])): complex(float(r[4]), float(r[5])) for r in rows}
+    )

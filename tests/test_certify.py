@@ -12,7 +12,6 @@ from bellcert.certify import (
     certificate_report,
     iterative_plan,
     measurement_certification_strategy,
-    merge_binary_split,
     split_measurement,
 )
 from bellcert.config import DEFAULTS
@@ -23,15 +22,21 @@ from bellcert.errors import (
     NotSymmetric,
     Unreachable,
 )
-from bellcert.linalg import sym_eig
+from bellcert.jordan import jordan_closure
+from bellcert.linalg import sgn_map, sym_eig
 from bellcert.posthoc import min_trace_Q, posthoc_check
 from bellcert.simplex import degenerate_pair_3d, pair_observables, simplex_observables
-from bellcert.strategies import ProjectiveMeasurement, SchmidtState, Strategy
+from bellcert.strategies import (
+    ProjectiveMeasurement,
+    SchmidtState,
+    Strategy,
+    require_binary_observables,
+)
 
-from helpers import X, Z, random_projective_measurement
+from helpers import X, Z, random_projective_measurement, random_reflection
 
 
-class TestSplitMerge:
+class TestSplit:
     def test_round_trip(self, rng):
         meas = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 4, 3)))
         parts = split_measurement(meas)
@@ -39,15 +44,10 @@ class TestSplitMerge:
         for part in parts:
             vals = np.linalg.eigvalsh(part)
             assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-9
-        again = merge_binary_split(parts)
-        for p1, p2 in zip(meas.projections, again.projections):
-            assert np.max(np.abs(p1 - p2)) < 1e-10
+        for p, part in zip(meas.projections, parts, strict=True):
+            assert np.max(np.abs(p - 0.5 * (np.eye(4) + part))) < 1e-10
 
-    def test_merge_rejects_empty(self):
-        with pytest.raises(BadParams):
-            merge_binary_split([])
-
-    def test_caller_settings_reach_split_and_merge(self):
+    def test_caller_settings_reach_split(self):
         # every projection 4e-9 * 0.5 from idempotent: 2 P - I squares to I
         # only within ~8e-9, outside the default eig_tol
         loose = DEFAULTS.replace(eig_tol=1e-6)
@@ -58,10 +58,7 @@ class TestSplitMerge:
         with pytest.raises(InvalidMeasurement):
             measurement_certification_strategy(meas)
         parts = split_measurement(meas, settings=loose)
-        with pytest.raises(InvalidMeasurement):
-            merge_binary_split(parts)
-        again = merge_binary_split(parts, settings=loose)
-        assert np.max(np.abs(again.projections[0] - p0)) < 1e-15
+        assert np.max(np.abs(0.5 * (np.eye(3) + parts[0]) - p0)) < 1e-15
         strat = measurement_certification_strategy(meas, settings=loose)
         assert strat.alice_labels[-2:] == ("O0", "O1")
 
@@ -277,6 +274,28 @@ class TestIterativePlan:
         assert [r["party"] for r in payload["rounds"]] == [
             r.party for r in plan.rounds
         ]
+
+    def test_plan_with_rounds_on_both_sides(self):
+        # d = 9, two reflections: after a round of extension a random element
+        # of the grown span was 6.6e-8 off symmetric, which cut_point_observables
+        # rejected at sym_tol; the plan also extends Alice's family on the way
+        rng = np.random.default_rng(1)
+        d = int(rng.integers(6, 13))
+        refs = [
+            random_reflection(rng, d, int(rng.integers(1, 3)))
+            for _ in range(int(rng.integers(2, 4)))
+        ]
+        closure, _ = jordan_closure(refs)
+        coeffs = rng.standard_normal(closure.dimension)
+        target = sgn_map(np.tensordot(coeffs, closure.basis, axes=1)).matrix
+        plan = iterative_plan(refs, target)
+        assert plan.rounds[-1].party == "alice"
+        assert len(plan.rounds[-1].observables) == 1
+        assert np.array_equal(plan.rounds[-1].observables[0], target)
+        assert "alice" in [r.party for r in plan.rounds[:-1]]
+        planned = [o for r in plan.rounds for o in r.observables]
+        require_binary_observables(planned)
+        assert all(np.array_equal(o, o.T) for o in planned)
 
     def test_self_target_in_two_dimensions(self):
         plan = iterative_plan([X], X)

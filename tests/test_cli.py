@@ -15,13 +15,12 @@ from bellcert.serialize import (
     encode_matrix,
     measurement_to_json_dict,
     read_strategy,
-    table_from_csv,
     write_strategy,
 )
 from bellcert.simplex import initial_strategy, pair_observables, simplex_observables
 from bellcert.strategies import ProjectiveMeasurement, SchmidtState, correlation_table
 
-from helpers import HADAMARD_DIR, X, Z, random_projective_measurement
+from helpers import HADAMARD_DIR, X, Z, random_projective_measurement, read_table_csv
 
 
 def _write_json(path, payload):
@@ -78,13 +77,22 @@ class TestCorrelationsCommand:
         assert code == 0
         assert "brute-force gap:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_brute_force_check_on_a_side_without_questions(self, tmp_path, capsys, side):
+        strat = initial_strategy(3)
+        path = tmp_path / "strategy.json"
+        write_strategy(path, dataclasses.replace(strat, **{side: (), f"{side}_labels": ()}))
+        code = main(["correlations", "--strategy", str(path), "--check-brute-force"])
+        assert code == 0
+        assert capsys.readouterr().out == "brute-force gap: 0.000e+00\n"
+
     def test_csv_output_matches_library_table(self, tmp_path):
         strat = initial_strategy(3)
         spath = tmp_path / "strategy.json"
         write_strategy(spath, strat)
         out = tmp_path / "table.csv"
         assert main(["correlations", "--strategy", str(spath), "--out", str(out)]) == 0
-        assert correlation_table(strat).max_difference(table_from_csv(out)) == 0.0
+        assert correlation_table(strat).max_difference(read_table_csv(out)) == 0.0
 
     def test_stdout_rows_are_the_csv_rows(self, tmp_path, capsys):
         # one row format: stdout has no header and ends lines with \n
@@ -365,7 +373,7 @@ class TestCertifyCommand:
         assert report["extensions"][0]["verdict"] == "feasible"
 
         strat = read_strategy(out_dir / "strategy.json")
-        table = table_from_csv(out_dir / "table.csv")
+        table = read_table_csv(out_dir / "table.csv")
         assert correlation_table(strat).max_difference(table) < 1e-15
 
     def test_no_table_flag_skips_csv(self, tmp_path):
@@ -398,7 +406,7 @@ class TestCertifyCommand:
         strat = read_strategy(out_dir / "strategy.json")
         write_strategy(tmp_path / "again.json", strat)
         assert (tmp_path / "again.json").read_text() == (out_dir / "strategy.json").read_text()
-        table = table_from_csv(out_dir / "table.csv")
+        table = read_table_csv(out_dir / "table.csv")
         assert correlation_table(strat).max_difference(table) == 0.0
 
 

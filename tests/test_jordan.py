@@ -13,7 +13,6 @@ from bellcert.jordan import (
     degeneracy_possible,
     has_trivial_centralizer,
     jordan_closure,
-    jordan_product,
     span_basis,
 )
 from bellcert.simplex import simplex_observables
@@ -98,22 +97,6 @@ class TestSpanBasis:
             span_basis([EYE2, np.eye(3)])
 
 
-class TestJordanProduct:
-    def test_commuting_matrices_multiply(self):
-        a = np.diag([1.0, 2.0])
-        b = np.diag([3.0, -1.0])
-        assert np.allclose(jordan_product(a, b), a @ b)
-
-    def test_anticommuting_pair_vanishes(self):
-        assert np.max(np.abs(jordan_product(X, Z))) == 0.0
-
-    def test_result_is_symmetric(self, rng):
-        a = random_symmetric(rng, 5)
-        b = random_symmetric(rng, 5)
-        p = jordan_product(a, b)
-        assert np.max(np.abs(p - p.T)) < 1e-14
-
-
 class TestJordanClosure:
     def test_single_observable_closes_to_its_own_span(self):
         basis, iterations = jordan_closure([Z])
@@ -174,6 +157,25 @@ class TestJordanClosure:
             jordan_closure([Z], [np.eye(3)])
         with pytest.raises(NotSymmetric):
             jordan_closure([Z], [X, np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+    def test_commuting_pair_closes_with_its_ordinary_product(self):
+        # for commuting a, b the Jordan product is a @ b: the closure holds it
+        # and stays inside the diagonal algebra
+        a = np.diag([1.0, 2.0, 0.0, 0.0])
+        b = np.diag([0.0, 1.0, 3.0, 0.0])
+        basis, _ = jordan_closure([a, b])
+        member, _, _ = contains(basis, a @ b)
+        assert member
+        assert basis.dimension == 4
+
+    def test_anticommuting_pair_adds_no_product(self):
+        # X (x) I and Z (x) I anticommute, so their Jordan product vanishes and
+        # each squares to I: the closure is span{I, A, B}, well short of the
+        # 10-dimensional Sym(4), and no sweep grows it
+        a = np.kron(X, EYE2)
+        b = np.kron(Z, EYE2)
+        basis, iterations = jordan_closure([a, b])
+        assert (basis.dimension, iterations) == (3, 0)
 
     def test_block_family_stays_reducible(self):
         # two commuting reflections sharing an eigenbasis: the closure is the

@@ -5,21 +5,20 @@ import pytest
 
 from bellcert.config import DEFAULTS
 from bellcert.errors import BadParams, DimMismatch, EmptyInput, NotSymmetric
+from bellcert.jordan import cut_point_observables, span_basis
 from bellcert.linalg import (
     BLOCK_ROWS,
     extend_orthonormal_rows,
-    frobenius_inner,
-    numerical_rank,
     orthonormal_rows,
     require_hermitian_stack,
     require_symmetric,
     sgn_map,
     sym_eig,
 )
+
 from helpers import (
     X,
     Z,
-    canonical_columns_loop,
     gram_schmidt_rows,
     random_orthogonal,
     random_reflection,
@@ -34,8 +33,9 @@ def test_sym_eig_2x2_closed_form():
     vals, vecs = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(vals, [3.0, 1.0], atol=1e-13)
     s = 1.0 / np.sqrt(2.0)
-    assert np.allclose(vecs[:, 0], [s, s], atol=1e-12)
-    assert np.allclose(vecs[:, 1], [s, -s], atol=1e-12)
+    # each column is its eigenvector up to sign
+    assert abs(vecs[:, 0] @ [s, s]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(vecs[:, 1] @ [s, -s]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sym_eig_3x3_matches_characteristic_polynomial_roots():
@@ -77,10 +77,10 @@ def test_sym_eig_is_deterministic(rng):
     assert np.array_equal(first.vectors, second.vectors)
 
 
-def test_sym_eig_degenerate_identity_keeps_column_order():
+def test_sym_eig_degenerate_identity():
     vals, vecs = sym_eig(np.eye(3))
     assert np.array_equal(vals, np.ones(3))
-    assert np.array_equal(vecs, np.eye(3))
+    assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-15)
 
 
 def test_sym_eig_repeated_eigenvalue_in_rotated_basis(rng):
@@ -91,9 +91,6 @@ def test_sym_eig_repeated_eigenvalue_in_rotated_basis(rng):
     assert np.allclose(vals, spectrum, atol=1e-12)
     assert np.allclose(vecs.T @ vecs, np.eye(6), atol=1e-12)
     assert np.linalg.norm((vecs * vals) @ vecs.T - h) <= 1e-12 * np.linalg.norm(h)
-    for col in vecs.T:
-        first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        assert first > 0.0
     again = sym_eig(h)
     assert np.array_equal(again.values, vals)
     assert np.array_equal(again.vectors, vecs)
@@ -112,31 +109,6 @@ def test_require_symmetric_symmetrizes_within_tolerance():
     h = np.array([[1.0, 1.0 + 5e-12], [1.0, 2.0]])
     out = require_symmetric(h)
     assert np.allclose(out, out.T, atol=0)
-
-
-def _eigh_inputs(rng):
-    """Random, repeated-eigenvalue and diagonal symmetric matrices, d = 1..10."""
-    for k in range(3000):
-        d = 1 + k % 10
-        kind = (k // 10) % 3
-        if kind == 0:
-            yield random_symmetric(rng, d)
-        elif kind == 1:
-            u = random_orthogonal(rng, d)
-            h = (u * rng.integers(-2, 3, size=d).astype(float)) @ u.T
-            yield 0.5 * (h + h.T)
-        else:
-            yield np.diag(rng.integers(-2, 3, size=d).astype(float))
-
-
-def test_canonicalization_matches_the_column_loop_bit_for_bit(rng):
-    for h in _eigh_inputs(rng):
-        vals, vecs = np.linalg.eigh(h)
-        ref_values, ref_vectors = canonical_columns_loop(vals, vecs)
-        got = sym_eig(h)
-        assert np.array_equal(got.values, ref_values)
-        assert np.array_equal(got.vectors, ref_vectors)
-        assert got.vectors.flags.c_contiguous
 
 
 class TestHermitianStack:
@@ -230,41 +202,52 @@ def test_sgn_map_orthogonal_covariance(rng):
     assert np.allclose(left, right, atol=1e-10)
 
 
-# ------------------------------------------------------- inner product, rank
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_eigenspace_functions_are_basis_free(rng, d):
+    # sym_eig fixes no eigenvector sign and no basis inside a repeated
+    # eigenvalue's eigenspace, so its callers must not depend on either:
+    # f(U H U^T) = U f(H) U^T for every orthogonal U, repeats and 0 included
+    for _ in range(20):
+        spectrum = rng.integers(-2, 3, size=d).astype(float)
+        v = random_orthogonal(rng, d)
+        h = (v * spectrum) @ v.T
+        u = random_orthogonal(rng, d)
+        turned = u @ h @ u.T
+        image, turned_image = sgn_map(h), sgn_map(turned)
+        assert turned_image.singular == image.singular == bool(np.any(spectrum == 0))
+        assert np.max(np.abs(turned_image.matrix - u @ image.matrix @ u.T)) <= 1e-12
+        cuts, turned_cuts = cut_point_observables(h), cut_point_observables(turned)
+        assert len(cuts) == len(turned_cuts) == np.unique(spectrum).size - 1
+        for c, t in zip(cuts, turned_cuts, strict=True):
+            assert np.max(np.abs(t - u @ c @ u.T)) <= 1e-12
 
 
-def test_frobenius_inner_values_and_errors():
-    assert frobenius_inner(X, Z) == pytest.approx(0.0, abs=1e-15)
-    assert frobenius_inner(X, X) == pytest.approx(2.0, abs=1e-15)
-    y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    assert frobenius_inner(y, y) == pytest.approx(2.0, abs=1e-15)
-    with pytest.raises(DimMismatch):
-        frobenius_inner(X, np.eye(3))
+# ------------------------------------------------------------ span rank
 
 
-def test_numerical_rank_basic_families():
-    assert numerical_rank([np.eye(2), X, Z]) == 3
-    assert numerical_rank([np.eye(2), X, Z, X + Z]) == 3
-    assert numerical_rank([X, X + 1e-12 * Z]) == 1
+def test_span_rank_basic_families():
+    assert span_basis([np.eye(2), X, Z]).dimension == 3
+    assert span_basis([np.eye(2), X, Z, X + Z]).dimension == 3
+    assert span_basis([X, X + 1e-12 * Z]).dimension == 1
     fine = DEFAULTS.replace(membership_tol=1e-15)
-    assert numerical_rank([X, X + 1e-12 * Z], settings=fine) == 2
+    assert span_basis([X, X + 1e-12 * Z], settings=fine).dimension == 2
 
 
-def test_numerical_rank_stable_under_reordering(rng):
+def test_span_rank_stable_under_reordering(rng):
     mats = [random_symmetric(rng, 4) for _ in range(5)]
     mats.append(mats[0] + mats[2])
     mats.append(0.5 * mats[1] - mats[3])
-    expected = numerical_rank(mats)
+    expected = span_basis(mats).dimension
     assert expected == 5
     perm = rng.permutation(len(mats))
-    assert numerical_rank([mats[i] for i in perm]) == expected
+    assert span_basis([mats[i] for i in perm]).dimension == expected
 
 
-def test_numerical_rank_errors():
+def test_span_rank_errors():
     with pytest.raises(EmptyInput):
-        numerical_rank([])
+        span_basis([])
     with pytest.raises(DimMismatch):
-        numerical_rank([np.eye(2), np.eye(3)])
+        span_basis([np.eye(2), np.eye(3)])
 
 
 def test_orthonormal_rows_and_extension():

@@ -18,7 +18,6 @@ from bellcert.serialize import (
     state_from_json,
     strategy_from_json_dict,
     strategy_to_json_dict,
-    table_from_csv,
     table_to_csv,
     target_from_json,
     write_strategy,
@@ -32,7 +31,7 @@ from bellcert.strategies import (
     correlation_table,
 )
 
-from helpers import X, random_projective_measurement, random_symmetric
+from helpers import X, random_projective_measurement, random_symmetric, read_table_csv
 
 
 def _exact(a, b) -> bool:
@@ -189,7 +188,7 @@ class TestTableCsv:
         table = correlation_table(initial_strategy(3))
         path = tmp_path / "table.csv"
         table_to_csv(path, table)
-        again = table_from_csv(path)
+        again = read_table_csv(path)
         assert table.max_difference(again) == 0.0
 
     def test_three_outcome_table_round_trips_in_key_order(self, rng, tmp_path):
@@ -200,10 +199,10 @@ class TestTableCsv:
             bob=(ProjectiveMeasurement(tuple(projs[::-1])),),
         )
         table = correlation_table(strat)
-        assert not table.is_real()
+        assert max(abs(v.imag) for v in table.entries.values()) > 1e-12
         path = tmp_path / "table.csv"
         table_to_csv(path, table)
-        assert table_from_csv(path).entries == table.entries
+        assert read_table_csv(path).entries == table.entries
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(["x", "j", "y", "k", "re", "im"])
         assert lines[1:] == [
@@ -235,17 +234,5 @@ class TestTableCsv:
         table = CorrelationTable(entries=entries)
         path = tmp_path / "table.csv"
         table_to_csv(path, table)
-        again = table_from_csv(path)
+        again = read_table_csv(path)
         assert again[(0, 1, 0, 1)] == entries[(0, 1, 0, 1)]
-
-    def test_header_is_validated(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(BadParams):
-            table_from_csv(path)
-
-    def test_malformed_row_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,j,y,k,re,im\n0,0,0\n")
-        with pytest.raises(BadParams):
-            table_from_csv(path)

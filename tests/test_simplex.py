@@ -5,7 +5,8 @@ import pytest
 
 from bellcert.errors import BadDimension
 from bellcert.jordan import has_trivial_centralizer, span_basis
-from bellcert.linalg import numerical_rank, sgn_map
+from bellcert.jordan import span_basis
+from bellcert.linalg import sgn_map
 from bellcert.simplex import (
     initial_strategy,
     maximal_independent_subset,
@@ -75,8 +76,8 @@ class TestSimplexObservables:
         # so adding the identity never increases the rank
         for d in (3, 4, 5):
             obs = simplex_observables(d)
-            assert numerical_rank(obs) == d + 1
-            assert numerical_rank([np.eye(d)] + obs) == d + 1
+            assert span_basis(obs).dimension == d + 1
+            assert span_basis([np.eye(d)] + obs).dimension == d + 1
 
     def test_centralizer_trivial(self):
         for d in (3, 4, 6):
@@ -97,11 +98,11 @@ class TestPairObservables:
     def test_pair_family_spans_symmetric_matrices(self):
         for d in (3, 4, 5):
             pairs = pair_observables(d)
-            assert numerical_rank(list(pairs.values())) == d * (d + 1) // 2
+            assert span_basis(list(pairs.values())).dimension == d * (d + 1) // 2
 
     def test_two_dimensional_pairs_do_not_span(self):
         pairs = pair_observables(2)
-        assert numerical_rank(list(pairs.values())) == 2
+        assert span_basis(list(pairs.values())).dimension == 2
 
     def test_pair_trace(self):
         for d in (3, 5):
@@ -115,7 +116,7 @@ class TestMaximalIndependentSubset:
             mats, labels = maximal_independent_subset(d)
             n = d * (d + 1) // 2
             assert len(mats) == n and len(labels) == n
-            assert numerical_rank(mats) == n
+            assert span_basis(mats).dimension == n
             assert labels[: d + 1] == [f"T{j}" for j in range(d + 1)]
             assert "T1_2" not in labels
 

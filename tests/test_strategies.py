@@ -22,7 +22,6 @@ from bellcert.strategies import (
     correlation,
     correlation_table,
     generalized_observables,
-    povm_from_observable,
     require_binary_observable,
     require_binary_observables,
     require_order_l,
@@ -45,7 +44,6 @@ from helpers import (
     X,
     Z,
     fourier_duals_loop,
-    inverse_fourier_loop,
     random_projective_measurement,
     random_reflection,
     random_schmidt_coeffs,
@@ -180,15 +178,6 @@ class TestGeneralizedObservables:
                 power = power @ a
             assert np.max(np.abs(power - np.eye(5))) < 1e-12
 
-    def test_inverse_fourier_recovers_projections(self, rng):
-        for outputs in (2, 3, 4):
-            projs = random_projective_measurement(rng, 4, outputs)
-            m = ProjectiveMeasurement(tuple(projs))
-            a = generalized_observables(m)[1]
-            m2 = povm_from_observable(a, outputs)
-            for p, q in zip(m.projections, m2.projections):
-                assert np.max(np.abs(p - q)) < 1e-10
-
     @pytest.mark.parametrize("outputs", [3, 4, 5, 6])
     def test_contractions_match_the_reference_loops(self, rng, outputs):
         projs = random_projective_measurement(rng, 7, outputs)
@@ -196,18 +185,15 @@ class TestGeneralizedObservables:
         assert np.array_equal(obs[0], np.eye(7)) and obs[0].dtype == complex
         for got, ref in zip(obs[1:], fourier_duals_loop(projs), strict=True):
             assert np.max(np.abs(got - ref)) <= 1e-13
-        recovered = povm_from_observable(obs[1], outputs).projections
-        for got, ref in zip(recovered, inverse_fourier_loop(obs[1], outputs), strict=True):
-            assert np.max(np.abs(got - ref)) <= 1e-13
 
-    def test_povm_from_observable_checks_order(self):
+    def test_require_order_l_checks_order(self):
         with pytest.raises(NotOrderL):
-            povm_from_observable(Z, 3)  # Z has order 2, not 3
+            require_order_l(Z, 3)  # Z has order 2, not 3
         with pytest.raises(NotOrderL):
-            povm_from_observable(0.5 * X, 2)  # not unitary
+            require_order_l(0.5 * X, 2)  # not unitary
 
     def test_order_l_checks_agree_across_callers(self):
-        # the measurement inverse and the order-L criterion share one validator
+        # the order-L criterion raises require_order_l's own errors
         me2 = SchmidtState.maximally_entangled(2)
         for bad, outputs, message in (
             (0.5 * X, 2, "^matrix is not unitary$"),
@@ -215,7 +201,6 @@ class TestGeneralizedObservables:
         ):
             for check in (
                 lambda: require_order_l(bad, outputs),
-                lambda: povm_from_observable(bad, outputs),
                 lambda: posthoc_feasible_general(me2, [np.eye(2)], bad, outputs),
             ):
                 with pytest.raises(NotOrderL, match=message):
@@ -229,7 +214,6 @@ class TestGeneralizedObservables:
         me2 = SchmidtState.maximally_entangled(2)
         for check in (
             lambda: require_order_l(Z, outputs),
-            lambda: povm_from_observable(Z, outputs),
             lambda: posthoc_feasible_general(me2, [X], Z, outputs),
         ):
             with pytest.raises(BadParams, match=f"at least two outputs, got {outputs}"):
@@ -243,7 +227,6 @@ class TestGeneralizedObservables:
         for check in (
             lambda: ProjectiveMeasurement((np.diag([bad, 0.0]), np.diag([0.0, 1.0]))),
             lambda: require_order_l(spoilt, 3),
-            lambda: povm_from_observable(spoilt, 2),
             lambda: posthoc_feasible_general(me2, [np.eye(2)], spoilt, 3),
         ):
             with pytest.raises(BadParams, match="non-finite entry"):
@@ -416,7 +399,6 @@ class TestValidatorsReadSettings:
         nudged = (1.0 + 1e-8) * Z  # unitary within 2e-8
         for check in (
             lambda **kw: require_order_l(nudged, 2, **kw),
-            lambda **kw: povm_from_observable(nudged, 2, **kw),
         ):
             with pytest.raises(NotOrderL):
                 check()
@@ -509,23 +491,24 @@ class TestCorrelation:
         table = correlation_table(strat)
         # (d+1)^2 question pairs, 2x2 outputs each -> j,k in {0,1}
         assert len(table) == 16 * 4
-        table.validate()
-        assert table.is_real()
+        # every entry real and of magnitude at most 1, the (x, 0, y, 0) ones 1
+        values = np.array(list(table.entries.values()))
+        assert np.max(np.abs(values.imag)) <= 1e-12
+        assert np.max(np.abs(values)) <= 1.0 + 1e-9
+        assert all(abs(v - 1.0) <= 1e-9 for (x, j, y, k), v in table.items() if j == k == 0)
         # identity components: j = 0 or k = 0 entries are exactly 1
         assert table[(0, 0, 3, 0)] == pytest.approx(1.0)
         # distinct simplex questions at maximal entanglement: Tr[T_j T_k]/d
         assert complex(table[(1, 1, 2, 1)]).real == pytest.approx(-5.0 / 27.0)
-
-    def test_validate_rejects_bad_mass(self):
-        t = CorrelationTable(entries={(0, 0, 0, 0): complex(2.0)})
-        with pytest.raises(BadParams):
-            t.validate()
 
     def test_max_difference_requires_matching_keys(self):
         t1 = CorrelationTable(entries={(0, 0, 0, 0): complex(1.0)})
         t2 = CorrelationTable(entries={(0, 1, 0, 0): complex(1.0)})
         with pytest.raises(DimMismatch):
             t1.max_difference(t2)
+
+    def test_max_difference_of_two_empty_tables_is_zero(self):
+        assert CorrelationTable(entries={}).max_difference(CorrelationTable(entries={})) == 0.0
 
 
 class TestDegenerateExample:
