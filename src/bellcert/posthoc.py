@@ -3,14 +3,16 @@
 Given a Schmidt-diagonal reference state D and reference observables A_x, an
 extra observable O is certified by exhibiting a positive definite P with
 conj(O)^l P inside span{D A_x^j D} for every power l. Ruling such a P in or
-out is a small semidefinite feasibility problem over the span; this module
-decides it deterministically with one log-det barrier, the central path of
-the best minimum eigenvalue over the span's unit ball, whose points give a
-positive definite witness and whose dual gives a Farkas certificate. It
-refines feasible instances to the minimum-trace certificate Q = D^-1 P D^-1
-with the same damped-Newton barrier core, over the same Hermitian combinations
-of the same generators carried into that frame by congruence, and evaluates
-the closed-form robustness bounds that consume those certificates.
+out is a small semidefinite feasibility problem over the span. Every stage
+works on one Frobenius-orthonormal basis of the Hermitian combinations of the
+check's generators, so a verdict depends on the span alone, not on how the
+references list it. One log-det barrier decides it deterministically: the
+central path of the best minimum eigenvalue over the span's unit ball, whose
+points give a positive definite witness and whose dual gives a Farkas
+certificate. Feasible instances are refined to the minimum-trace certificate
+Q = D^-1 P D^-1 with the same damped-Newton core, over the same basis carried
+into that frame by congruence, and the closed-form robustness bounds consume
+those certificates.
 
 The solver core takes a real symmetric stack (the binary check) and a complex
 Hermitian one (the order-L check) alike, over real coefficients, so every
@@ -53,18 +55,21 @@ class FeasibilityResult:
         "feasible", "infeasible", or "marginal" (lambda_min_achieved within
         +/- certificate_tol of zero).
     lambda_min_achieved:
-        Minimum eigenvalue of the symmetric combination at the unit-norm
+        Minimum eigenvalue of the Hermitian combination at the unit-norm
         coefficient vector the solver returned (the witness direction when
-        feasible); -inf when no combination satisfies the symmetry constraint
-        at all. With one symmetric direction this is the exact optimum; with
-        more, the barrier stops once the verdict is settled.
+        feasible); -inf when no nonzero combination of the generators is
+        Hermitian. With one Hermitian direction this is the exact optimum;
+        with more, the barrier stops once the verdict is settled.
     witness:
         For a feasible binary check, the span element H with O H symmetric
         positive definite; for an order-L check, the d x d Hermitian positive
         definite P itself. None when infeasible.
     coefficients:
         Coefficients of the witness combination over the span generators
-        (D^2 first, then the D A D terms, in input order).
+        (D^2 first, then the D A D terms, in input order): real for the
+        binary check, complex (W P = sum_k c_k S_k) for the order-L one.
+        When the generators are linearly dependent this is the least-norm
+        representation.
     certificate_tol:
         The feasibility threshold the verdict was decided against.
     power:
@@ -128,41 +133,40 @@ _DECREMENT_TOL = 2e-11
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-14
 _RIDGE = 1e-13
-# Numerical rank: singular values at or below this times the largest (times
-# max(1, largest) for the asymmetry map) count as zero.
+# Numerical rank: singular values at or below this times max(1, largest)
+# count as zero.
 _RANK_CUTOFF = 1e-12
 
 
-def _symmetric_combinations(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermitian real combinations of gens, as (null, mats).
+def _rank(sv: np.ndarray) -> int:
+    return int(np.sum(sv > _RANK_CUTOFF * np.max(sv, initial=1.0)))
 
-    gens is a real or complex stack. null is real, with orthonormal columns
-    spanning {t real : sum_k t_k gens[k] is Hermitian}, and mats[j] =
-    sum_k null[k, j] gens[k].
+
+def _hermitian_basis(
+    gens: np.ndarray, scale: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A basis of the Hermitian real combinations of gens, as (coef, sigma, B).
+
+    gens is a real or complex (m, n, n) stack. B is Frobenius-orthonormal
+    (the dot product of the float views), coef (m, r) has orthonormal
+    columns and sum_k coef[k, j] gens[k] = sigma_j B_j, so a dependency among
+    the generators adds no direction. With scale, the sums are of
+    diag(scale) gens[k] diag(scale) instead; which combinations are
+    Hermitian is still read off the unscaled gens.
     """
-    asym = (gens - gens.conj().transpose(0, 2, 1)).reshape(len(gens), -1).view(float)
+    m, n = gens.shape[:2]
+    asym = (gens - gens.conj().transpose(0, 2, 1)).reshape(m, -1).view(float)
     # the thin factor already holds every row of vt unless asym.T is wide
-    _, sv, vt = np.linalg.svd(asym.T, full_matrices=asym.shape[0] > asym.shape[1])
-    cutoff = _RANK_CUTOFF * max(1.0, float(sv[0]) if sv.size else 0.0)
-    null = vt[int(np.sum(sv > cutoff)):].T  # (n, n - rank)
-    n = gens.shape[1]
-    mats = (null.T @ gens.reshape(len(gens), -1)).reshape(-1, n, n)
-    return null, 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-
-
-def _frobenius_basis(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A Frobenius-orthonormal Hermitian basis B of the real span of mats.
-
-    Returns (U, sigma, B) with mats = U diag(sigma) B, U real, keeping the
-    singular values above _RANK_CUTOFF sigma_max. Orthonormal is in Re Tr(A^dag
-    B), the dot product of the matrices' float views.
-    """
-    n = mats.shape[1]
-    flat = mats.reshape(len(mats), -1).view(float)
-    u, sig, vt = np.linalg.svd(flat, full_matrices=False)
-    keep = sig > _RANK_CUTOFF * sig[0]
-    basis = vt[keep].view(mats.dtype).reshape(-1, n, n)
-    return u[:, keep], sig[keep], 0.5 * (basis + basis.conj().transpose(0, 2, 1))
+    _, sv, vt = np.linalg.svd(asym.T, full_matrices=m > asym.shape[1])
+    null = vt[_rank(sv):].T
+    mats = (null.T @ gens.reshape(m, -1)).reshape(-1, n, n)
+    mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+    if scale is not None:
+        mats = scale[:, None] * mats * scale
+    u, sigma, vt = np.linalg.svd(mats.reshape(-1, n * n).view(float), full_matrices=False)
+    r = _rank(sigma)
+    basis = vt[:r].view(mats.dtype).reshape(-1, n, n)
+    return null @ u[:, :r], sigma[:r], 0.5 * (basis + basis.conj().transpose(0, 2, 1))
 
 
 def _lambda_min(m: np.ndarray) -> float:
@@ -170,16 +174,16 @@ def _lambda_min(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def _farkas(z: np.ndarray, mats: np.ndarray) -> np.ndarray | None:
-    """Project z onto {Z : Tr(Z M_j) = 0 for all j} and scale it to unit trace.
+def _farkas(z: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """Project z onto the orthogonal complement of span{basis}, at unit trace.
 
-    Returns None unless the projection is positive definite, i.e. unless it
-    is a certificate that no real combination of the M_j is positive definite.
+    basis is Frobenius-orthonormal. Returns None unless the projection is
+    positive definite, i.e. unless it is a certificate that no real
+    combination of the basis is positive definite.
     """
-    flat = mats.reshape(len(mats), -1).view(float)
     herm = 0.5 * (z + z.conj().T)
-    coef = np.linalg.lstsq(flat.T, herm.ravel().view(float), rcond=None)[0]
-    z = herm - np.tensordot(coef, mats, axes=1)
+    flat = basis.reshape(len(basis), -1).view(float)
+    z = herm - np.tensordot(flat @ herm.ravel().view(float), basis, axes=1)
     if _lambda_min(z) <= 0.0:
         return None
     return z / np.trace(z).real
@@ -203,28 +207,26 @@ def _best_sign(b: np.ndarray) -> tuple[float, float, np.ndarray | None]:
 
 
 def _margin_search(
-    mats: np.ndarray,
+    sigma: np.ndarray, basis: np.ndarray
 ) -> Iterator[tuple[float, np.ndarray, float, np.ndarray | None]]:
-    """Search span{mats} for a positive definite element.
+    """Search span{basis} (Frobenius-orthonormal) for a positive definite element.
 
-    Runs over a Frobenius-orthonormal basis B of the span, mats =
-    U diag(sigma) B, in coordinates w with M(w) = sum_k w_k sigma_k B_k, so
-    that a point is t = U w over mats and |t| = |w|. Yields (lambda_min(M) /
-    |t|, t, bound, dual): first at the projection of I onto the span (bound
-    inf, no dual), then at each centre of max s s.t. blockdiag(M(w) - s I,
-    [[I, w], [w^T, 1]]) > 0 (the second block is |w| < 1), where with N the
-    total block size, s + N mu bounds max_{|t| <= 1} lambda_min(M(t)) and the
-    unit-trace dual Y = mu (M(w) - s I)^-1 has Tr(Y mats[j]) -> 0 as mu -> 0.
+    Runs in coordinates w with M(w) = sum_k w_k sigma_k B_k, the generators'
+    combination at coef @ w (of norm |w|) for _hermitian_basis's coef.
+    Yields (lambda_min(M) / |w|, w, bound, dual): first at the projection
+    of I onto the span (bound inf, no dual), then at each centre of max s
+    s.t. blockdiag(M(w) - s I, [[I, w], [w^T, 1]]) > 0, where with N the
+    total block size s + N mu bounds max_{|w| <= 1} lambda_min(M(w)) and
+    the unit-trace dual Y = mu (M(w) - s I)^-1 has Tr(Y B_k) -> 0 as mu -> 0.
     Ends once N mu reaches _MU_FLOOR.
     """
-    u_svd, sig, basis = _frobenius_basis(mats)
-    n, r = basis.shape[1], len(sig)
+    n, r = basis.shape[1], len(sigma)
     traces = np.einsum("kaa->k", basis).real
     if traces @ traces > 0.0:
         u0 = traces / float(traces @ traces)  # unit trace
         lam = _lambda_min(np.tensordot(u0, basis, axes=1))
-        yield lam / float(np.linalg.norm(u0 / sig)), u_svd @ (u0 / sig), np.inf, None
-    dirs = sig[:, None, None] * basis
+        yield lam / float(np.linalg.norm(u0 / sigma)), u0 / sigma, np.inf, None
+    dirs = sigma[:, None, None] * basis
     size = n + r + 1
     stack = np.zeros((r + 1, size, size), dtype=basis.dtype)
     stack[:r, :n, :n] = dirs
@@ -238,33 +240,63 @@ def _margin_search(
         m_w = np.tensordot(w, dirs, axes=1)
         point = w if w.any() else np.eye(r)[0]  # a centre at w = 0 has no direction
         margin = _lambda_min(np.tensordot(point, dirs, axes=1)) / float(np.linalg.norm(point))
-        yield margin, u_svd @ point, s + size * mu, mu * np.linalg.inv(m_w - s * np.eye(n))
+        yield margin, point, s + size * mu, mu * np.linalg.inv(m_w - s * np.eye(n))
         if size * mu <= _MU_FLOOR:
             return
 
 
-def _complement_certificate(mats: np.ndarray, settings: Settings) -> np.ndarray | None:
-    """A Farkas certificate for mats found by _margin_search on the complement.
+def _best_margin(
+    sigma: np.ndarray, basis: np.ndarray, settings: Settings
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """The margin search over span{basis}, as (margin, w, certificate).
 
-    Searches the orthogonal complement of span{mats} in the symmetric (for a
-    complex stack, Hermitian) matrices, spanned by E_ab + E_ba (and
-    i(E_ab - E_ba)), for a positive definite element and returns it at unit
-    trace; None if the search's bound drops to feas_tol first.
+    No direction gives (-inf, None, I / n), and one _best_sign's answer. With
+    more, _margin_search (w is in its coordinates) runs until a margin above
+    feas_tol, a dual that _farkas projects to a certificate, or a bound at
+    most feas_tol.
     """
-    n = mats.shape[1]
-    span = _frobenius_basis(mats)[2].reshape(-1, n * n).view(float)
+    tol = settings.feas_tol
+    n = basis.shape[1]
+    if len(sigma) == 0:
+        return float("-inf"), None, np.eye(n) / n
+    if len(sigma) == 1:
+        value, sign, cert = _best_sign(sigma[0] * basis[0])
+        return value, np.array([sign]), cert
+    cert = None
+    for value, w, bound, dual in _margin_search(sigma, basis):
+        if (
+            value > tol
+            or (dual is not None and (cert := _farkas(dual, basis)) is not None)
+            or bound <= tol
+        ):
+            break
+    return value, w, cert
+
+
+def _complement_certificate(basis: np.ndarray, settings: Settings) -> np.ndarray | None:
+    """A Farkas certificate for span{basis} found on its orthogonal complement.
+
+    Searches the complement in the symmetric (for a complex basis,
+    Hermitian) matrices, spanned by E_ab + E_ba (and i(E_ab - E_ba)), for a
+    positive definite element and returns it at unit trace; None if the
+    search's bound drops to feas_tol first.
+    """
+    n = basis.shape[1]
     units = np.eye(n * n).reshape(-1, n, n)
     herm = units + units.transpose(0, 2, 1)
-    if np.iscomplexobj(mats):
+    if np.iscomplexobj(basis):
         herm = np.concatenate([herm, 1j * (units - units.transpose(0, 2, 1))])
     rows, added = extend_orthonormal_rows(
-        span, herm.reshape(len(herm), -1).view(float), _RANK_CUTOFF
+        basis.reshape(len(basis), -1).view(float),
+        herm.reshape(len(herm), -1).view(float),
+        _RANK_CUTOFF,
     )
     if added == 0:
         return None
-    comp = rows[len(span) :].view(mats.dtype).reshape(-1, n, n)
-    for value, t, bound, _ in _margin_search(comp):
-        if value > 0.0 and (cert := _farkas(np.tensordot(t, comp, axes=1), mats)) is not None:
+    comp = rows[len(basis) :].view(basis.dtype).reshape(-1, n, n)
+    comp = 0.5 * (comp + comp.conj().transpose(0, 2, 1))
+    for value, w, bound, _ in _margin_search(np.ones(len(comp)), comp):
+        if value > 0.0 and (cert := _farkas(np.tensordot(w, comp, axes=1), basis)) is not None:
             return cert
         if bound <= settings.feas_tol:
             break
@@ -276,47 +308,22 @@ def _solve_pd_in_span(
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Decide whether some real combination of gens is positive definite.
 
-    gens is a real or complex stack. Only Hermitian (for real gens,
-    symmetric) combinations are searched (the null space of the map to the
-    anti-Hermitian part is factored out first). Stops on a margin above feas_tol, a dual that
-    _farkas projects to a certificate, or a bound at most feas_tol; a margin
-    below -feas_tol takes its certificate from the span's complement, or
-    raises SolverStall. Returns (lambda_min at the returned unit-norm
-    coefficient vector, that vector in the ORIGINAL generator coordinates or
-    None, Farkas certificate or None).
+    gens is a real or complex stack; only its Hermitian (for real gens,
+    symmetric) combinations are searched, over _hermitian_basis. A margin
+    below -feas_tol that _best_margin leaves without a certificate takes
+    one from the span's complement, or raises SolverStall. Returns
+    (lambda_min at the returned unit-norm coefficient vector, that vector
+    over the ORIGINAL generators or None, Farkas certificate or None).
     """
-    null, mats = _symmetric_combinations(np.asarray(gens))
-    m = null.shape[1]
-    n = mats.shape[1]
-    if m == 0:
-        return float("-inf"), None, np.eye(n) / n
-    if m == 1:
-        value, sign, cert = _best_sign(mats[0])
-        return value, sign * null[:, 0], cert
-    tol = settings.feas_tol
-    cert = None
-    for value, t, bound, dual in _margin_search(mats):
-        if (
-            value > tol
-            or (dual is not None and (cert := _farkas(dual, mats)) is not None)
-            or bound <= tol
-        ):
-            break
-    if value < -tol and cert is None:
-        cert = _complement_certificate(mats, settings)
+    coef, sigma, basis = _hermitian_basis(np.asarray(gens))
+    value, w, cert = _best_margin(sigma, basis, settings)
+    if value < -settings.feas_tol and cert is None:
+        cert = _complement_certificate(basis, settings)
         if cert is None:
             raise SolverStall(
                 f"margin search ended at lambda_min {value:.3e} without a certificate"
             )
-    return value, null @ (t / np.linalg.norm(t)), cert
-
-
-def _verdict(value: float, tol: float) -> str:
-    if value > tol:
-        return "feasible"
-    if value < -tol:
-        return "infeasible"
-    return "marginal"
+    return value, None if w is None else coef @ (w / np.linalg.norm(w)), cert
 
 
 # --------------------------------------------------------------------------
@@ -336,6 +343,26 @@ def _span(state: SchmidtState, ops: Sequence[np.ndarray]) -> np.ndarray:
     dm = state.matrix
     refs = np.array(ops[1:]).reshape(-1, d, d)
     return np.concatenate([(dm @ dm)[None], dm @ refs @ dm])
+
+
+def _feasibility_result(
+    gens: np.ndarray, span: np.ndarray, power: int, settings: Settings
+) -> FeasibilityResult:
+    """Decide one check over its generators and record the outcome.
+
+    The witness is sum_k c_k span[k]. The binary check passes gens = O S_k
+    and span = S_k, and c is the solver's real coefficient vector t: the
+    witness is H. The order-L check passes gens = (W^dag S_k, i W^dag S_k)
+    pairs and span = W^dag S_k, and c pairs t's entries into complex
+    numbers: the witness is P, and W P = sum_k c_k S_k.
+    """
+    value, t, certificate = _solve_pd_in_span(gens, settings=settings)
+    tol = settings.feas_tol
+    verdict = "feasible" if value > tol else "infeasible" if value < -tol else "marginal"
+    if verdict != "feasible":
+        return FeasibilityResult(verdict, value, None, None, tol, power, certificate)
+    c = t if len(t) == len(span) else t[0::2] + 1j * t[1::2]
+    return FeasibilityResult(verdict, value, np.tensordot(c, span, axes=1), c, tol, power)
 
 
 def posthoc_feasible_binary(
@@ -359,18 +386,7 @@ def posthoc_feasible_binary(
     s = settings or DEFAULTS
     obs = require_binary_observables([target, *alice], settings=s)
     span = _span(state, obs)
-    value, coeffs, certificate = _solve_pd_in_span(obs[0] @ span, settings=s)
-    verdict = _verdict(value, s.feas_tol)
-    feasible = verdict == "feasible"
-    return FeasibilityResult(
-        verdict=verdict,
-        lambda_min_achieved=value,
-        witness=np.tensordot(coeffs, span, axes=1) if feasible else None,
-        coefficients=coeffs if feasible else None,
-        certificate_tol=s.feas_tol,
-        power=1,
-        certificate=None if feasible else certificate,
-    )
+    return _feasibility_result(obs[0] @ span, span, 1, s)
 
 
 def sign_reachable(
@@ -382,12 +398,14 @@ def sign_reachable(
     """Whether target = sgn(H) for some H in the span.
 
     Searches the span for an element H with target @ H symmetric positive
-    definite; a marginal answer counts as not reachable. Raises SolverStall
-    when the barrier cannot settle the answer.
+    definite; a marginal answer counts as not reachable. A search that ends
+    at or below feas_tol has proved the negative answer (by its bound or a
+    Farkas certificate), so no complement search runs. Raises SolverStall
+    only when the barrier's Newton loop fails.
     """
     s = settings or DEFAULTS
-    value, _, _ = _solve_pd_in_span(target @ span.basis, settings=s)
-    return value > s.feas_tol
+    _, sigma, basis = _hermitian_basis(target @ span.basis)
+    return _best_margin(sigma, basis, s)[0] > s.feas_tol
 
 
 def _power_generators(span: np.ndarray, u: np.ndarray, power: int) -> np.ndarray:
@@ -398,22 +416,6 @@ def _power_generators(span: np.ndarray, u: np.ndarray, power: int) -> np.ndarray
     """
     base = np.linalg.matrix_power(u.conj(), power).conj().T @ span
     return np.stack([base, 1j * base], axis=1).reshape(-1, *base.shape[1:])
-
-
-def _power_feasibility(gens: np.ndarray, power: int, settings: Settings) -> FeasibilityResult:
-    """The order-L check of one power over its complex generators."""
-    value, coeffs, certificate = _solve_pd_in_span(gens, settings=settings)
-    verdict = _verdict(value, settings.feas_tol)
-    feasible = verdict == "feasible"
-    return FeasibilityResult(
-        verdict=verdict,
-        lambda_min_achieved=value,
-        witness=np.tensordot(coeffs, gens, axes=1) if feasible else None,
-        coefficients=coeffs[0::2] + 1j * coeffs[1::2] if feasible else None,
-        certificate_tol=settings.feas_tol,
-        power=power,
-        certificate=None if feasible else certificate,
-    )
 
 
 def posthoc_feasible_general(
@@ -440,10 +442,8 @@ def posthoc_feasible_general(
     s = settings or DEFAULTS
     u = require_order_l(target, outputs, settings=s)
     span = _span(state, [u, *alice_powers])
-    return [
-        _power_feasibility(_power_generators(span, u, power), power, s)
-        for power in range(1, outputs)
-    ]
+    gens = [_power_generators(span, u, power) for power in range(1, outputs)]
+    return [_feasibility_result(g, g[0::2], power, s) for power, g in enumerate(gens, 1)]
 
 
 def is_binary_question(
@@ -543,7 +543,7 @@ def min_trace_Q(
     else:
         u = require_order_l(target, outputs, settings=s)
         gens = _power_generators(_span(state, [u, *alice_powers]), u, power)
-        feasibility = _power_feasibility(gens, power, s)
+        feasibility = _feasibility_result(gens, gens[0::2], power, s)
     if not feasibility.feasible:
         raise Infeasible(
             f"criterion infeasible at power {power}: "
@@ -552,9 +552,7 @@ def min_trace_Q(
         )
 
     # Q-frame directions D^-1 M D^-1 over the Hermitian combinations M
-    null, mats = _symmetric_combinations(gens)
-    scale = 1.0 / state.coeffs
-    u_svd, sig, basis = _frobenius_basis(scale[:, None] * mats * scale)
+    coef, sig, basis = _hermitian_basis(gens, 1.0 / state.coeffs)
     n = basis.shape[1]
     # Tr B_k = <B_k, I> are I's coordinates in the orthonormal basis: when I
     # lies in the span it is the optimum, since Tr Q >= Tr I for every Q >= I
@@ -568,7 +566,7 @@ def min_trace_Q(
     coeffs = feasibility.coefficients
     if not binary:  # real coefficients of W^dag S_k and i W^dag S_k, interleaved
         coeffs = np.column_stack([coeffs.real, coeffs.imag]).ravel()
-    c = sig * (u_svd.T @ (null.T @ coeffs))
+    c = sig * (coef.T @ coeffs)
     lam0 = _lambda_min(np.tensordot(c, basis, axes=1))
     if lam0 <= 0.0:
         raise SolverStall("witness lost positivity in the Q frame")

@@ -1,4 +1,5 @@
-"""Shared builders for randomized test inputs, and plain-loop reference kernels.
+"""Shared builders for randomized test inputs, plain-loop reference kernels,
+and the Farkas-certificate check of the post-hoc tests.
 
 Other oracles live in the tests.
 """
@@ -54,6 +55,32 @@ def random_projective_measurement(
         projs.append(cols @ cols.T)
         start += size
     return projs
+
+
+def symmetric_directions(gens) -> np.ndarray:
+    """Directions M_j spanning the Hermitian real combinations of gens, by SVD.
+
+    The real null space of t -> sum_k t_k (G_k - G_k^dag), on the real and
+    imaginary parts of the entries; for real gens, the symmetric combinations.
+    """
+    asym = np.stack([(g - g.conj().T).ravel().view(float) for g in gens], axis=1)
+    _, sv, vt = np.linalg.svd(asym)
+    rank = int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
+    dirs = np.einsum("km,kij->mij", vt[rank:].T, np.array(gens))
+    return 0.5 * (dirs + dirs.conj().transpose(0, 2, 1))
+
+
+def assert_farkas_certificate(z, gens) -> None:
+    """Z = Z^dag >= 0, Tr Z = 1 and Re Tr(Z M_j) = 0: no Hermitian combination is PD."""
+    dirs = symmetric_directions(gens)
+    assert z is not None
+    assert z.shape == np.shape(gens)[1:]
+    assert np.max(np.abs(z - z.conj().T)) <= 1e-15
+    assert np.linalg.eigvalsh(z)[0] >= -1e-12
+    assert abs(np.trace(z) - 1.0) <= 1e-12
+    if len(dirs):
+        pairing = np.einsum("ij,mji->m", z, dirs).real
+        assert np.max(np.abs(pairing)) <= 1e-9 * np.max(np.abs(dirs))
 
 
 def random_schmidt_coeffs(rng: np.random.Generator, d: int) -> np.ndarray:

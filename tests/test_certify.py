@@ -1,6 +1,9 @@
 """End-to-end certification pipeline: strategy builders, reports, plans."""
 
+import importlib.util
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -296,6 +299,33 @@ class TestIterativePlan:
         planned = [o for r in plan.rounds for o in r.observables]
         require_binary_observables(planned)
         assert all(np.array_equal(o, o.T) for o in planned)
+
+    def test_plan_whose_first_search_ends_on_its_bound(self):
+        # d = 11, two reflections, closure dimension 5 (draws as in
+        # test_plan_with_rounds_on_both_sides): the first reachability search
+        # ends below -feas_tol with its bound (8.5e-8) inside the band. The
+        # bound settles "not reachable", where asking for a Farkas certificate
+        # used to raise SolverStall
+        rng = np.random.default_rng(132)
+        d = int(rng.integers(6, 13))
+        refs = [
+            random_reflection(rng, d, int(rng.integers(1, 3)))
+            for _ in range(int(rng.integers(2, 4)))
+        ]
+        closure, _ = jordan_closure(refs)
+        coeffs = rng.standard_normal(closure.dimension)
+        target = sgn_map(np.tensordot(coeffs, closure.basis, axes=1)).matrix
+        plan = iterative_plan(refs, target)
+        assert (d, plan.closure_dimension) == (11, 5)
+        assert [r.party for r in plan.rounds] == ["bob", "alice"]
+        # the benchmark's independent plan check accepts it
+        spec = importlib.util.spec_from_file_location(
+            "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+        )
+        oracle = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(oracle)
+        job = SimpleNamespace(data={"refs": refs, "target": target})
+        assert oracle.check_plan(job, plan, None) == (oracle.OK, "")
 
     def test_self_target_in_two_dimensions(self):
         plan = iterative_plan([X], X)

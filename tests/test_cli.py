@@ -20,7 +20,14 @@ from bellcert.serialize import (
 from bellcert.simplex import initial_strategy, pair_observables, simplex_observables
 from bellcert.strategies import ProjectiveMeasurement, SchmidtState, correlation_table
 
-from helpers import HADAMARD_DIR, X, Z, random_projective_measurement, read_table_csv
+from helpers import (
+    HADAMARD_DIR,
+    X,
+    Z,
+    random_projective_measurement,
+    random_reflection,
+    read_table_csv,
+)
 
 
 def _write_json(path, payload):
@@ -215,6 +222,31 @@ class TestPosthocCheckCommand:
         assert payload["results"][0]["lambda_min_achieved"] is None
         assert main(argv) == 1
         assert "(lambda_min -inf)" in capsys.readouterr().out
+
+    def test_a_repeated_reference_keeps_the_verdict(self, tmp_path, capsys):
+        # d = 4, kappa = 10: no combination of the generators is symmetric.
+        # Listing a reference twice adds the zero combination of the two
+        # copies, which must not count as a symmetric direction (it once
+        # turned this "infeasible" into "marginal" at lambda_min ~ 1e-17)
+        rng = np.random.default_rng(4)
+        coeffs = 10.0 ** (-np.arange(4) / 3)
+        state = _write_json(
+            tmp_path / "state.json", {"schmidt_coeffs": list(coeffs / np.linalg.norm(coeffs))}
+        )
+        refs = [
+            measurement_to_json_dict(ProjectiveMeasurement.from_observable(o))
+            for o in (random_reflection(rng, 4, 2) for _ in range(2))
+        ]
+        target = _write_json(
+            tmp_path / "target.json", {"matrix": encode_matrix(random_reflection(rng, 4, 2))}
+        )
+        for name, listed in (("alice", refs), ("alice_twice", refs + refs[:1])):
+            alice = _write_json(tmp_path / f"{name}.json", listed)
+            argv = ["posthoc-check", "--state", state, "--alice", alice, "--target", target]
+            assert main(argv + ["--json"]) == 1
+            [entry] = json.loads(capsys.readouterr().out)["results"]
+            assert entry["verdict"] == "infeasible"
+            assert entry["lambda_min_achieved"] is None
 
     def test_nan_schmidt_coefficient_exits_two(self, posthoc_files, tmp_path, capsys):
         _, alice, target = posthoc_files

@@ -38,7 +38,7 @@ from bellcert.posthoc import (
     _MU_SHRINK,
     RobustnessParams,
     _central_path,
-    _symmetric_combinations,
+    _hermitian_basis,
     analytic_family_2d,
     analytic_family_region,
     barrier_derivatives,
@@ -67,11 +67,13 @@ from helpers import (
     HADAMARD_DIR,
     X,
     Z,
+    assert_farkas_certificate,
     barrier_hessian_loop,
     random_symmetric,
     random_projective_measurement,
     random_reflection,
     random_schmidt_coeffs,
+    symmetric_directions,
 )
 
 ME2 = SchmidtState.maximally_entangled(2)
@@ -282,32 +284,6 @@ class TestBinaryFeasibility:
                 assert (x is None and y is None) or np.array_equal(x, y)
 
 
-def _symmetric_directions(gens) -> np.ndarray:
-    """Directions M_j spanning the Hermitian real combinations of gens, by SVD.
-
-    The real null space of t -> sum_k t_k (G_k - G_k^dag), on the real and
-    imaginary parts of the entries; for real gens, the symmetric combinations.
-    """
-    asym = np.stack([(g - g.conj().T).ravel().view(float) for g in gens], axis=1)
-    _, sv, vt = np.linalg.svd(asym)
-    rank = int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
-    dirs = np.einsum("km,kij->mij", vt[rank:].T, np.array(gens))
-    return 0.5 * (dirs + dirs.conj().transpose(0, 2, 1))
-
-
-def assert_farkas_certificate(z, gens) -> None:
-    """Z = Z^dag >= 0, Tr Z = 1 and Re Tr(Z M_j) = 0: no Hermitian combination is PD."""
-    dirs = _symmetric_directions(gens)
-    assert z is not None
-    assert z.shape == np.shape(gens)[1:]
-    assert np.max(np.abs(z - z.conj().T)) <= 1e-15
-    assert np.linalg.eigvalsh(z)[0] >= -1e-12
-    assert abs(np.trace(z) - 1.0) <= 1e-12
-    if len(dirs):
-        pairing = np.einsum("ij,mji->m", z, dirs).real
-        assert np.max(np.abs(pairing)) <= 1e-9 * np.max(np.abs(dirs))
-
-
 def _binary_generators(state, refs, target):
     dm = state.matrix
     return [target @ s for s in [dm @ dm] + [dm @ a @ dm for a in refs]]
@@ -328,7 +304,7 @@ class TestFarkasCertificate:
         result = posthoc_feasible_binary(state, refs, first)
         assert result.verdict == "infeasible"
         gens = _binary_generators(state, refs, first)
-        assert len(_symmetric_directions(gens)) >= 2
+        assert len(symmetric_directions(gens)) >= 2
         assert_farkas_certificate(result.certificate, gens)
 
     def test_traceless_family_gets_the_normalized_identity(self):
@@ -355,7 +331,7 @@ class TestFarkasCertificate:
                 gens = _binary_generators(state, refs, target)
                 assert_farkas_certificate(result.certificate, gens)
                 infeasible += 1
-                several_directions += len(_symmetric_directions(gens)) >= 2
+                several_directions += len(symmetric_directions(gens)) >= 2
         assert infeasible >= 20
         assert several_directions >= 5
 
@@ -382,7 +358,7 @@ class TestFarkasCertificate:
             for r in posthoc_feasible_general(state, powers, u, outputs):
                 wh = np.linalg.matrix_power(u.conj(), r.power).conj().T
                 gens = [g for s in span for g in (wh @ s, 1j * wh @ s)]
-                assert len(_symmetric_directions(gens)) >= per_power
+                assert len(symmetric_directions(gens)) >= per_power
                 if r.verdict == "infeasible":
                     assert_farkas_certificate(r.certificate, gens)
                     checked += 1
@@ -463,7 +439,9 @@ class TestMarginSearch:
         assert np.linalg.eigvalsh(pz)[0] < -0.05
         overlap = np.einsum("kij,ij->k", w.conj(), pz).real / np.vdot(pz, pz).real
         mats = w - overlap[:, None, None] * pz
-        assert_farkas_certificate(posthoc._complement_certificate(mats, DEFAULTS), mats)
+        basis = _hermitian_basis(mats)[2]
+        assert len(basis) == 7  # W less the direction of P_W(Z0)
+        assert_farkas_certificate(posthoc._complement_certificate(basis, DEFAULTS), mats)
 
     def test_centre_at_zero_reports_a_finite_margin(self):
         # every span element is diagonal and exactly traceless, so each
@@ -656,25 +634,42 @@ class TestPosthocCheck:
             posthoc_check(ME3, refs, target)
 
 
-class TestSymmetricCombinations:
+class TestHermitianBasis:
     def test_more_generators_than_matrix_entries(self, rng):
         # d = 2 with five references: six generators against four entries, so
-        # the asymmetry matrix is wide and its null space needs all of V
+        # the asymmetry matrix is wide and its null space needs all of V.
+        # D^2, D X D and D Z D span every symmetric 2x2 matrix, so target @ H
+        # is symmetric exactly for H in the target's commutant span{I, target}
         st = SchmidtState(np.array([np.cos(0.4), np.sin(0.4)]))
         refs = [X, Z] + [random_reflection(rng, 2, 1) for _ in range(3)]
         target = random_reflection(rng, 2, 1)
         dm = st.matrix
         gens = target @ np.array([dm @ dm] + [dm @ a @ dm for a in refs])
-        null, mats = _symmetric_combinations(gens)
-        asym = (gens - gens.transpose(0, 2, 1)).reshape(len(gens), -1)
-        assert null.shape == (6, 6 - np.linalg.matrix_rank(asym.T))
-        assert np.allclose(null.T @ null, np.eye(null.shape[1]), atol=1e-12)
-        assert np.max(np.abs(asym.T @ null)) <= 1e-12
-        assert np.allclose(mats, np.einsum("km,kij->mij", null, gens), atol=1e-12)
-        # D^2, D X D and D Z D span every symmetric 2x2 matrix, target included
+        coef, sigma, basis = _hermitian_basis(gens)
+        assert coef.shape == (6, 2) and sigma.shape == (2,) and basis.shape == (2, 2, 2)
+        assert np.allclose(coef.T @ coef, np.eye(2), atol=1e-12)
+        flat = basis.reshape(2, -1)
+        assert np.allclose(flat @ flat.T, np.eye(2), atol=1e-12)
+        assert np.array_equal(basis, basis.transpose(0, 2, 1))
+        combos = np.einsum("kj,kab->jab", coef, gens)
+        assert np.allclose(combos, sigma[:, None, None] * basis, atol=1e-12)
         result = posthoc_feasible_binary(st, refs, target)
         assert result.feasible
         assert np.linalg.eigvalsh(target @ result.witness)[0] > 0.0
+
+    def test_repeated_generators_add_no_direction(self):
+        # the Hadamard direction against {X}: one symmetric direction, and its
+        # listing twice or with +/- I (which repeats D^2) adds no other
+        gens = np.array(_binary_generators(ME2, [X], HADAMARD_DIR))
+        _, sigma, basis = _hermitian_basis(gens)
+        assert len(sigma) == 1
+        for extra in ([X], [X, X], [np.eye(2)], [-np.eye(2), X]):
+            more = np.array(_binary_generators(ME2, [X, *extra], HADAMARD_DIR))
+            coef, sigma2, basis2 = _hermitian_basis(more)
+            assert len(sigma2) == 1 and coef.shape == (len(more), 1)
+            assert np.allclose(np.outer(basis2, basis2), np.outer(basis, basis), atol=1e-12)
+            result = posthoc_feasible_binary(ME2, [X, *extra], HADAMARD_DIR)
+            assert result.verdict == "infeasible"
 
 
 class TestSignReachable:
