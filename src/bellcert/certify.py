@@ -10,7 +10,6 @@ only become certifiable after both parties' families have grown.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +32,6 @@ from .jordan import (
 )
 from .linalg import extend_orthonormal_rows
 from .posthoc import FeasibilityResult, RobustnessParams, posthoc_check, sign_reachable
-from .serialize import encode_matrix
 from .simplex import maximal_independent_subset, simplex_observables
 from .strategies import (
     ProjectiveMeasurement,
@@ -119,12 +117,6 @@ class PlanRound:
     party: str
     observables: tuple[np.ndarray, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "party": self.party,
-            "observables": [encode_matrix(o) for o in self.observables],
-        }
-
 
 @dataclass(frozen=True)
 class IterativePlan:
@@ -140,47 +132,31 @@ class IterativePlan:
     closure_iterations: int
     dim: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "closure_dimension": self.closure_dimension,
-            "closure_iterations": self.closure_iterations,
-            "rounds": [r.to_json_dict() for r in self.rounds],
-        }
-
 
 def _extension_batch(
-    source: SpanBasis,
+    source: np.ndarray,
     into: SpanBasis,
     rng: np.random.Generator,
     settings: Settings,
 ) -> tuple[list[np.ndarray], SpanBasis]:
-    """Cut-point observables of random source elements that enlarge `into`.
+    """Cut points of one random basis of the source party's span that enlarge `into`.
 
-    Every returned observable is sgn(H - rI) for some H in the source span,
-    hence certifiable against the source party's family; only those that
-    extend the destination span are kept.
+    The n elements of a Gaussian change of basis of the source's n questions
+    are offered in order. Each returned observable is sgn(H - rI) for such an
+    H, hence certifiable against the source party's family, and extends the
+    destination span.
     """
     q = into.rows
     added_obs: list[np.ndarray] = []
-    stale = 0
-    budget = 6 * source.dimension + 20
-    for _ in range(budget):
-        if stale >= 8:
-            break
-        h = np.tensordot(rng.standard_normal(source.dimension), source.basis, axes=1)
-        # h lies in Sym(d) by construction, but a basis row kept with a singular
-        # value just above the orthogonalizer's threshold is symmetric only to
-        # about eps/sigma, which can exceed sym_tol after a round of extension
-        h = 0.5 * (h + h.T)
-        got_new = False
+    # H combines the questions, not their orthonormal rows: a row kept with
+    # singular value sigma is off by about eps/sigma, and cut points of such
+    # combinations drift out of the closure within a few rounds
+    for h in np.tensordot(rng.standard_normal((len(source),) * 2), source, axes=1):
         for o in cut_point_observables(h, settings=settings):
             q2, added = extend_orthonormal_rows(q, [o.ravel()], into.tol)
             if added:
                 q = q2
                 added_obs.append(o)
-                got_new = True
-        stale = 0 if got_new else stale + 1
     return added_obs, SpanBasis(into.matrix_dim, q, into.tol)
 
 
@@ -196,11 +172,14 @@ def iterative_plan(
     Both parties start with the initial family (mirrored). A party may gain
     any observable that is the sign of a combination of the other party's
     current span; rounds alternate until the target is the sign of an element
-    of Bob's span, at which point it joins Alice as the final round.
+    of Bob's span, at which point it joins Alice as the final round. ``seed``
+    seeds the random basis each round draws.
 
     Raises Unreachable when the target lies outside the Jordan closure of the
-    initial family - no sequence of extensions can ever reach it - and
-    SolverStall if the randomized search exhausts its round budget first.
+    initial family - no sequence of extensions can ever reach it. Every planned
+    observable is a cut point of a span element, so it lies in the closure,
+    and each round before the last grows one party's span inside it. So the
+    plan ends: with the target, or with SolverStall when neither span grows.
     """
     s = settings or DEFAULTS
     o, *refs = require_binary_observables([target, *initial_alice], settings=s)
@@ -212,32 +191,32 @@ def iterative_plan(
         )
     d = o.shape[0]
     rng = np.random.default_rng(seed)
-    span_a = span_b = span_basis([np.eye(d)] + refs, settings=s)
+    initial = np.array([np.eye(d), *refs])
+    families = dict.fromkeys(("alice", "bob"), initial)
+    spans = dict.fromkeys(("alice", "bob"), span_basis(initial, settings=s))
     rounds: list[PlanRound] = []
-    cap = math.ceil(2.0 * math.log2(d)) + 3 if d > 1 else 3
-    for _cycle in range(cap):
-        if sign_reachable(span_b, o, settings=s):
-            rounds.append(PlanRound(party="alice", observables=(o,)))
-            return IterativePlan(
-                rounds=tuple(rounds),
-                closure_dimension=closure.dimension,
-                closure_iterations=closure_iters,
-                dim=d,
+    while not sign_reachable(spans["bob"], o, settings=s):
+        # Bob is grown from Alice's span first, then Alice from Bob's
+        for party, source in (("bob", "alice"), ("alice", "bob")):
+            new, grown = _extension_batch(families[source], spans[party], rng, s)
+            if new:
+                rounds.append(PlanRound(party=party, observables=tuple(new)))
+                families[party] = np.concatenate([families[party], new])
+                spans[party] = grown
+                break
+        else:
+            raise SolverStall(
+                "no span grows and the target is not reachable: span dimensions "
+                f"{spans['bob'].dimension} and {spans['alice'].dimension}, "
+                f"closure {closure.dimension}"
             )
-        new_b, span_b2 = _extension_batch(span_a, span_b, rng, s)
-        if new_b:
-            rounds.append(PlanRound(party="bob", observables=tuple(new_b)))
-            span_b = span_b2
-            continue
-        new_a, span_a2 = _extension_batch(span_b, span_a, rng, s)
-        if new_a:
-            rounds.append(PlanRound(party="alice", observables=tuple(new_a)))
-            span_a = span_a2
-            continue
-        raise SolverStall(
-            "extension search saturated without reaching the target"
-        )
-    raise SolverStall(f"target not reachable within {cap} extension cycles")
+    rounds.append(PlanRound(party="alice", observables=(o,)))
+    return IterativePlan(
+        rounds=tuple(rounds),
+        closure_dimension=closure.dimension,
+        closure_iterations=closure_iters,
+        dim=d,
+    )
 
 
 # --------------------------------------------------------------------------

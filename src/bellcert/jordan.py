@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULTS, Settings
-from .errors import BadParams, DimMismatch, EmptyInput
+from .errors import BadParams, DimMismatch, EmptyInput, SolverStall
 from .linalg import (
     extend_orthonormal_rows,
     orthonormal_rows,
@@ -128,6 +128,10 @@ def jordan_closure(
         generator); ``iterations`` counts the sweeps in which the dimension
         strictly grew. For binary generators this is at most ceil(2*log2 d),
         since each sweep at least doubles the reachable word length.
+
+    Raises SolverStall if the basis outgrows dim Sym(d) = d(d+1)/2, which
+    no closure can: rows that drift off the symmetric matrices let rounding
+    noise pass as new directions.
     """
     s = settings or DEFAULTS
     tol = s.membership_tol
@@ -138,7 +142,8 @@ def jordan_closure(
     q = orthonormal_rows(np.concatenate([np.eye(d)[None], seeds]), tol)
     iterations = 0
     fresh_from = 0
-    while len(q) < d * (d + 1) // 2:
+    full = d * (d + 1) // 2
+    while len(q) < full:
         mats = q.reshape(-1, d, d)
         n = len(mats)
         # row i times the rows after it, skipping pairs of rows that both
@@ -151,6 +156,10 @@ def jordan_closure(
         q2, added = extend_orthonormal_rows(q, products, tol)
         if added == 0:
             break
+        if len(q2) > full:
+            raise SolverStall(
+                f"closure basis reached {len(q2)} rows, more than dim Sym({d}) = {full}"
+            )
         fresh_from = n
         q = q2
         iterations += 1

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bellcert import certify
 from bellcert.certify import (
     CertificateReport,
     IterativePlan,
@@ -23,9 +24,10 @@ from bellcert.errors import (
     BadParams,
     InvalidMeasurement,
     NotSymmetric,
+    SolverStall,
     Unreachable,
 )
-from bellcert.jordan import jordan_closure
+from bellcert.jordan import contains, jordan_closure, span_basis
 from bellcert.linalg import sgn_map, sym_eig
 from bellcert.posthoc import min_trace_Q, posthoc_check
 from bellcert.simplex import degenerate_pair_3d, pair_observables, simplex_observables
@@ -239,6 +241,29 @@ class TestCertificateReport:
             certificate_report(stripped)
 
 
+def _random_plan_input(rng):
+    """d = 6..12, two or three reflections of rank 1 or 2, and as target the
+    sign of a random element of their closure."""
+    d = int(rng.integers(6, 13))
+    refs = [
+        random_reflection(rng, d, int(rng.integers(1, 3)))
+        for _ in range(int(rng.integers(2, 4)))
+    ]
+    closure, _ = jordan_closure(refs)
+    coeffs = rng.standard_normal(closure.dimension)
+    return refs, sgn_map(np.tensordot(coeffs, closure.basis, axes=1)).matrix
+
+
+def _load_oracle():
+    """The benchmark's independent checker, perfbench/oracle.py."""
+    spec = importlib.util.spec_from_file_location(
+        "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    )
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
 class TestIterativePlan:
     def test_reachable_target_needs_one_round(self):
         obs = simplex_observables(3)
@@ -259,46 +284,75 @@ class TestIterativePlan:
                 gap = np.max(np.abs(obs @ obs - np.eye(3)))
                 assert gap < 1e-9
 
-    def test_round_count_is_bounded(self):
+    @pytest.mark.parametrize("draw", [None, 1, 98], ids=["degenerate-pair", "d9", "d8"])
+    def test_each_round_grows_its_span_inside_the_closure(self, draw):
+        # draw 1 (d = 9): when each round combined the orthonormal rows of the
+        # other party's span, Alice's span outgrew the 22-dimensional closure
+        # and Bob's second round was up to 2.1 off it in Frobenius norm
+        if draw is None:
+            _, refs, target, _ = degenerate_pair_3d()
+            refs = list(refs)
+        else:
+            refs, target = _random_plan_input(np.random.default_rng(draw))
+        plan = iterative_plan(refs, target)
+        closure, _ = jordan_closure(refs)
+        d = target.shape[0]
+        families = dict.fromkeys(("alice", "bob"), [np.eye(d), *refs])
+        for rnd in plan.rounds[:-1]:
+            before = span_basis(families[rnd.party]).dimension
+            families[rnd.party] = [*families[rnd.party], *rnd.observables]
+            assert span_basis(families[rnd.party]).dimension > before
+        for rnd in plan.rounds:
+            assert all(contains(closure, o)[0] for o in rnd.observables)
+
+    def test_a_plan_that_no_span_can_grow_stalls(self, monkeypatch):
+        # with the target never reachable, both spans grow to the closure
+        # (all of Sym(3)) and the next pass grows neither
+        monkeypatch.setattr(certify, "sign_reachable", lambda *a, **k: False)
         _, refs, first, _ = degenerate_pair_3d()
-        plan = iterative_plan(list(refs), first)
-        assert len(plan.rounds) <= int(np.ceil(2 * np.log2(3))) + 3
+        with pytest.raises(SolverStall, match="span dimensions 6 and 6, closure 6"):
+            iterative_plan(list(refs), first)
+
+    def test_random_plans_pass_the_benchmark_check(self):
+        # three reflections of rank d // 2 and a cut of a random closure
+        # element, as the benchmark draws them; a seed fixes the plan
+        oracle = _load_oracle()
+        for s in range(20):
+            rng = np.random.default_rng(s)
+            d = int(rng.integers(4, 9))
+            refs = [random_reflection(rng, d, d // 2) for _ in range(3)]
+            closure, _ = jordan_closure(refs)
+            h = np.tensordot(rng.standard_normal(closure.dimension), closure.basis, axes=1)
+            vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
+            cut = int(rng.integers(0, d - 1))
+            target = (vecs * np.sign(vals - 0.5 * (vals[cut] + vals[cut + 1]))) @ vecs.T
+            plan = iterative_plan(refs, target, seed=s)
+            job = SimpleNamespace(data={"refs": refs, "target": target})
+            assert oracle.check_plan(job, plan, None) == (oracle.OK, ""), (s, d)
+            again = iterative_plan(refs, target, seed=s)
+            assert [r.party for r in again.rounds] == [r.party for r in plan.rounds]
+            for r1, r2 in zip(plan.rounds, again.rounds, strict=True):
+                assert all(map(np.array_equal, r1.observables, r2.observables))
 
     def test_unreachable_target(self):
         with pytest.raises(Unreachable):
             iterative_plan([Z], X)
 
-    def test_plan_serialization(self):
-        obs = simplex_observables(3)
-        plan = iterative_plan(list(obs), obs[1])
-        payload = plan.to_json_dict()
-        assert payload["dim"] == 3
-        assert payload["closure_dimension"] == 6
-        assert [r["party"] for r in payload["rounds"]] == [
-            r.party for r in plan.rounds
-        ]
-
     def test_plan_with_rounds_on_both_sides(self):
-        # d = 9, two reflections: after a round of extension a random element
-        # of the grown span was 6.6e-8 off symmetric, which cut_point_observables
-        # rejected at sym_tol; the plan also extends Alice's family on the way
-        rng = np.random.default_rng(1)
-        d = int(rng.integers(6, 13))
-        refs = [
-            random_reflection(rng, d, int(rng.integers(1, 3)))
-            for _ in range(int(rng.integers(2, 4)))
-        ]
-        closure, _ = jordan_closure(refs)
-        coeffs = rng.standard_normal(closure.dimension)
-        target = sgn_map(np.tensordot(coeffs, closure.basis, axes=1)).matrix
+        # d = 8, three reflections, closure dimension 16: Bob's first round
+        # does not reach the target, so Alice's family grows before Bob's
+        # second round
+        refs, target = _random_plan_input(np.random.default_rng(98))
         plan = iterative_plan(refs, target)
-        assert plan.rounds[-1].party == "alice"
+        assert [r.party for r in plan.rounds] == ["bob", "alice", "bob", "alice"]
         assert len(plan.rounds[-1].observables) == 1
         assert np.array_equal(plan.rounds[-1].observables[0], target)
-        assert "alice" in [r.party for r in plan.rounds[:-1]]
         planned = [o for r in plan.rounds for o in r.observables]
         require_binary_observables(planned)
         assert all(np.array_equal(o, o.T) for o in planned)
+        job = SimpleNamespace(data={"refs": refs, "target": target})
+        oracle = _load_oracle()
+        assert oracle.check_plan(job, plan, None) == (oracle.OK, "")
 
     def test_plan_whose_first_search_ends_on_its_bound(self):
         # d = 11, two reflections, closure dimension 5 (draws as in
@@ -306,24 +360,12 @@ class TestIterativePlan:
         # ends below -feas_tol with its bound (8.5e-8) inside the band. The
         # bound settles "not reachable", where asking for a Farkas certificate
         # used to raise SolverStall
-        rng = np.random.default_rng(132)
-        d = int(rng.integers(6, 13))
-        refs = [
-            random_reflection(rng, d, int(rng.integers(1, 3)))
-            for _ in range(int(rng.integers(2, 4)))
-        ]
-        closure, _ = jordan_closure(refs)
-        coeffs = rng.standard_normal(closure.dimension)
-        target = sgn_map(np.tensordot(coeffs, closure.basis, axes=1)).matrix
+        refs, target = _random_plan_input(np.random.default_rng(132))
         plan = iterative_plan(refs, target)
-        assert (d, plan.closure_dimension) == (11, 5)
+        assert (target.shape[0], plan.closure_dimension) == (11, 5)
         assert [r.party for r in plan.rounds] == ["bob", "alice"]
         # the benchmark's independent plan check accepts it
-        spec = importlib.util.spec_from_file_location(
-            "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-        )
-        oracle = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(oracle)
+        oracle = _load_oracle()
         job = SimpleNamespace(data={"refs": refs, "target": target})
         assert oracle.check_plan(job, plan, None) == (oracle.OK, "")
 

@@ -5,7 +5,7 @@ import pytest
 
 from bellcert import jordan as jordan_module
 from bellcert.config import DEFAULTS
-from bellcert.errors import BadParams, DimMismatch, EmptyInput, NotSymmetric
+from bellcert.errors import BadParams, DimMismatch, EmptyInput, NotSymmetric, SolverStall
 from bellcert.jordan import (
     SpanBasis,
     contains,
@@ -217,6 +217,20 @@ class TestJordanClosure:
                 gens = [random_reflection(rng, d) for _ in range(2)]
                 _, iterations = jordan_closure(gens)
                 assert iterations <= cap
+
+    @pytest.mark.parametrize("seed", [102, 269, 278])
+    def test_never_outgrows_the_symmetric_matrices(self, seed):
+        # d = 9, three reflections: the true closure has dimension 37, but
+        # rows that drift off Sym(9) once let rounding noise through as 25 to
+        # 37 extra directions, past dim Sym(9) = 45
+        rng = np.random.default_rng(seed)
+        refs = [random_reflection(rng, 9, r) for r in (6, 5, 8)]
+        try:
+            basis, _ = jordan_closure(refs)
+        except SolverStall as exc:
+            assert "more than dim Sym(9) = 45" in str(exc)
+        else:
+            assert basis.dimension == 37
 
 
 class TestCutPointObservables:

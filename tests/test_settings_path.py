@@ -12,14 +12,13 @@ from bellcert.config import Settings
 SRC = Path(bellcert.__file__).resolve().parent
 
 # kernels that take a plain number by design: the stacked Hermitian
-# validator, the orthogonalizer and the posthoc verdict band
+# validator and the orthogonalizer
 KERNELS = frozenset(
     {
         "require_hermitian_stack",
         "orthonormal_rows",
         "extend_orthonormal_rows",
         "_extend",
-        "_verdict",
     }
 )
 
@@ -70,7 +69,7 @@ def test_tolerances_come_from_settings(path):
         ("def f(*tol, **eig_tol): pass", ["f(tol)", "f(eig_tol)"]),
         ("def f():\n    return DEFAULTS.eig_tol", ["DEFAULTS.eig_tol"]),
         ("from . import config\nconfig.DEFAULTS.sym_tol", ["DEFAULTS.sym_tol"]),
-        ("def orthonormal_rows(rows, tol): pass\ndef _verdict(v, tol): pass", []),
+        ("def orthonormal_rows(rows, tol): pass\ndef _verdict(v, tol): pass", ["_verdict(tol)"]),
         ("def f(m, *, settings=None):\n    return (settings or DEFAULTS).eig_tol", []),
         ("s = DEFAULTS\nDEFAULTS_X.eig_tol\nsettings.sym_tol", []),
         ("def f(tolerance, atol, tols, tol_x): pass", []),
