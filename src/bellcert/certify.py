@@ -56,14 +56,21 @@ def split_measurement(
 
 
 def _certification_strategy(
-    extras: Sequence[np.ndarray], labels: Sequence[str], meta: dict, settings: Settings | None
+    target: np.ndarray | ProjectiveMeasurement,
+    extras: Sequence[np.ndarray],
+    labels: Sequence[str],
+    meta: dict,
+    settings: Settings | None,
 ) -> Strategy:
-    """Bob's spanning family against Alice's simplex reflections plus `extras`."""
+    """Bob's spanning family against Alice's simplex reflections plus `extras`.
+
+    The strategy records `target`: it is all the strategy's file needs.
+    """
     d = extras[0].shape[0]
     if d < 3:
         raise BadDimension("the certification pipeline needs dimension >= 3")
     bob_mats, bob_labels = maximal_independent_subset(d)
-    return Strategy(
+    strategy = Strategy(
         state=SchmidtState.maximally_entangled(d),
         alice=ProjectiveMeasurement.binary_family(
             [*simplex_observables(d), *extras], settings=settings
@@ -71,9 +78,11 @@ def _certification_strategy(
         bob=ProjectiveMeasurement.binary_family(bob_mats, settings=settings),
         alice_labels=tuple(f"T{j}" for j in range(d + 1)) + tuple(labels),
         bob_labels=tuple(bob_labels),
-        # "kind" keeps its first place: the key order is strategy.json's
+        # "kind" keeps its first place: a format-1 file writes meta in this order
         meta={"kind": meta["kind"], "base_questions": d + 1, **meta},
     )
+    object.__setattr__(strategy, "target", target)
+    return strategy
 
 
 def binary_certification_strategy(
@@ -87,7 +96,7 @@ def binary_certification_strategy(
     maximally entangled. Raises BadDimension for d < 3.
     """
     o = require_binary_observable(target, settings=settings)
-    return _certification_strategy([o], ("O",), {"kind": "binary-certification"}, settings)
+    return _certification_strategy(o, [o], ("O",), {"kind": "binary-certification"}, settings)
 
 
 def measurement_certification_strategy(
@@ -99,11 +108,22 @@ def measurement_certification_strategy(
     outcome (labels O0, O1, ...); Bob keeps the spanning reference family.
     """
     return _certification_strategy(
+        m,
         split_measurement(m, settings=settings),
         [f"O{a}" for a in range(m.outputs)],
         {"kind": "measurement-certification", "target_outputs": m.outputs},
         settings,
     )
+
+
+def certification_strategy(
+    target: np.ndarray | ProjectiveMeasurement, *, settings: Settings | None = None
+) -> Strategy:
+    """The reference strategy `certify` builds: per outcome for a measurement
+    target, else for one binary observable."""
+    if isinstance(target, ProjectiveMeasurement):
+        return measurement_certification_strategy(target, settings=settings)
+    return binary_certification_strategy(target, settings=settings)
 
 
 # --------------------------------------------------------------------------

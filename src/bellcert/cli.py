@@ -51,18 +51,13 @@ from .simplex import (
     simplex_vectors,
 )
 from .strategies import (
-    ProjectiveMeasurement,
     SchmidtState,
     brute_force_correlation,
     correlation_table,
     verify_cheating_povm,
     verify_degenerate_pair,
 )
-from .certify import (
-    binary_certification_strategy,
-    certificate_report,
-    measurement_certification_strategy,
-)
+from .certify import certificate_report, certification_strategy
 
 # command-line flag dest -> Settings field; the flag is the dest with dashes
 _SETTINGS_FLAGS = {
@@ -247,10 +242,7 @@ def _cmd_jordan_closure(args, settings: Settings) -> int:
 
 def _cmd_certify(args, settings: Settings) -> int:
     target = target_from_json(_load_json(args.target), settings=settings)
-    if isinstance(target, ProjectiveMeasurement):
-        strategy = measurement_certification_strategy(target, settings=settings)
-    else:
-        strategy = binary_certification_strategy(target, settings=settings)
+    strategy = certification_strategy(target, settings=settings)
     report = certificate_report(strategy, settings=settings)
     text = json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
     table = None if args.no_table else correlation_table(strategy)

@@ -6,6 +6,10 @@ significant digits). JSON inputs are read under one rule: a field sits in a
 JSON object and holds the JSON type asked for (``_field``), and a number is a
 JSON number (``config.is_number``: not ``"0.6"`` or ``true``); anything else
 raises BadParams. NaN and Infinity are left to the objects' validators.
+
+A strategy that a certification pipeline built is written as its target
+alone (format 2) and rebuilt by that pipeline on reading; any other strategy
+lists every measurement (format 1).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .certify import certification_strategy
 from .config import Settings, is_number
 from .errors import BadParams
 from .strategies import (
@@ -79,6 +84,11 @@ def measurement_from_json_dict(
 
 
 def strategy_to_json_dict(s: Strategy) -> dict:
+    """{"format": 2, "target": target} when `s` records its pipeline target, else format 1."""
+    if isinstance(s.target, ProjectiveMeasurement):
+        return {"format": 2, "target": measurement_to_json_dict(s.target)}
+    if s.target is not None:
+        return {"format": 2, "target": {"matrix": encode_matrix(s.target)}}
     return {
         "dim": s.dim,
         "schmidt_coeffs": [float(c) for c in s.state.coeffs],
@@ -94,12 +104,26 @@ def strategy_to_json_dict(s: Strategy) -> dict:
     }
 
 
+def _strategy_format(raw: object) -> int:
+    """A strategy dictionary's "format": the JSON integer 1 or 2, and 1 when absent."""
+    fmt = raw.get("format", 1) if isinstance(raw, dict) else 1
+    if type(fmt) is not int or fmt not in (1, 2):
+        raise BadParams(f"a strategy's 'format' must be 1 or 2, got {fmt!r}")
+    return fmt
+
+
 def strategy_from_json_dict(raw: dict, *, settings: Settings | None = None) -> Strategy:
     """A strategy from strategy_to_json_dict's shape.
 
-    A measurement's "label" is a JSON string (A{i} and B{i} when absent), and
+    Format 2 is rebuilt by the certification pipeline from its target, so it
+    equals the strategy that was written, bit for bit. In format 1 a
+    measurement's "label" is a JSON string (A{i} and B{i} when absent), and
     "dim", when present, is the state's dimension as a JSON integer.
     """
+    if _strategy_format(raw) == 2:
+        raw_target = _field(raw, "target", dict, "a format-2 strategy")
+        target = target_from_json(raw_target, settings=settings)
+        return certification_strategy(target, settings=settings)
     state = state_from_json(raw)
     if "dim" in raw and not (type(raw["dim"]) is int and raw["dim"] == state.dim):
         raise BadParams(f"a strategy's 'dim' must be the integer {state.dim}, its state's")
@@ -137,7 +161,12 @@ def read_strategy(path: str | Path, *, settings: Settings | None = None) -> Stra
 
 
 def state_from_json(raw: dict) -> SchmidtState:
-    """Accept {"schmidt_coeffs": [...]} or a full strategy dictionary."""
+    """Accept {"schmidt_coeffs": [...]} or a full strategy dictionary.
+
+    A format-2 strategy is rebuilt at the default tolerances for its state.
+    """
+    if _strategy_format(raw) == 2:
+        return strategy_from_json_dict(raw).state
     coeffs = _field(raw, "schmidt_coeffs", list, "a state")
     if not _all_numbers(coeffs):
         raise BadParams("Schmidt coefficients must be JSON numbers")
@@ -149,8 +178,11 @@ def measurements_from_json(
 ) -> list[ProjectiveMeasurement]:
     """Accept a list of measurement dicts, or {"measurements": [...]}.
 
-    A strategy dictionary's {"alice": [...]} is accepted too.
+    A strategy dictionary's {"alice": [...]} is accepted too; a format-2
+    strategy gives its rebuilt Alice family, base questions included.
     """
+    if _strategy_format(raw) == 2:
+        return list(strategy_from_json_dict(raw, settings=settings).alice)
     if not isinstance(raw, list):
         alice = isinstance(raw, dict) and "measurements" not in raw and "alice" in raw
         raw = _field(raw, "alice" if alice else "measurements", list, "a reference list")

@@ -235,7 +235,13 @@ def require_order_l(a: np.ndarray, outputs: int, *, settings: Settings | None = 
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """State plus per-question measurements (and labels) for both parties."""
+    """State plus per-question measurements (and labels) for both parties.
+
+    ``target`` is the observable or measurement a certification pipeline
+    built the strategy from (None otherwise); the strategy is that pipeline's
+    output for it, so a file can store the target alone. It is not an
+    __init__ argument, and dataclasses.replace resets it to None.
+    """
 
     state: SchmidtState
     alice: tuple[ProjectiveMeasurement, ...]
@@ -243,6 +249,7 @@ class Strategy:
     alice_labels: tuple[str, ...] = ()
     bob_labels: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict)
+    target: np.ndarray | ProjectiveMeasurement | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alice", tuple(self.alice))

@@ -12,7 +12,8 @@ import numpy as np
 
 from bellcert.config import DEFAULTS
 from bellcert.linalg import orthonormal_rows
-from bellcert.strategies import CorrelationTable
+from bellcert.simplex import pair_observables
+from bellcert.strategies import CorrelationTable, Strategy
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -157,3 +158,28 @@ def read_table_csv(path) -> CorrelationTable:
     return CorrelationTable(
         {tuple(map(int, r[:4])): complex(float(r[4]), float(r[5])) for r in rows}
     )
+
+
+# certify's two kinds of target at d = 3..6, as (d, kind) pairs
+PIPELINE_TARGETS = [(d, kind) for d in range(3, 7) for kind in ("pair", "measurement")]
+
+
+def pipeline_target_json(d: int, kind: str) -> dict:
+    """A target file's contents: the pair observable T_01, or a 3-outcome measurement."""
+    if kind == "pair":
+        return {"matrix": pair_observables(d)[(0, 1)].tolist()}
+    projs = random_projective_measurement(np.random.default_rng(d), d, 3)
+    return {"projections": [p.tolist() for p in projs]}
+
+
+def assert_same_strategy(a: Strategy, b: Strategy) -> None:
+    """Equal state, labels and meta, and every projection equal bit for bit.
+
+    tobytes tells -0.0 from 0.0, which np.array_equal does not.
+    """
+    assert np.array_equal(a.state.coeffs, b.state.coeffs)
+    assert (a.alice_labels, a.bob_labels, a.meta) == (b.alice_labels, b.bob_labels, b.meta)
+    for m, n in zip((*a.alice, *a.bob), (*b.alice, *b.bob), strict=True):
+        assert m.outputs == n.outputs
+        for p, q in zip(m.projections, n.projections):
+            assert p.dtype == q.dtype and np.array_equal(p, q) and p.tobytes() == q.tobytes()

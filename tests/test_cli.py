@@ -22,8 +22,11 @@ from bellcert.strategies import ProjectiveMeasurement, SchmidtState, correlation
 
 from helpers import (
     HADAMARD_DIR,
+    PIPELINE_TARGETS,
     X,
     Z,
+    assert_same_strategy,
+    pipeline_target_json,
     random_projective_measurement,
     random_reflection,
     read_table_csv,
@@ -440,6 +443,61 @@ class TestCertifyCommand:
         assert (tmp_path / "again.json").read_text() == (out_dir / "strategy.json").read_text()
         table = read_table_csv(out_dir / "table.csv")
         assert correlation_table(strat).max_difference(table) == 0.0
+
+
+def _certify_bundle(tmp_path, target_json, monkeypatch):
+    """Run certify on a target; return the bundle directory and the strategy it held."""
+    held = []
+
+    def write(path, strategy):
+        held.append(strategy)
+        write_strategy(path, strategy)
+
+    monkeypatch.setattr(cli, "write_strategy", write)
+    target = _write_json(tmp_path / "target.json", target_json)
+    out_dir = tmp_path / "bundle"
+    assert main(["certify", "--target", target, "--out", str(out_dir)]) == 0
+    [strategy] = held
+    return out_dir, strategy
+
+
+class TestCertifiedStrategyFile:
+    """certify writes its strategy as the target (format 2); readers rebuild it exactly."""
+
+    @pytest.mark.parametrize("d, kind", PIPELINE_TARGETS)
+    def test_the_bundle_reads_back_as_certifys_strategy(self, d, kind, tmp_path, monkeypatch):
+        out_dir, held = _certify_bundle(tmp_path, pipeline_target_json(d, kind), monkeypatch)
+        assert json.loads((out_dir / "strategy.json").read_text())["format"] == 2
+        assert_same_strategy(read_strategy(out_dir / "strategy.json"), held)
+        table = tmp_path / "t.csv"
+        argv = ["correlations", "--strategy", str(out_dir / "strategy.json"), "--out", str(table)]
+        assert main(argv) == 0
+        assert table.read_bytes() == (out_dir / "table.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["pair", "measurement"])
+    def test_posthoc_check_reads_both_formats_alike(self, kind, tmp_path, monkeypatch, capsys):
+        out_dir, held = _certify_bundle(tmp_path, pipeline_target_json(4, kind), monkeypatch)
+        old = tmp_path / "format1.json"
+        write_strategy(old, dataclasses.replace(held))
+        assert "format" not in json.loads(old.read_text())
+        other_pair = {"matrix": encode_matrix(pair_observables(4)[(1, 2)])}
+        target = _write_json(tmp_path / "t.json", other_pair)
+        capsys.readouterr()
+        printed = []
+        for strategy in (out_dir / "strategy.json", old):
+            argv = ["posthoc-check", "--state", str(strategy), "--alice", str(strategy),
+                    "--target", target, "--json"]
+            printed.append((main(argv), capsys.readouterr()))
+        assert printed[0] == printed[1]
+        assert printed[0][0] == 0 and printed[0][1].err == ""
+
+    def test_the_file_at_d16_is_under_16_kb(self, tmp_path):
+        # the measurement list this file used to hold took 1.46 MB
+        pair = {"matrix": encode_matrix(pair_observables(16)[(0, 1)])}
+        target = _write_json(tmp_path / "target.json", pair)
+        out_dir = tmp_path / "bundle"
+        assert main(["certify", "--target", target, "--out", str(out_dir), "--no-table"]) == 0
+        assert (out_dir / "strategy.json").stat().st_size < 16 * 1024
 
 
 class TestRobustnessCommand:

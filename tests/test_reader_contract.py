@@ -25,6 +25,8 @@ from bellcert.strategies import ProjectiveMeasurement, SchmidtState, Strategy
 from helpers import X
 
 MEASUREMENT = measurement_to_json_dict(ProjectiveMeasurement.from_observable(X))
+# a certification strategy's file: the pipeline rebuilds it from its target
+FORMAT_2 = {"format": 2, "target": {"matrix": encode_matrix(np.diag([1.0, -1.0, 1.0]))}}
 
 # each reader with an input it accepts
 VALID = {
@@ -42,6 +44,7 @@ VALID = {
         "bob": [{"label": "B", **MEASUREMENT}],
         "meta": {"kind": "test"},
     },
+    "strategy_from_json_dict:format-2": FORMAT_2,
     "Settings.from_file": {"eig_tol": 1e-9},
     "RobustnessParams.from_json_dict": {
         "n": 6, "lambda_min_gram": 1.0, "trace_q": 3.0, "lambda_min_q": 1.0,
@@ -64,7 +67,7 @@ def read(name: str, raw, tmp_path: Path):
         return Settings.from_file(path)
     if name == "RobustnessParams.from_json_dict":
         return RobustnessParams.from_json_dict(raw)
-    return getattr(serialize, name)(raw)
+    return getattr(serialize, name.split(":")[0])(raw)
 
 
 def wrong_cases():
@@ -100,6 +103,15 @@ def test_a_non_string_label_raises_bad_params(label):
     raw["bob"][0]["label"] = label
     with pytest.raises(BadParams, match="'label'"):
         serialize.strategy_from_json_dict(raw)
+
+
+@pytest.mark.parametrize("fmt", [3, 0, "2", 2.0, False])
+@pytest.mark.parametrize(
+    "reader", ["strategy_from_json_dict", "state_from_json", "measurements_from_json"]
+)
+def test_an_unknown_strategy_format_raises_bad_params(reader, fmt):
+    with pytest.raises(BadParams, match="'format' must be 1 or 2"):
+        getattr(serialize, reader)({**FORMAT_2, "format": fmt})
 
 
 def test_absent_labels_and_dim_take_their_defaults():
@@ -196,6 +208,21 @@ MALFORMED = {
     ),
     "strategy-meta-number": (
         "correlations", "strategy", _strategy_with("meta", 5), "needs a 'meta' object"
+    ),
+    "strategy-format-string": (
+        "correlations",
+        "strategy",
+        json.dumps({**FORMAT_2, "format": "2"}),
+        "'format' must be 1 or 2",
+    ),
+    "strategy-format-2-target-number": (
+        "correlations", "strategy", '{"format": 2, "target": 5}', "needs a 'target' object"
+    ),
+    "strategy-format-2-target-2d": (
+        "correlations",
+        "strategy",
+        json.dumps({"format": 2, "target": {"matrix": encode_matrix(X)}}),
+        "dimension >= 3",
     ),
     "state-strings": (
         "posthoc-check", "state", '{"schmidt_coeffs": ["0.6", "0.8"]}', "must be JSON numbers"

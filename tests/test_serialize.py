@@ -1,12 +1,14 @@
 """JSON/CSV round-trips for matrices, strategies, and correlation tables."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
+from bellcert.certify import certification_strategy
 from bellcert.errors import BadParams
 from bellcert.serialize import (
     decode_matrix,
@@ -31,7 +33,15 @@ from bellcert.strategies import (
     correlation_table,
 )
 
-from helpers import X, random_projective_measurement, random_symmetric, read_table_csv
+from helpers import (
+    PIPELINE_TARGETS,
+    X,
+    assert_same_strategy,
+    pipeline_target_json,
+    random_projective_measurement,
+    random_symmetric,
+    read_table_csv,
+)
 
 
 def _exact(a, b) -> bool:
@@ -147,6 +157,43 @@ class TestStrategyCodec:
             del entry["label"]
         again = strategy_from_json_dict(raw)
         assert again.alice_labels == ("A0", "A1", "A2", "A3")
+
+
+def _pipeline_strategy(d: int, kind: str) -> Strategy:
+    return certification_strategy(target_from_json(pipeline_target_json(d, kind)))
+
+
+class TestPipelineFormat:
+    @pytest.mark.parametrize("d, kind", PIPELINE_TARGETS)
+    def test_the_file_holds_the_target_and_reads_back_bit_for_bit(self, d, kind, tmp_path):
+        strat = _pipeline_strategy(d, kind)
+        path = tmp_path / "strategy.json"
+        write_strategy(path, strat)
+        raw = json.loads(path.read_text())
+        assert raw.keys() == {"format", "target"} and raw["format"] == 2
+        again = read_strategy(path)
+        assert_same_strategy(again, strat)
+        write_strategy(tmp_path / "again.json", again)
+        assert (tmp_path / "again.json").read_text() == path.read_text()
+
+    @pytest.mark.parametrize("d, kind", PIPELINE_TARGETS)
+    def test_a_replaced_strategy_is_written_in_format_1(self, d, kind, tmp_path):
+        strat = _pipeline_strategy(d, kind)
+        replaced = dataclasses.replace(strat, bob=strat.bob[:-1], bob_labels=strat.bob_labels[:-1])
+        assert replaced.target is None
+        path = tmp_path / "strategy.json"
+        write_strategy(path, replaced)
+        raw = json.loads(path.read_text())
+        assert "format" not in raw and len(raw["bob"]) == len(strat.bob) - 1
+        assert _exact(raw, strategy_to_json_dict(replaced))
+        assert_same_strategy(read_strategy(path), replaced)
+
+    def test_the_reference_list_of_a_format_2_file_is_alices_whole_family(self):
+        strat = _pipeline_strategy(5, "measurement")
+        refs = measurements_from_json(strategy_to_json_dict(strat))
+        assert len(refs) == strat.alice_questions == 5 + 1 + 3
+        for m, n in zip(refs, strat.alice, strict=True):
+            assert all(map(np.array_equal, m.projections, n.projections))
 
 
 class TestTolerantReaders:
