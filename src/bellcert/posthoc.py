@@ -2,8 +2,12 @@
 
 Given a Schmidt-diagonal reference state D and reference observables A_x, an
 extra observable O is certified by exhibiting a positive definite P with
-conj(O)^l P inside span{D A_x^j D} for every power l. Ruling such a P in or
-out is a small semidefinite feasibility problem over the span. Every stage
+conj(O)^l P inside span{D A_x^j D} for every power l. Each check first tries
+the exact witness P = D^2, which exists exactly when D^-1 conj(O)^l D lies in
+span{I, A_x^j}: one least-squares solve decides that, and it decides every
+question of the certification pipeline, whose reference family spans every
+symmetric matrix. Otherwise, ruling such a P in or out is a small
+semidefinite feasibility problem over the span. Every stage of that search
 works on one Frobenius-orthonormal basis of the Hermitian combinations of the
 check's generators, so a verdict depends on the span alone, not on how the
 references list it. One log-det barrier decides it deterministically: the
@@ -55,10 +59,12 @@ class FeasibilityResult:
         "feasible", "infeasible", or "marginal" (lambda_min_achieved within
         +/- certificate_tol of zero).
     lambda_min_achieved:
-        Minimum eigenvalue of the Hermitian combination at the unit-norm
-        coefficient vector the solver returned (the witness direction when
-        feasible); -inf when no nonzero combination of the generators is
-        Hermitian. With one Hermitian direction this is the exact optimum;
+        lambda_min(W^dag sum_k c_k S_k) / |c| at the coefficients c the check
+        returned: for the exact witness P = D^2, lambda_min(P) / |c| at its
+        least-norm c (O H = P on the binary check); otherwise at the solver's
+        unit-norm coefficient vector (the witness direction when feasible),
+        and -inf when no nonzero combination of the generators is Hermitian.
+        With one Hermitian direction the solver's value is the exact optimum;
         with more, the barrier stops once the verdict is settled.
     witness:
         For a feasible binary check, the span element H with O H symmetric
@@ -69,7 +75,8 @@ class FeasibilityResult:
         (D^2 first, then the D A D terms, in input order): real for the
         binary check, complex (W P = sum_k c_k S_k) for the order-L one.
         When the generators are linearly dependent this is the least-norm
-        representation.
+        representation. The solver's are of unit norm; the exact witness's
+        represent P = D^2 itself.
     certificate_tol:
         The feasibility threshold the verdict was decided against.
     power:
@@ -365,6 +372,43 @@ def _feasibility_result(
     return FeasibilityResult(verdict, value, np.tensordot(c, span, axes=1), c, tol, power)
 
 
+def _decide(
+    state: SchmidtState, ops: Sequence[np.ndarray], w: np.ndarray, power: int, settings: Settings
+) -> FeasibilityResult:
+    """Decide one check of the question ops = [target, *references] in the frame W.
+
+    The check asks for P > 0 with W P = sum_k c_k S_k. The binary check has
+    the real W = O, real c and the witness H = sum_k c_k S_k (P = O H); the
+    order-L check has the complex W = conj(U)^power, complex c and the
+    witness P. First the exact witness P = D^2: it exists exactly when
+    x = D^-1 W D lies in span{I, A_x}, and one least-squares solve of x
+    against [I, *references] gives its least-norm coefficients c. It is
+    accepted when the residual is at most membership_tol * max(1, |x|_F),
+    W^dag sum_k c_k S_k is Hermitian to sym_tol relative to its largest
+    entry, and its lambda_min / |c| (then lambda_min_achieved) exceeds
+    feas_tol. Otherwise _feasibility_result decides the check.
+    """
+    s = settings
+    span = _span(state, ops)
+    d, lam = state.dim, state.coeffs
+    x = (w * (lam / lam[:, None])).ravel()  # x_ij = W_ij lam_j / lam_i
+    refs = np.concatenate([np.eye(d)[None], np.array(ops[1:]).reshape(-1, d, d)])
+    refs = refs.reshape(len(refs), -1).T
+    c = np.linalg.lstsq(refs, x, rcond=None)[0]
+    if np.linalg.norm(refs @ c - x) <= s.membership_tol * max(1.0, np.linalg.norm(x)):
+        member = np.tensordot(c, span, axes=1)
+        p = w.conj().T @ member
+        if np.max(np.abs(p - p.conj().T)) <= s.sym_tol * np.max(np.abs(p)):
+            value = _lambda_min(0.5 * (p + p.conj().T)) / float(np.linalg.norm(c))
+            if value > s.feas_tol:
+                witness = member if np.isrealobj(w) else p
+                return FeasibilityResult("feasible", value, witness, c, s.feas_tol, power)
+    if np.isrealobj(w):
+        return _feasibility_result(w @ span, span, power, s)
+    gens = _power_generators(span, w)
+    return _feasibility_result(gens, gens[0::2], power, s)
+
+
 def posthoc_feasible_binary(
     state: SchmidtState,
     alice: Sequence[np.ndarray],
@@ -385,8 +429,7 @@ def posthoc_feasible_binary(
     """
     s = settings or DEFAULTS
     obs = require_binary_observables([target, *alice], settings=s)
-    span = _span(state, obs)
-    return _feasibility_result(obs[0] @ span, span, 1, s)
+    return _decide(state, obs, obs[0], 1, s)
 
 
 def sign_reachable(
@@ -408,13 +451,13 @@ def sign_reachable(
     return _best_margin(sigma, basis, s)[0] > s.feas_tol
 
 
-def _power_generators(span: np.ndarray, u: np.ndarray, power: int) -> np.ndarray:
-    """Generators of P in span{W^dag S_k} over C, W = conj(u)^power.
+def _power_generators(span: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Generators of P in span{W^dag S_k} over C, for the frame W = conj(U)^power.
 
     Each W^dag S_k contributes itself and i W^dag S_k, so that real
     coefficients (interleaved real and imaginary parts) cover the complex span.
     """
-    base = np.linalg.matrix_power(u.conj(), power).conj().T @ span
+    base = w.conj().T @ span
     return np.stack([base, 1j * base], axis=1).reshape(-1, *base.shape[1:])
 
 
@@ -441,9 +484,11 @@ def posthoc_feasible_general(
     """
     s = settings or DEFAULTS
     u = require_order_l(target, outputs, settings=s)
-    span = _span(state, [u, *alice_powers])
-    gens = [_power_generators(span, u, power) for power in range(1, outputs)]
-    return [_feasibility_result(g, g[0::2], power, s) for power, g in enumerate(gens, 1)]
+    ops = [u, *alice_powers]
+    return [
+        _decide(state, ops, np.linalg.matrix_power(u.conj(), power), power, s)
+        for power in range(1, outputs)
+    ]
 
 
 def is_binary_question(
@@ -520,15 +565,18 @@ def min_trace_Q(
     path, Hermitian on the order-L one (is_binary_question picks the path).
 
     Runs the feasibility check itself (for the order-L check, of ``power``
-    alone) and raises Infeasible when it fails. Then, when I lies in the
-    Q-frame span, Q = I is the exact optimum and is returned with Tr Q = d
-    without a barrier: the exit is taken when I is within
-    ``membership_tol * max(1, sqrt(d))`` of its projection onto the span, in
-    Frobenius norm (the rule of jordan.contains). This holds for every
-    pipeline target against Bob's spanning family, at any Schmidt spectrum.
-    Otherwise a barrier follows the central path from the check's witness,
-    raising SolverStall if its Newton iteration cannot make progress. Both
-    are deterministic, so repeated calls agree to well below 1e-8.
+    alone) and raises Infeasible when it fails. When I lies in the Q-frame
+    span, Q = I is the exact optimum and is returned with Tr Q = d without a
+    barrier. The exit is taken, in Frobenius norm and at
+    ``membership_tol * max(1, sqrt(d))`` (the rule of jordan.contains), when
+    the check's witness in the Q frame, D^-1 P D^-1 scaled to lambda_min = 1,
+    lies that near I: the exact witness P = D^2 decides every pipeline target
+    against Bob's spanning family this way, with no span basis built. Else
+    the Q-frame basis is built, and the exit is taken when I lies that near
+    its projection onto the span. Otherwise a barrier follows the central
+    path from the check's witness, raising SolverStall if its Newton
+    iteration cannot make progress. All are deterministic, so repeated calls
+    agree to well below 1e-8.
     """
     s = settings or DEFAULTS
     if not (1 <= power < outputs):
@@ -538,12 +586,10 @@ def min_trace_Q(
         feasibility = posthoc_feasible_binary(
             state, list(alice_powers), target, settings=s
         )
-        obs = require_binary_observables([target, *alice_powers], settings=s)
-        gens = obs[0] @ _span(state, obs)
     else:
         u = require_order_l(target, outputs, settings=s)
-        gens = _power_generators(_span(state, [u, *alice_powers]), u, power)
-        feasibility = _feasibility_result(gens, gens[0::2], power, s)
+        w = np.linalg.matrix_power(u.conj(), power)
+        feasibility = _decide(state, [u, *alice_powers], w, power, s)
     if not feasibility.feasible:
         raise Infeasible(
             f"criterion infeasible at power {power}: "
@@ -551,15 +597,30 @@ def min_trace_Q(
             f"(verdict {feasibility.verdict})"
         )
 
+    # Q = I is the optimum when it lies in the span, since Tr Q >= Tr I for
+    # every Q >= I. The exact witness P = D^2 shows it: the check's witness
+    # in the Q frame, D^-1 P D^-1 at lambda_min = 1, is then I.
+    n = state.dim
+    positive = np.asarray(target) @ feasibility.witness if binary else feasibility.witness
+    q = positive / np.outer(state.coeffs, state.coeffs)
+    q = 0.5 * (q + q.conj().T)
+    eye = np.eye(n, dtype=q.dtype)
+    near = s.membership_tol * max(1.0, np.sqrt(n))
+    if np.linalg.norm(q / _lambda_min(q) - eye) <= near:
+        return float(n), eye
+
+    if binary:
+        obs = require_binary_observables([target, *alice_powers], settings=s)
+        gens = obs[0] @ _span(state, obs)
+    else:
+        gens = _power_generators(_span(state, [u, *alice_powers]), w)
     # Q-frame directions D^-1 M D^-1 over the Hermitian combinations M
     coef, sig, basis = _hermitian_basis(gens, 1.0 / state.coeffs)
-    n = basis.shape[1]
-    # Tr B_k = <B_k, I> are I's coordinates in the orthonormal basis: when I
-    # lies in the span it is the optimum, since Tr Q >= Tr I for every Q >= I
+    # Tr B_k = <B_k, I> are I's coordinates in the orthonormal basis. I can
+    # lie in the span with a witness other than D^2: the exact one is passed
+    # over when its margin is at most feas_tol.
     traces = np.einsum("kaa->k", basis).real
-    eye = np.eye(n, dtype=basis.dtype)
-    residual = float(np.linalg.norm(np.tensordot(traces, basis, axes=1) - eye))
-    if residual <= s.membership_tol * max(1.0, np.sqrt(n)):
+    if np.linalg.norm(np.tensordot(traces, basis, axes=1) - eye) <= near:
         return float(n), eye
 
     # the witness's coordinates in the basis

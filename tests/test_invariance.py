@@ -86,7 +86,11 @@ def questions(kind: str, kappa: float) -> tuple[Question, ...]:
     with one or two +1 eigenvalues against two or three reflections; at
     d = 4 a two-by-two split has no symmetric combination at all. Order 3:
     references that hold D^-1 conj(U)^l P0 D^-1 for P0 > 0 (feasible at
-    every power), and the powers of an unrelated measurement alone.
+    every power), and the powers of an unrelated measurement alone. Last, at
+    d = 4, one question of each kind that the exact witness P = D^2 decides:
+    D^-1 W D lies in span{I, A_x}. Binary: a diagonal target against three
+    diagonal reflections, which with I span the diagonal matrices. Order 3:
+    references that hold D^-1 conj(U)^l D.
     """
     rng = np.random.default_rng(17 if kind == "binary" else 31)
     found = []
@@ -114,6 +118,15 @@ def questions(kind: str, kappa: float) -> tuple[Question, ...]:
             )
             found.append(Question(coeffs, tuple(other) + built, u, OUTPUTS))
             found.append(Question(coeffs, tuple(other), u, OUTPUTS))
+    if kind == "binary":
+        refs = tuple(np.diag(np.where(np.arange(d) == j, 1.0, -1.0)) for j in range(3))
+        found.append(Question(coeffs, refs, np.diag([1.0, -1.0, 1.0, -1.0]), 2))
+    else:
+        exact = tuple(
+            np.diag(1.0 / coeffs) @ np.linalg.matrix_power(u.conj(), l) @ dm
+            for l in range(1, OUTPUTS)
+        )
+        found.append(Question(coeffs, tuple(other) + exact, u, OUTPUTS))
     return tuple(found)
 
 
@@ -210,12 +223,21 @@ def test_verdicts_and_certificates_survive_the_rewrite(kind, kappa, name):
                 assert_farkas_certificate(back(r.certificate), q.generators(r.power))
 
 
+def _exact(q: Question, r) -> bool:
+    """Whether a feasible result carries the exact witness P = D^2."""
+    p = q.target @ r.witness if q.outputs == 2 else r.witness
+    return bool(np.max(np.abs(p - q.state.matrix @ q.state.matrix)) <= 1e-12)
+
+
 def test_the_questions_cover_every_verdict_path():
-    # both verdicts per kind and kappa, and a binary question with no
-    # symmetric combination at all (lambda_min_achieved = -inf)
+    # both verdicts per kind and kappa, the exact witness among the feasible
+    # ones, and a binary question with no symmetric combination at all
+    # (lambda_min_achieved = -inf)
     for kind in ("binary", "order-L"):
         for kappa in KAPPAS:
-            verdicts = {r.verdict for q in questions(kind, kappa) for r in q.decide()}
+            answers = [(q, r) for q in questions(kind, kappa) for r in q.decide()]
+            verdicts = {r.verdict for _, r in answers}
             assert {"feasible", "infeasible"} <= verdicts, (kind, kappa, verdicts)
+            assert any(r.feasible and _exact(q, r) for q, r in answers), (kind, kappa)
     values = [q.decide()[0].lambda_min_achieved for q in questions("binary", 10.0)]
     assert -np.inf in values

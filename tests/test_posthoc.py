@@ -18,6 +18,7 @@ import pytest
 from bellcert import posthoc
 from bellcert.cli import main
 from bellcert.certify import (
+    binary_certification_strategy,
     certificate_report,
     measurement_certification_strategy,
     split_measurement,
@@ -634,6 +635,141 @@ class TestPosthocCheck:
             posthoc_check(ME3, refs, target)
 
 
+def _cayley(k: np.ndarray) -> np.ndarray:
+    """(I - K)^-1 (I + K): orthogonal for antisymmetric K, unitary for anti-Hermitian K."""
+    eye = np.eye(len(k))
+    return np.linalg.solve(eye - k, eye + k)
+
+
+def _power_gens(state, refs, u, power):
+    """The order-L check's generators W^dag S_k and i W^dag S_k, W = conj(u)^power."""
+    w_dag = np.linalg.matrix_power(u.conj(), power).conj().T
+    span = _binary_generators(state, refs, np.eye(state.dim))
+    return [g for s in span for g in (w_dag @ s, 1j * w_dag @ s)]
+
+
+def _off_span(refs, x: np.ndarray) -> bool:
+    """Whether x lies off span{I, *refs} by more than membership_tol * max(1, |x|_F)."""
+    cols = np.array([np.eye(len(x)), *refs]).reshape(len(refs) + 1, -1).T
+    x = x.ravel()
+    residual = np.linalg.norm(cols @ np.linalg.lstsq(cols, x, rcond=None)[0] - x)
+    return residual > DEFAULTS.membership_tol * max(1.0, np.linalg.norm(x))
+
+
+def _own_order_three(rng) -> list[np.ndarray]:
+    """A^(0), A^(1), A^(2) of a random real three-outcome measurement at d = 4."""
+    return generalized_observables(
+        ProjectiveMeasurement(tuple(random_projective_measurement(rng, 4, 3)))
+    )
+
+
+class TestExactWitness:
+    """P = D^2 decides a check when D^-1 W D lies in span{I, A_x}, before any search."""
+
+    SKEWED = SchmidtState(np.array([1.0, 1.0, 1e-2, 1e-2]) / np.linalg.norm([1.0, 1.0, 1e-2, 1e-2]))
+    BLOCK = np.block([[X, np.zeros((2, 2))], [np.zeros((2, 2)), Z]])  # commutes with SKEWED's D
+
+    @staticmethod
+    def _refuse_search(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a span basis was built")
+
+        monkeypatch.setattr(posthoc, "_hermitian_basis", refuse)
+
+    @staticmethod
+    def _direct(gens):
+        """The solver's answer alone, as (verdict, value, coefficients)."""
+        value, t, _ = posthoc._solve_pd_in_span(gens, settings=DEFAULTS)
+        tol = DEFAULTS.feas_tol
+        return "feasible" if value > tol else "infeasible" if value < -tol else "marginal", value, t
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_pipeline_pair_targets_take_the_exact_witness(self, d):
+        bob, _ = maximal_independent_subset(d)
+        me = SchmidtState.maximally_entangled(d)
+        for key in ((0, 1), (2, d)):
+            target = pair_observables(d)[key]
+            result = posthoc_feasible_binary(me, bob, target)
+            assert np.max(np.abs(target @ result.witness - me.matrix @ me.matrix)) <= 1e-12
+            verdict, value, _ = self._direct(_binary_generators(me, bob, target))
+            assert result.verdict == verdict == "feasible"
+            assert result.lambda_min_achieved == pytest.approx(value, rel=1e-10)
+
+    def test_skewed_target_among_the_references_is_decided_exactly(self, rng, monkeypatch):
+        st = self.SKEWED
+        assert st.kappa == pytest.approx(1e2)
+        refs = [random_reflection(rng, 4) for _ in range(2)] + [self.BLOCK]
+        self._refuse_search(monkeypatch)
+        result = posthoc_feasible_binary(st, refs, self.BLOCK)
+        assert result.feasible
+        assert np.max(np.abs(self.BLOCK @ result.witness - st.matrix @ st.matrix)) <= 1e-12
+        tr, q = min_trace_Q(st, refs, self.BLOCK)
+        assert tr == 4.0 and np.array_equal(q, np.eye(4))
+
+    def test_target_just_off_the_span_falls_through_to_the_solver(self):
+        # Bob's spanning family certifies every involution. The block target
+        # is decided exactly; rotated by 1e-6 across the two Schmidt blocks,
+        # D^-1 O D leaves span{I, A_x} = Sym(4) by ~1e-6 kappa, and the solver
+        # decides it as it would alone
+        st = self.SKEWED
+        bob, _ = maximal_independent_subset(4)
+        exact = posthoc_feasible_binary(st, bob, self.BLOCK)
+        assert np.max(np.abs(self.BLOCK @ exact.witness - st.matrix @ st.matrix)) <= 1e-12
+        k = np.zeros((4, 4))
+        k[1, 2], k[2, 1] = 1e-6, -1e-6
+        r = _cayley(k)
+        target = r @ self.BLOCK @ r.T
+        assert _off_span(bob, target * (st.coeffs / st.coeffs[:, None]))
+        result = posthoc_feasible_binary(st, bob, target)
+        verdict, value, t = self._direct(_binary_generators(st, bob, target))
+        assert result.verdict == verdict == exact.verdict == "feasible"
+        assert result.lambda_min_achieved == value
+        assert np.array_equal(result.coefficients, t)
+
+    def test_own_order_three_question_is_decided_exactly(self, rng, monkeypatch):
+        me = SchmidtState.maximally_entangled(4)
+        obs = _own_order_three(rng)
+        direct = [self._direct(_power_gens(me, obs[1:], obs[1], power)) for power in (1, 2)]
+        self._refuse_search(monkeypatch)
+        results = posthoc_feasible_general(me, obs[1:], obs[1], 3)
+        for r, (verdict, value, _) in zip(results, direct, strict=True):
+            assert np.max(np.abs(r.witness - me.matrix @ me.matrix)) <= 1e-12
+            assert r.verdict == verdict == "feasible"
+            assert r.lambda_min_achieved == pytest.approx(value, rel=1e-10)
+        for power in (1, 2):
+            tr, q = min_trace_Q(me, obs[1:], obs[1], outputs=3, power=power)
+            assert tr == 4.0 and np.array_equal(q, np.eye(4))
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_pipeline_reports_build_no_span_basis(self, d, monkeypatch):
+        self._refuse_search(monkeypatch)
+        pairs = pair_observables(d)
+        strategies = [binary_certification_strategy(pairs[key]) for key in ((0, 1), (2, d))]
+        if d == 4:
+            meas = random_projective_measurement(np.random.default_rng(0), 4, 3)
+            strategies.append(measurement_certification_strategy(ProjectiveMeasurement(tuple(meas))))
+        for strategy in strategies:
+            report = certificate_report(strategy)
+            assert report.all_feasible()
+            for _, ext in report.extensions:
+                assert ext.trace_q == d and ext.lambda_min_q == 1.0
+
+    def test_own_order_three_target_just_off_the_span_falls_through(self, rng):
+        me = SchmidtState.maximally_entangled(4)
+        obs = _own_order_three(rng)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        r = _cayley(1e-6 * (g - g.conj().T))
+        target = r @ obs[1] @ r.conj().T
+        # the own family alone certifies no such target: the solver finds no
+        # Hermitian combination at either power
+        for l, result in enumerate(posthoc_feasible_general(me, obs[1:], target, 3), 1):
+            # D^-1 W D = W at kappa = 1
+            assert _off_span(obs[1:], np.linalg.matrix_power(target.conj(), l))
+            verdict, value, _ = self._direct(_power_gens(me, obs[1:], target, l))
+            assert result.verdict == verdict
+            assert result.lambda_min_achieved == value
+
+
 class TestHermitianBasis:
     def test_more_generators_than_matrix_entries(self, rng):
         # d = 2 with five references: six generators against four entries, so
@@ -936,14 +1072,15 @@ class TestMinTraceCertificate:
 
 
     def test_order_l_solves_one_power_per_call(self, rng, monkeypatch, tmp_path, capsys):
+        # each call decides one check, by its exact witness or by the solver
         calls = []
-        solve = posthoc._solve_pd_in_span
+        decide = posthoc._decide
 
-        def counting(gens, **kwargs):
-            calls.append(len(gens))
-            return solve(gens, **kwargs)
+        def counting(state, ops, w, power, settings):
+            calls.append(power)
+            return decide(state, ops, w, power, settings)
 
-        monkeypatch.setattr(posthoc, "_solve_pd_in_span", counting)
+        monkeypatch.setattr(posthoc, "_decide", counting)
         d, outputs = 5, 4
         refs = [
             ProjectiveMeasurement(tuple(random_projective_measurement(rng, d, outputs)))
