@@ -32,7 +32,7 @@ from .jordan import (
 )
 from .linalg import extend_orthonormal_rows
 from .posthoc import FeasibilityResult, RobustnessParams, posthoc_check, sign_reachable
-from .simplex import maximal_independent_subset, simplex_observables
+from .simplex import maximal_independent_subset
 from .strategies import (
     ProjectiveMeasurement,
     SchmidtState,
@@ -72,9 +72,8 @@ def _certification_strategy(
     bob_mats, bob_labels = maximal_independent_subset(d)
     strategy = Strategy(
         state=SchmidtState.maximally_entangled(d),
-        alice=ProjectiveMeasurement.binary_family(
-            [*simplex_observables(d), *extras], settings=settings
-        ),
+        # T_0..T_d lead Bob's family: Alice's base questions are the same matrices
+        alice=ProjectiveMeasurement.binary_family([*bob_mats[: d + 1], *extras], settings=settings),
         bob=ProjectiveMeasurement.binary_family(bob_mats, settings=settings),
         alice_labels=tuple(f"T{j}" for j in range(d + 1)) + tuple(labels),
         bob_labels=tuple(bob_labels),

@@ -373,9 +373,9 @@ def _feasibility_result(
 
 
 def _decide(
-    state: SchmidtState, ops: Sequence[np.ndarray], w: np.ndarray, power: int, settings: Settings
-) -> FeasibilityResult:
-    """Decide one check of the question ops = [target, *references] in the frame W.
+    state: SchmidtState, ops: Sequence[np.ndarray], frames: Sequence[tuple], settings: Settings
+) -> list[FeasibilityResult]:
+    """Decide the checks of the question ops = [target, *references], one per (power, W) frame.
 
     The check asks for P > 0 with W P = sum_k c_k S_k. The binary check has
     the real W = O, real c and the witness H = sum_k c_k S_k (P = O H); the
@@ -386,27 +386,32 @@ def _decide(
     accepted when the residual is at most membership_tol * max(1, |x|_F),
     W^dag sum_k c_k S_k is Hermitian to sym_tol relative to its largest
     entry, and its lambda_min / |c| (then lambda_min_achieved) exceeds
-    feas_tol. Otherwise _feasibility_result decides the check.
+    feas_tol. Otherwise _feasibility_result decides the check. The span and
+    the [I, *references] matrix are built once for every frame.
     """
     s = settings
     span = _span(state, ops)
     d, lam = state.dim, state.coeffs
-    x = (w * (lam / lam[:, None])).ravel()  # x_ij = W_ij lam_j / lam_i
     refs = np.concatenate([np.eye(d)[None], np.array(ops[1:]).reshape(-1, d, d)])
     refs = refs.reshape(len(refs), -1).T
-    c = np.linalg.lstsq(refs, x, rcond=None)[0]
-    if np.linalg.norm(refs @ c - x) <= s.membership_tol * max(1.0, np.linalg.norm(x)):
-        member = np.tensordot(c, span, axes=1)
-        p = w.conj().T @ member
-        if np.max(np.abs(p - p.conj().T)) <= s.sym_tol * np.max(np.abs(p)):
-            value = _lambda_min(0.5 * (p + p.conj().T)) / float(np.linalg.norm(c))
-            if value > s.feas_tol:
-                witness = member if np.isrealobj(w) else p
-                return FeasibilityResult("feasible", value, witness, c, s.feas_tol, power)
-    if np.isrealobj(w):
-        return _feasibility_result(w @ span, span, power, s)
-    gens = _power_generators(span, w)
-    return _feasibility_result(gens, gens[0::2], power, s)
+
+    def decide(power: int, w: np.ndarray) -> FeasibilityResult:
+        x = (w * (lam / lam[:, None])).ravel()  # x_ij = W_ij lam_j / lam_i
+        c = np.linalg.lstsq(refs, x, rcond=None)[0]
+        if np.linalg.norm(refs @ c - x) <= s.membership_tol * max(1.0, np.linalg.norm(x)):
+            member = np.tensordot(c, span, axes=1)
+            p = w.conj().T @ member
+            if np.max(np.abs(p - p.conj().T)) <= s.sym_tol * np.max(np.abs(p)):
+                value = _lambda_min(0.5 * (p + p.conj().T)) / float(np.linalg.norm(c))
+                if value > s.feas_tol:
+                    witness = member if np.isrealobj(w) else p
+                    return FeasibilityResult("feasible", value, witness, c, s.feas_tol, power)
+        if np.isrealobj(w):
+            return _feasibility_result(w @ span, span, power, s)
+        gens = _power_generators(span, w)
+        return _feasibility_result(gens, gens[0::2], power, s)
+
+    return [decide(power, w) for power, w in frames]
 
 
 def posthoc_feasible_binary(
@@ -429,7 +434,7 @@ def posthoc_feasible_binary(
     """
     s = settings or DEFAULTS
     obs = require_binary_observables([target, *alice], settings=s)
-    return _decide(state, obs, obs[0], 1, s)
+    return _decide(state, obs, [(1, obs[0])], s)[0]
 
 
 def sign_reachable(
@@ -484,11 +489,8 @@ def posthoc_feasible_general(
     """
     s = settings or DEFAULTS
     u = require_order_l(target, outputs, settings=s)
-    ops = [u, *alice_powers]
-    return [
-        _decide(state, ops, np.linalg.matrix_power(u.conj(), power), power, s)
-        for power in range(1, outputs)
-    ]
+    frames = [(power, np.linalg.matrix_power(u.conj(), power)) for power in range(1, outputs)]
+    return _decide(state, [u, *alice_powers], frames, s)
 
 
 def is_binary_question(
@@ -589,7 +591,7 @@ def min_trace_Q(
     else:
         u = require_order_l(target, outputs, settings=s)
         w = np.linalg.matrix_power(u.conj(), power)
-        feasibility = _decide(state, [u, *alice_powers], w, power, s)
+        [feasibility] = _decide(state, [u, *alice_powers], [(power, w)], s)
     if not feasibility.feasible:
         raise Infeasible(
             f"criterion infeasible at power {power}: "

@@ -210,10 +210,12 @@ _CSV_HEADER = ["x", "j", "y", "k", "re", "im"]
 
 
 def table_rows(table: CorrelationTable, end: str = "\n") -> str:
-    """One x,j,y,k,re,im line per entry in key order, floats by repr, each ending `end`."""
+    """One x,j,y,k,re,im line per entry in row-major order, floats by repr, each ending `end`."""
+    cols = [f"{y},{k}," for y, k in table.cols]
     return "".join(
-        f"{x},{j},{y},{k},{float(v.real)!r},{float(v.imag)!r}{end}"
-        for (x, j, y, k), v in sorted(table.items())
+        f"{x},{j},{col}{v.real!r},{v.imag!r}{end}"
+        for (x, j), row in zip(table.rows, table.values.tolist())
+        for col, v in zip(cols, row)
     )
 
 

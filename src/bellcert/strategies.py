@@ -315,28 +315,32 @@ def correlation(state: SchmidtState, alice_op: np.ndarray, bob_op: np.ndarray) -
 
 @dataclass(eq=False)
 class CorrelationTable:
-    """Correlations keyed by (x, j, y, k): question indices and dual powers.
+    """Correlations values[r, c] of rows[r] = (x, j) against cols[c] = (y, k).
 
-    Power 0 entries are identity marginals, so every (x, 0, y, 0) entry is 1
-    and all magnitudes are at most 1 (up to rounding).
+    x, y index questions and j, k powers of their generalized observables.
+    Both labels ascend, so values' row-major order is ascending (x, j, y, k).
+    Power 0 is the identity: (x, 0, y, 0) entries are 1, all magnitudes <= 1.
     """
 
-    entries: dict[tuple[int, int, int, int], complex]
-
-    def __getitem__(self, key: tuple[int, int, int, int]) -> complex:
-        return self.entries[key]
+    rows: tuple[tuple[int, int], ...]
+    cols: tuple[tuple[int, int], ...]
+    values: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def items(self):
-        return self.entries.items()
+        return self.values.size
 
     def max_difference(self, other: "CorrelationTable") -> float:
-        """Largest |entry difference| over the shared keys; 0.0 for two empty tables."""
-        if set(self.entries) != set(other.entries):
-            raise DimMismatch("correlation tables have different key sets")
-        return max((abs(self.entries[k] - other.entries[k]) for k in self.entries), default=0.0)
+        """Largest |entry difference| of two tables with the same labels; 0.0 when empty."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimMismatch("correlation tables have different labels")
+        return float(np.max(np.abs(self.values - other.values), initial=0.0))
+
+
+def _labelled_powers(measurements: Sequence[ProjectiveMeasurement]):
+    """The (question, power) labels and the generalized observables they name, in order."""
+    ops = [generalized_observables(m) for m in measurements]
+    labels = tuple((x, j) for x, o in enumerate(ops) for j in range(len(o)))
+    return labels, [a for o in ops for a in o]
 
 
 def correlation_table(strategy: Strategy) -> CorrelationTable:
@@ -347,15 +351,11 @@ def correlation_table(strategy: Strategy) -> CorrelationTable:
     """
     d = strategy.dim
     dm = strategy.state.matrix
-    alice = [generalized_observables(m) for m in strategy.alice]
-    bob = [generalized_observables(m) for m in strategy.bob]
-    rows = [(x, j) for x, ops in enumerate(alice) for j in range(len(ops))]
-    cols = [(y, k) for y, ops in enumerate(bob) for k in range(len(ops))]
-    a = dm @ np.array([op for ops in alice for op in ops]).reshape(-1, d, d) @ dm
-    b = np.array([op for ops in bob for op in ops]).reshape(-1, d, d)
-    values = np.einsum("xab,yab->xy", a, b)
-    keys = [row + col for row in rows for col in cols]
-    return CorrelationTable(dict(zip(keys, values.astype(complex).ravel().tolist())))
+    rows, alice = _labelled_powers(strategy.alice)
+    cols, bob = _labelled_powers(strategy.bob)
+    a = dm @ np.array(alice).reshape(-1, d, d) @ dm
+    b = np.array(bob).reshape(-1, d, d)
+    return CorrelationTable(rows, cols, np.einsum("xab,yab->xy", a, b).astype(complex))
 
 
 def brute_force_correlation(strategy: Strategy) -> CorrelationTable:
@@ -371,16 +371,13 @@ def brute_force_correlation(strategy: Strategy) -> CorrelationTable:
     psi = np.zeros(d * d)
     for i, lam in enumerate(strategy.state.coeffs):
         psi[i * d + i] = lam
-    alice_ops = [generalized_observables(m) for m in strategy.alice]
-    bob_ops = [generalized_observables(m) for m in strategy.bob]
-    entries: dict[tuple[int, int, int, int], complex] = {}
-    for x, aops in enumerate(alice_ops):
-        for j, a in enumerate(aops):
-            for y, bops in enumerate(bob_ops):
-                for k, b in enumerate(bops):
-                    op = np.kron(a, b)
-                    entries[(x, j, y, k)] = complex(np.vdot(psi, op @ psi))
-    return CorrelationTable(entries)
+    rows, alice = _labelled_powers(strategy.alice)
+    cols, bob = _labelled_powers(strategy.bob)
+    values = np.empty((len(rows), len(cols)), dtype=complex)
+    for r, a in enumerate(alice):
+        for c, b in enumerate(bob):
+            values[r, c] = np.vdot(psi, np.kron(a, b) @ psi)
+    return CorrelationTable(rows, cols, values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -150,13 +150,27 @@ def fourier_duals_loop(projs) -> list[np.ndarray]:
     return out
 
 
+def table_items(table: CorrelationTable) -> list:
+    """((x, j, y, k), value) for every entry, keyed from the table's labels."""
+    return [
+        (row + col, complex(table.values[r, c]))
+        for r, row in enumerate(table.rows)
+        for c, col in enumerate(table.cols)
+    ]
+
+
 def read_table_csv(path) -> CorrelationTable:
     """The correlation table in a file that table_to_csv wrote, read by csv.reader."""
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["x", "j", "y", "k", "re", "im"]
+    keys = [tuple(map(int, r[:4])) for r in rows]
+    row_labels = tuple(sorted({key[:2] for key in keys}))
+    col_labels = tuple(sorted({key[2:] for key in keys}))
+    assert keys == [r + c for r in row_labels for c in col_labels]  # row-major, no gaps
+    values = np.array([complex(float(r[4]), float(r[5])) for r in rows])
     return CorrelationTable(
-        {tuple(map(int, r[:4])): complex(float(r[4]), float(r[5])) for r in rows}
+        row_labels, col_labels, values.reshape(len(row_labels), len(col_labels))
     )
 
 

@@ -30,6 +30,7 @@ from helpers import (
     random_projective_measurement,
     random_reflection,
     read_table_csv,
+    table_items,
 )
 
 
@@ -115,7 +116,7 @@ class TestCorrelationsCommand:
         printed = capsys.readouterr().out
         assert printed == "".join(
             f"{x},{j},{y},{k},{v.real!r},{v.imag!r}\n"
-            for (x, j, y, k), v in sorted(correlation_table(strat).items())
+            for (x, j, y, k), v in sorted(table_items(correlation_table(strat)))
         )
         header, rows = out.read_bytes().decode().split("\r\n", 1)
         assert header == "x,j,y,k,re,im" and rows.replace("\r\n", "\n") == printed

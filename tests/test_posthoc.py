@@ -567,6 +567,29 @@ class TestGeneralFeasibility:
         assert [r.power for r in results] == [1, 2, 3]
         assert all(r.feasible for r in results)
 
+    def test_every_power_shares_one_span(self, rng, monkeypatch):
+        # an order-4 question against an unrelated measurement: each power
+        # fails the exact witness and goes to the solver, over the one span
+        calls = []
+        span = posthoc._span
+
+        def counting(state, ops):
+            calls.append(len(ops))
+            return span(state, ops)
+
+        monkeypatch.setattr(posthoc, "_span", counting)
+        d, outputs = 5, 4
+        target, other = (
+            generalized_observables(
+                ProjectiveMeasurement(tuple(random_projective_measurement(rng, d, outputs)))
+            )
+            for _ in range(2)
+        )
+        me = SchmidtState.maximally_entangled(d)
+        results = posthoc_feasible_general(me, other[1:], target[1], outputs)
+        assert [r.power for r in results] == [1, 2, 3]
+        assert calls == [outputs]
+
 
 class TestPosthocCheck:
     REFS = [ProjectiveMeasurement.from_observable(X)]
@@ -1076,9 +1099,9 @@ class TestMinTraceCertificate:
         calls = []
         decide = posthoc._decide
 
-        def counting(state, ops, w, power, settings):
-            calls.append(power)
-            return decide(state, ops, w, power, settings)
+        def counting(state, ops, frames, settings):
+            calls.extend(power for power, _ in frames)
+            return decide(state, ops, frames, settings)
 
         monkeypatch.setattr(posthoc, "_decide", counting)
         d, outputs = 5, 4

@@ -473,8 +473,9 @@ class TestCorrelation:
             for y, n in enumerate(bob)
             for k, b in enumerate(generalized_observables(n))
         }
-        assert list(table.entries) == list(expected)
-        assert max(abs(table[key] - v) for key, v in expected.items()) <= 1e-14
+        keys = [row + col for row in table.rows for col in table.cols]
+        assert keys == list(expected)
+        assert np.max(np.abs(table.values.ravel() - list(expected.values()))) <= 1e-14
 
     def test_brute_force_guards_size(self):
         d = 100
@@ -492,23 +493,27 @@ class TestCorrelation:
         # (d+1)^2 question pairs, 2x2 outputs each -> j,k in {0,1}
         assert len(table) == 16 * 4
         # every entry real and of magnitude at most 1, the (x, 0, y, 0) ones 1
-        values = np.array(list(table.entries.values()))
+        values = table.values
+        assert values.shape == (8, 8)
+        assert table.rows == table.cols == tuple((x, j) for x in range(4) for j in range(2))
         assert np.max(np.abs(values.imag)) <= 1e-12
         assert np.max(np.abs(values)) <= 1.0 + 1e-9
-        assert all(abs(v - 1.0) <= 1e-9 for (x, j, y, k), v in table.items() if j == k == 0)
-        # identity components: j = 0 or k = 0 entries are exactly 1
-        assert table[(0, 0, 3, 0)] == pytest.approx(1.0)
+        # identity components: every (x, 0, y, 0) entry is 1
+        assert np.max(np.abs(values[0::2, 0::2] - 1.0)) <= 1e-9
         # distinct simplex questions at maximal entanglement: Tr[T_j T_k]/d
-        assert complex(table[(1, 1, 2, 1)]).real == pytest.approx(-5.0 / 27.0)
+        entry = values[table.rows.index((1, 1)), table.cols.index((2, 1))]
+        assert entry.real == pytest.approx(-5.0 / 27.0)
 
     def test_max_difference_requires_matching_keys(self):
-        t1 = CorrelationTable(entries={(0, 0, 0, 0): complex(1.0)})
-        t2 = CorrelationTable(entries={(0, 1, 0, 0): complex(1.0)})
+        one = np.ones((1, 1), dtype=complex)
+        t1 = CorrelationTable(((0, 0),), ((0, 0),), one)
+        t2 = CorrelationTable(((0, 1),), ((0, 0),), one)
         with pytest.raises(DimMismatch):
             t1.max_difference(t2)
 
     def test_max_difference_of_two_empty_tables_is_zero(self):
-        assert CorrelationTable(entries={}).max_difference(CorrelationTable(entries={})) == 0.0
+        empty = CorrelationTable((), (), np.zeros((0, 0), dtype=complex))
+        assert empty.max_difference(empty) == 0.0
 
 
 class TestDegenerateExample:
