@@ -214,7 +214,7 @@ def iterative_plan(
     families = dict.fromkeys(("alice", "bob"), initial)
     spans = dict.fromkeys(("alice", "bob"), span_basis(initial, settings=s))
     rounds: list[PlanRound] = []
-    while not sign_reachable(spans["bob"], o, settings=s):
+    while not sign_reachable(families["bob"], o, settings=s):
         # Bob is grown from Alice's span first, then Alice from Bob's
         for party, source in (("bob", "alice"), ("alice", "bob")):
             new, grown = _extension_batch(families[source], spans[party], rng, s)

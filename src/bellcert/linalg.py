@@ -31,18 +31,12 @@ class SignImage(NamedTuple):
     singular: bool
 
 
-def as_square_matrix(h: np.ndarray, *, allow_complex: bool = False) -> np.ndarray:
-    """Coerce to a square 2-d ndarray, raising DimMismatch otherwise."""
+def as_square_matrix(h: np.ndarray) -> np.ndarray:
+    """Coerce to a square 2-d complex or float array; DimMismatch otherwise."""
     a = np.asarray(h)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    if np.iscomplexobj(a):
-        if not allow_complex:
-            if np.max(np.abs(a.imag)) > 0:
-                raise NotSymmetric("expected a real matrix, got complex entries")
-            a = a.real
-        return a.astype(complex)
-    return a.astype(float)
+    return a.astype(complex if np.iscomplexobj(a) else float)
 
 
 def require_hermitian_stack(

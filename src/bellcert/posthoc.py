@@ -38,7 +38,6 @@ from .errors import (
     SolverStall,
     TrivialRegion,
 )
-from .jordan import SpanBasis
 from .linalg import extend_orthonormal_rows
 from .strategies import (
     ProjectiveMeasurement,
@@ -352,24 +351,38 @@ def _span(state: SchmidtState, ops: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([(dm @ dm)[None], dm @ refs @ dm])
 
 
+def _generators(span: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The generators of a check's witness, from its frame W and span S_k.
+
+    A real W (the binary check, W = O) gives W S_k. A complex W =
+    conj(U)^power gives W^dag S_k and i W^dag S_k, interleaved, so that real
+    coefficients cover the complex span of the W^dag S_k.
+    """
+    if np.isrealobj(w):
+        return w @ span
+    base = w.conj().T @ span
+    return np.stack([base, 1j * base], axis=1).reshape(-1, *base.shape[1:])
+
+
 def _feasibility_result(
     gens: np.ndarray, span: np.ndarray, power: int, settings: Settings
 ) -> FeasibilityResult:
-    """Decide one check over its generators and record the outcome.
+    """Decide one check over its _generators and record the outcome.
 
-    The witness is sum_k c_k span[k]. The binary check passes gens = O S_k
-    and span = S_k, and c is the solver's real coefficient vector t: the
-    witness is H. The order-L check passes gens = (W^dag S_k, i W^dag S_k)
-    pairs and span = W^dag S_k, and c pairs t's entries into complex
-    numbers: the witness is P, and W P = sum_k c_k S_k.
+    On the binary check (one generator per S_k) c is the solver's real
+    coefficient vector t and the witness is H = sum_k c_k S_k. On the
+    order-L check c pairs t's entries into complex numbers and the witness
+    is P = sum_k c_k W^dag S_k, so that W P = sum_k c_k S_k.
     """
     value, t, certificate = _solve_pd_in_span(gens, settings=settings)
     tol = settings.feas_tol
     verdict = "feasible" if value > tol else "infeasible" if value < -tol else "marginal"
     if verdict != "feasible":
         return FeasibilityResult(verdict, value, None, None, tol, power, certificate)
-    c = t if len(t) == len(span) else t[0::2] + 1j * t[1::2]
-    return FeasibilityResult(verdict, value, np.tensordot(c, span, axes=1), c, tol, power)
+    binary = len(gens) == len(span)
+    c = t if binary else t[0::2] + 1j * t[1::2]
+    members = span if binary else gens[0::2]
+    return FeasibilityResult(verdict, value, np.tensordot(c, members, axes=1), c, tol, power)
 
 
 def _decide(
@@ -406,10 +419,7 @@ def _decide(
                 if value > s.feas_tol:
                     witness = member if np.isrealobj(w) else p
                     return FeasibilityResult("feasible", value, witness, c, s.feas_tol, power)
-        if np.isrealobj(w):
-            return _feasibility_result(w @ span, span, power, s)
-        gens = _power_generators(span, w)
-        return _feasibility_result(gens, gens[0::2], power, s)
+        return _feasibility_result(_generators(span, w), span, power, s)
 
     return [decide(power, w) for power, w in frames]
 
@@ -438,32 +448,24 @@ def posthoc_feasible_binary(
 
 
 def sign_reachable(
-    span: SpanBasis,
+    questions: np.ndarray,
     target: np.ndarray,
     *,
     settings: Settings | None = None,
 ) -> bool:
-    """Whether target = sgn(H) for some H in the span.
+    """Whether target = sgn(H) for some H in the span of a party's questions.
 
-    Searches the span for an element H with target @ H symmetric positive
-    definite; a marginal answer counts as not reachable. A search that ends
-    at or below feas_tol has proved the negative answer (by its bound or a
-    Farkas certificate), so no complement search runs. Raises SolverStall
-    only when the barrier's Newton loop fails.
+    questions is the (k, d, d) stack of the questions themselves, not an
+    orthonormal basis of their span, whose rows drift off it by about
+    eps / sigma. Searches the span for an element H with target @ H
+    symmetric positive definite; a marginal answer counts as not reachable.
+    A search that ends at or below feas_tol has proved the negative answer
+    (by its bound or a Farkas certificate), so no complement search runs.
+    Raises SolverStall only when the barrier's Newton loop fails.
     """
     s = settings or DEFAULTS
-    _, sigma, basis = _hermitian_basis(target @ span.basis)
+    _, sigma, basis = _hermitian_basis(target @ np.asarray(questions))
     return _best_margin(sigma, basis, s)[0] > s.feas_tol
-
-
-def _power_generators(span: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Generators of P in span{W^dag S_k} over C, for the frame W = conj(U)^power.
-
-    Each W^dag S_k contributes itself and i W^dag S_k, so that real
-    coefficients (interleaved real and imaginary parts) cover the complex span.
-    """
-    base = w.conj().T @ span
-    return np.stack([base, 1j * base], axis=1).reshape(-1, *base.shape[1:])
 
 
 def posthoc_feasible_general(
@@ -576,22 +578,23 @@ def min_trace_Q(
     against Bob's spanning family this way, with no span basis built. Else
     the Q-frame basis is built, and the exit is taken when I lies that near
     its projection onto the span. Otherwise a barrier follows the central
-    path from the check's witness, raising SolverStall if its Newton
-    iteration cannot make progress. All are deterministic, so repeated calls
-    agree to well below 1e-8.
+    path from twice that scaled witness projected onto the basis (only the
+    witness matrix is read, not its coefficients), raising SolverStall if
+    the start is not above I or its Newton iteration cannot make progress.
+    All are deterministic, so repeated calls agree to well below 1e-8.
     """
     s = settings or DEFAULTS
     if not (1 <= power < outputs):
         raise BadParams(f"power must lie in [1, {outputs - 1}]")
     binary = is_binary_question(target, alice_powers, outputs)
     if binary:
-        feasibility = posthoc_feasible_binary(
-            state, list(alice_powers), target, settings=s
-        )
+        ops = require_binary_observables([target, *alice_powers], settings=s)
+        w = ops[0]
+        feasibility = posthoc_feasible_binary(state, list(alice_powers), target, settings=s)
     else:
         u = require_order_l(target, outputs, settings=s)
-        w = np.linalg.matrix_power(u.conj(), power)
-        [feasibility] = _decide(state, [u, *alice_powers], [(power, w)], s)
+        ops, w = [u, *alice_powers], np.linalg.matrix_power(u.conj(), power)
+        [feasibility] = _decide(state, ops, [(power, w)], s)
     if not feasibility.feasible:
         raise Infeasible(
             f"criterion infeasible at power {power}: "
@@ -599,25 +602,21 @@ def min_trace_Q(
             f"(verdict {feasibility.verdict})"
         )
 
-    # Q = I is the optimum when it lies in the span, since Tr Q >= Tr I for
-    # every Q >= I. The exact witness P = D^2 shows it: the check's witness
-    # in the Q frame, D^-1 P D^-1 at lambda_min = 1, is then I.
+    # the check's positive witness P in the Q frame, q0 = D^-1 P D^-1 at
+    # lambda_min = 1. Q = I is the optimum when it lies in the span, since
+    # Tr Q >= Tr I for every Q >= I; the exact witness P = D^2 gives q0 = I.
     n = state.dim
-    positive = np.asarray(target) @ feasibility.witness if binary else feasibility.witness
-    q = positive / np.outer(state.coeffs, state.coeffs)
-    q = 0.5 * (q + q.conj().T)
-    eye = np.eye(n, dtype=q.dtype)
+    p = w @ feasibility.witness if binary else feasibility.witness
+    q0 = p / np.outer(state.coeffs, state.coeffs)
+    q0 = 0.5 * (q0 + q0.conj().T)
+    q0 /= _lambda_min(q0)
+    eye = np.eye(n, dtype=q0.dtype)
     near = s.membership_tol * max(1.0, np.sqrt(n))
-    if np.linalg.norm(q / _lambda_min(q) - eye) <= near:
+    if np.linalg.norm(q0 - eye) <= near:
         return float(n), eye
 
-    if binary:
-        obs = require_binary_observables([target, *alice_powers], settings=s)
-        gens = obs[0] @ _span(state, obs)
-    else:
-        gens = _power_generators(_span(state, [u, *alice_powers]), w)
     # Q-frame directions D^-1 M D^-1 over the Hermitian combinations M
-    coef, sig, basis = _hermitian_basis(gens, 1.0 / state.coeffs)
+    _, _, basis = _hermitian_basis(_generators(_span(state, ops), w), 1.0 / state.coeffs)
     # Tr B_k = <B_k, I> are I's coordinates in the orthonormal basis. I can
     # lie in the span with a witness other than D^2: the exact one is passed
     # over when its margin is at most feas_tol.
@@ -625,15 +624,10 @@ def min_trace_Q(
     if np.linalg.norm(np.tensordot(traces, basis, axes=1) - eye) <= near:
         return float(n), eye
 
-    # the witness's coordinates in the basis
-    coeffs = feasibility.coefficients
-    if not binary:  # real coefficients of W^dag S_k and i W^dag S_k, interleaved
-        coeffs = np.column_stack([coeffs.real, coeffs.imag]).ravel()
-    c = sig * (coef.T @ coeffs)
-    lam0 = _lambda_min(np.tensordot(c, basis, axes=1))
-    if lam0 <= 0.0:
-        raise SolverStall("witness lost positivity in the Q frame")
-    c *= 2.0 / lam0  # lambda_min(Q) = 2 > 1
+    # start at 2 q0 (lambda_min(Q) = 2 > 1), projected onto the basis
+    c = basis.reshape(len(basis), -1).view(float) @ (2.0 * q0).ravel().view(float)
+    if _lambda_min(np.tensordot(c, basis, axes=1)) <= 1.0:
+        raise SolverStall("the witness's projection onto the Q frame is not above I")
 
     # central path of Tr Q - mu log det(Q - I), stopped relative to Tr Q
     mu = max(1.0, float(traces @ c) / n)

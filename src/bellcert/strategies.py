@@ -119,22 +119,18 @@ class ProjectiveMeasurement:
     ) -> tuple["ProjectiveMeasurement", ...]:
         """The binary measurements {(I+O)/2, (I-O)/2} of a family of observables.
 
-        The (k, d, d) stack is validated once by require_binary_observables,
-        and its (k, 2, d, d) projection stack once by require_projective_stack,
-        so each measurement passes the checks of the constructor; an error
-        names the index of the first failing observable.
+        The (k, d, d) stack is validated once, by require_binary_observables;
+        an error names the index of the first failing observable. That is
+        the constructor's check too: with P = (I + O)/2 and Q = (I - O)/2,
+        P^2 - P = Q^2 - Q = -PQ = (O^2 - I)/4 and P + Q = I, so O^2 = I
+        within eig_tol keeps every projection gap within eig_tol / 4.
         """
         obs = require_binary_observables(observables, settings=settings)
-        if not len(obs):
-            return ()
         eye = np.eye(obs.shape[-1])
-        projs = require_projective_stack(
-            0.5 * np.stack([eye + obs, eye - obs], axis=1), settings=settings
-        )
         out = []
-        for pair in projs:
+        for o in obs:
             m = object.__new__(cls)  # validated above, so __post_init__ is skipped
-            object.__setattr__(m, "projections", pair)
+            object.__setattr__(m, "projections", (0.5 * (eye + o), 0.5 * (eye - o)))
             out.append(m)
         return tuple(out)
 
@@ -222,7 +218,7 @@ def require_order_l(a: np.ndarray, outputs: int, *, settings: Settings | None = 
     if outputs < 2:
         raise BadParams(f"a measurement needs at least two outputs, got {outputs}")
     tol = (settings or DEFAULTS).eig_tol
-    u = as_square_matrix(a, allow_complex=True).astype(complex)
+    u = as_square_matrix(a).astype(complex)
     if not np.isfinite(u).all():
         raise BadParams("the matrix has a non-finite entry")
     eye = np.eye(u.shape[0])
@@ -305,8 +301,8 @@ def correlation(state: SchmidtState, alice_op: np.ndarray, bob_op: np.ndarray) -
     Bob's half of the state on Alice's side.
     """
     d = state.dim
-    a = as_square_matrix(alice_op, allow_complex=True)
-    b = as_square_matrix(bob_op, allow_complex=True)
+    a = as_square_matrix(alice_op)
+    b = as_square_matrix(bob_op)
     if a.shape[0] != d or b.shape[0] != d:
         raise DimMismatch("operator dimension does not match the state")
     dm = state.matrix

@@ -354,6 +354,19 @@ class TestIterativePlan:
         oracle = _load_oracle()
         assert oracle.check_plan(job, plan, None) == (oracle.OK, "")
 
+    def test_reachability_reads_the_questions_not_their_basis(self):
+        # d = 8, closure dimension 16: once Bob's span is the closure, the
+        # orthonormal rows of that span gave target @ span one Hermitian
+        # direction fewer than the questions do, so the search answered
+        # "not reachable" and the plan stalled at "span dimensions 16 and 16"
+        refs, target = _random_plan_input(np.random.default_rng(21))
+        plan = iterative_plan(refs, target)
+        assert [r.party for r in plan.rounds] == ["bob", "alice"]
+        assert plan.closure_dimension == 16
+        job = SimpleNamespace(data={"refs": refs, "target": target})
+        oracle = _load_oracle()
+        assert oracle.check_plan(job, plan, None) == (oracle.OK, "")
+
     def test_plan_whose_first_search_ends_on_its_bound(self):
         # d = 11, two reflections, closure dimension 5 (draws as in
         # test_plan_with_rounds_on_both_sides): the first reachability search

@@ -11,6 +11,7 @@ Expected values come from hand derivations frozen as literals:
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -833,10 +834,10 @@ class TestHermitianBasis:
 
 class TestSignReachable:
     def test_diagonal_span_reaches_z_but_not_the_hadamard_direction(self):
-        span = span_basis([np.eye(2), Z])
-        assert sign_reachable(span, Z)
-        assert sign_reachable(span, -Z)
-        assert not sign_reachable(span, HADAMARD_DIR)
+        questions = np.array([np.eye(2), Z])
+        assert sign_reachable(questions, Z)
+        assert sign_reachable(questions, -Z)
+        assert not sign_reachable(questions, HADAMARD_DIR)
 
 
 class TestMinTraceCertificate:
@@ -1092,6 +1093,54 @@ class TestMinTraceCertificate:
             tr, q = min_trace_Q(ME3, [obs[1], obs[2]], obs[1], outputs=3, power=power)
             assert tr == pytest.approx(3.0, abs=1e-5)
             assert np.linalg.eigvalsh(q)[0] == pytest.approx(1.0, abs=1e-5)
+
+    @staticmethod
+    def _kappa_10_state(d: int) -> SchmidtState:
+        coeffs = 10.0 ** (-np.arange(d) / (d - 1))
+        return SchmidtState(coeffs / np.linalg.norm(coeffs))
+
+    def test_binary_certificate_reads_only_the_witness(self, monkeypatch):
+        # kappa = 10, two reflections and the sgn of a span element: the
+        # barrier runs, and it starts from the check's witness matrix, so a
+        # result without coefficients gives the same certificate
+        rng = np.random.default_rng(4)
+        st = self._kappa_10_state(3)
+        refs = [random_reflection(rng, 3) for _ in range(2)]
+        dm = st.matrix
+        combo = dm @ dm + sum(c * dm @ a @ dm for c, a in zip(rng.standard_normal(2), refs))
+        target = sgn_map(combo).matrix
+        calls = self._count_barrier_derivatives(monkeypatch)
+        tr, q = min_trace_Q(st, refs, target)
+        assert tr > 3.0 + 1e-3 and calls
+        check = posthoc.posthoc_feasible_binary
+        monkeypatch.setattr(
+            posthoc,
+            "posthoc_feasible_binary",
+            lambda *a, **k: replace(check(*a, **k), coefficients=None),
+        )
+        again = min_trace_Q(st, refs, target)
+        assert again[0] == tr and np.array_equal(again[1], q)
+
+    def test_order_l_certificate_reads_only_the_witness(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        st = self._kappa_10_state(3)
+        u = generalized_observables(_random_unitary_measurement(rng, 3, 3))[1]
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        p0 = g @ g.conj().T + 0.1 * np.eye(3)
+        dinv = np.diag(1.0 / st.coeffs)
+        powers = [dinv @ np.linalg.matrix_power(u.conj(), l) @ p0 @ dinv for l in (1, 2)]
+        calls = self._count_barrier_derivatives(monkeypatch)
+        certificates = [min_trace_Q(st, powers, u, outputs=3, power=l) for l in (1, 2)]
+        assert all(tr > 3.0 + 1e-3 for tr, _ in certificates) and calls
+        decide = posthoc._decide
+        monkeypatch.setattr(
+            posthoc,
+            "_decide",
+            lambda *a: [replace(r, coefficients=None) for r in decide(*a)],
+        )
+        for power, (tr, q) in zip((1, 2), certificates):
+            again = min_trace_Q(st, powers, u, outputs=3, power=power)
+            assert again[0] == tr and np.array_equal(again[1], q)
 
 
     def test_order_l_solves_one_power_per_call(self, rng, monkeypatch, tmp_path, capsys):

@@ -47,6 +47,7 @@ from helpers import (
     random_projective_measurement,
     random_reflection,
     random_schmidt_coeffs,
+    random_symmetric,
 )
 
 
@@ -341,7 +342,7 @@ class TestBinaryFamily:
 
     def test_strategy_validation_calls_do_not_grow_with_d(self, monkeypatch):
         # one batched pass per party, not one per measurement: the target,
-        # then each party's observables and its projections
+        # then each party's observables (their projections need no pass)
         calls = []
         original = linalg.require_hermitian_stack
 
@@ -356,7 +357,23 @@ class TestBinaryFamily:
             calls.clear()
             binary_certification_strategy(pair_observables(d)[(0, 1)])
             counts[d] = len(calls)
-        assert counts[4] == counts[10] == 5
+        assert counts[4] == counts[10] == 3
+
+    @pytest.mark.parametrize("d", [2, 5, 9])
+    def test_an_involution_at_the_tolerance_gives_valid_projections(self, rng, d):
+        # O^2 - I just under eig_tol: (I +/- O)/2 pass the projection checks
+        # that binary_family no longer repeats
+        tol = DEFAULTS.eig_tol
+        r, e = random_reflection(rng, d), random_symmetric(rng, d)
+
+        def gap(o):
+            return float(np.max(np.abs(o @ o - np.eye(d))))
+
+        o = r + (0.99 * tol / gap(r + 1e-12 * e)) * 1e-12 * e
+        assert 0.9 * tol < gap(o) < tol
+        [m] = ProjectiveMeasurement.binary_family([o])
+        [projs] = strategies.require_projective_stack([m.projections])
+        assert all(np.array_equal(p, q) for p, q in zip(projs, m.projections))
 
 
 # a 2x2 antisymmetric nudge of 1e-8: its symmetric part is zero, so it
@@ -425,6 +442,14 @@ class TestCorrelation:
         assert correlation(st, Z, Z) == pytest.approx(1.0)
         assert correlation(st, X, Z) == pytest.approx(0.0)
         assert correlation(st, Z, np.eye(2)) == pytest.approx(c * c - s * s)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (1, 2, 2)])
+    def test_a_non_square_operator_is_a_dimension_mismatch(self, shape):
+        st = SchmidtState.maximally_entangled(2)
+        with pytest.raises(DimMismatch, match="expected a square matrix"):
+            correlation(st, np.ones(shape), Z)
+        with pytest.raises(DimMismatch, match="expected a square matrix"):
+            correlation(st, X, np.ones(shape))
 
     def test_maximally_entangled_is_normalized_trace(self, rng):
         st = SchmidtState.maximally_entangled(4)
