@@ -1,11 +1,12 @@
 """JSON and CSV interchange for strategies, correlation tables, and inputs.
 
 Matrices travel as nested row-major lists; complex entries become [re, im]
-pairs so files stay valid JSON. Floats round-trip exactly (repr-based, 17
-significant digits). JSON inputs are read under one rule: a field sits in a
-JSON object and holds the JSON type asked for (``_field``), and a number is a
-JSON number (``config.is_number``: not ``"0.6"`` or ``true``); anything else
-raises BadParams. NaN and Infinity are left to the objects' validators.
+pairs so files stay valid JSON. Floats round-trip exactly: repr writes the
+shortest string that reads back as the same float. JSON inputs are read under
+one rule: a field sits in a JSON object and holds the JSON type asked for
+(``_field``), and a number is a JSON number (``config.is_number``: not
+``"0.6"`` or ``true``); anything else raises BadParams. NaN and Infinity are
+left to the objects' validators.
 
 A strategy that a certification pipeline built is written as its target
 alone (format 2) and rebuilt by that pipeline on reading; any other strategy
@@ -210,12 +211,22 @@ _CSV_HEADER = ["x", "j", "y", "k", "re", "im"]
 
 
 def table_rows(table: CorrelationTable, end: str = "\n") -> str:
-    """One x,j,y,k,re,im line per entry in row-major order, floats by repr, each ending `end`."""
-    cols = [f"{y},{k}," for y, k in table.cols]
+    """One x,j,y,k,re,im line per entry in row-major order, floats by repr, each ending `end`.
+
+    A certify table holds few distinct floats, so each distinct bit pattern is
+    given to repr once; bits, not values, keep -0.0 apart from 0.0.
+    """
+    values = table.values
+    if not values.size:
+        return ""
+    pairs = np.stack([values.real, values.imag], -1, dtype=float)
+    bits, inverse = np.unique(pairs.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    fields = text[inverse.reshape(len(values), -1)].tolist()
+    # x,j, joined over ["", *cols] starts every column's line with x,j,
+    cols = ["", *(f"{y},{k},%s,%s{end}" for y, k in table.cols)]
     return "".join(
-        f"{x},{j},{col}{v.real!r},{v.imag!r}{end}"
-        for (x, j), row in zip(table.rows, table.values.tolist())
-        for col, v in zip(cols, row)
+        f"{x},{j},".join(cols) % tuple(row) for (x, j), row in zip(table.rows, fields)
     )
 
 

@@ -343,15 +343,15 @@ def correlation_table(strategy: Strategy) -> CorrelationTable:
     """All joint correlations of a strategy, one entry per question/power pair.
 
     Every entry is Tr[D A D B^T] as in :func:`correlation`, computed at once
-    as one contraction of the stacked D A D against the stacked B.
+    as one matrix product of the flattened D A D against the flattened B.
     """
     d = strategy.dim
     dm = strategy.state.matrix
     rows, alice = _labelled_powers(strategy.alice)
     cols, bob = _labelled_powers(strategy.bob)
-    a = dm @ np.array(alice).reshape(-1, d, d) @ dm
-    b = np.array(bob).reshape(-1, d, d)
-    return CorrelationTable(rows, cols, np.einsum("xab,yab->xy", a, b).astype(complex))
+    a = (dm @ np.array(alice).reshape(-1, d, d) @ dm).reshape(-1, d * d)
+    b = np.array(bob).reshape(-1, d * d)
+    return CorrelationTable(rows, cols, (a @ b.T).astype(complex))
 
 
 def brute_force_correlation(strategy: Strategy) -> CorrelationTable:

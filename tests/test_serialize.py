@@ -20,11 +20,12 @@ from bellcert.serialize import (
     state_from_json,
     strategy_from_json_dict,
     strategy_to_json_dict,
+    table_rows,
     table_to_csv,
     target_from_json,
     write_strategy,
 )
-from bellcert.simplex import initial_strategy
+from bellcert.simplex import initial_strategy, pair_observables
 from bellcert.strategies import (
     CorrelationTable,
     ProjectiveMeasurement,
@@ -52,6 +53,23 @@ def _exact(a, b) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(_exact(a[k], b[k]) for k in a)
     return type(a) is type(b) and repr(a) == repr(b)
+
+
+def _csv_rows(table: CorrelationTable) -> str:
+    """The table's lines as csv.writer writes them, floats by repr, in sorted key order."""
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(
+        (*key, repr(float(v.real)), repr(float(v.imag)))
+        for key, v in sorted(table_items(table))
+    )
+    return out.getvalue()
+
+
+def _table(values: np.ndarray) -> CorrelationTable:
+    n, m = values.shape
+    return CorrelationTable(
+        tuple((x // 3, x % 3) for x in range(n)), tuple((y // 2, y % 2) for y in range(m)), values
+    )
 
 
 class TestMatrixCodec:
@@ -267,14 +285,31 @@ class TestTableCsv:
         table.values[-2, -1] = complex(float("inf"), float("nan"))
         path = tmp_path / "table.csv"
         table_to_csv(path, table)
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref)
-        writer.writerow(["x", "j", "y", "k", "re", "im"])
-        writer.writerows(
-            (*key, repr(float(v.real)), repr(float(v.imag)))
-            for key, v in sorted(table_items(table))
-        )
-        assert path.read_bytes() == ref.getvalue().encode()
+        ref = "x,j,y,k,re,im\r\n" + _csv_rows(table)
+        assert path.read_bytes() == ref.encode()
+
+    def test_rows_of_a_pipeline_table_match_the_csv_module(self):
+        # few distinct floats: the writer formats each once and reuses it
+        table = correlation_table(certification_strategy(pair_observables(8)[(0, 1)]))
+        assert len(set(table.values.ravel().tolist())) < len(table) / 10
+        assert table_rows(table, "\r\n") == _csv_rows(table)
+        assert table_rows(table) == _csv_rows(table).replace("\r\n", "\n")
+
+    def test_rows_of_a_distinct_table_with_signed_zeros_nans_and_infs(self):
+        values = np.random.default_rng(23).standard_normal((6, 7, 2)) @ [1.0, 1j]
+        special = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 5e-324, 1e-300]
+        values.real.flat[:8] = special
+        values.imag.flat[8:16] = special
+        values[-1, -1] = complex(-0.0, 0.0)
+        bits = values.view(np.int64).reshape(-1, 2)
+        assert len(np.unique(bits, axis=0)) == values.size
+        table = _table(values)
+        assert table_rows(table, "\r\n") == _csv_rows(table)
+        assert table_rows(table) == _csv_rows(table).replace("\r\n", "\n")
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_rows_of_an_empty_table_are_empty(self, shape):
+        assert table_rows(_table(np.zeros(shape, dtype=complex))) == ""
 
     def test_complex_entries_survive(self, tmp_path):
         values = np.array([[1.0, 0.5j], [-0.0, complex(0.25, -1.0 / 3.0)]])

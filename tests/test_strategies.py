@@ -29,7 +29,7 @@ from bellcert.strategies import (
     verify_degenerate_pair,
 )
 from bellcert import jordan, linalg, strategies
-from bellcert.certify import binary_certification_strategy
+from bellcert.certify import binary_certification_strategy, certification_strategy
 from bellcert.linalg import require_symmetric
 from bellcert.posthoc import posthoc_feasible_general
 from bellcert.simplex import (
@@ -501,6 +501,20 @@ class TestCorrelation:
         keys = [row + col for row in table.rows for col in table.cols]
         assert keys == list(expected)
         assert np.max(np.abs(table.values.ravel() - list(expected.values()))) <= 1e-14
+
+    @pytest.mark.parametrize("d, outputs", [(8, 2), (4, 3)])
+    def test_certify_table_matches_brute_force(self, d, outputs):
+        if outputs == 2:
+            target = pair_observables(d)[(0, 1)]
+        else:
+            projs = random_projective_measurement(np.random.default_rng(d), d, outputs)
+            target = ProjectiveMeasurement(tuple(projs))
+        strat = certification_strategy(target)
+        table = correlation_table(strat)
+        assert table.max_difference(brute_force_correlation(strat)) <= 1e-13
+        rows = [r for r, (_, j) in enumerate(table.rows) if j == 0]
+        cols = [c for c, (_, k) in enumerate(table.cols) if k == 0]
+        assert np.max(np.abs(table.values[np.ix_(rows, cols)] - 1.0)) <= 1e-12
 
     def test_brute_force_guards_size(self):
         d = 100
