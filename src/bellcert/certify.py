@@ -30,7 +30,7 @@ from .jordan import (
     jordan_closure,
     span_basis,
 )
-from .linalg import extend_orthonormal_rows
+from .linalg import extend_orthonormal_rows, svec
 from .posthoc import FeasibilityResult, RobustnessParams, posthoc_check, sign_reachable
 from .simplex import maximal_independent_subset
 from .strategies import (
@@ -172,7 +172,7 @@ def _extension_batch(
     # combinations drift out of the closure within a few rounds
     for h in np.tensordot(rng.standard_normal((len(source),) * 2), source, axes=1):
         for o in cut_point_observables(h, settings=settings):
-            q2, added = extend_orthonormal_rows(q, [o.ravel()], into.tol)
+            q2, added = extend_orthonormal_rows(q, svec(o)[None], into.tol)
             if added:
                 q = q2
                 added_obs.append(o)

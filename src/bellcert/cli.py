@@ -229,7 +229,7 @@ def _cmd_posthoc_check(args, settings: Settings) -> int:
 def _cmd_jordan_closure(args, settings: Settings) -> int:
     mats = matrices_from_json(_load_json(args.observables))
     extras = matrices_from_json(_load_json(args.extra)) if args.extra else []
-    basis, iterations = jordan_closure(mats, extras, settings=settings)
+    basis, iterations = jordan_closure(mats + extras, settings=settings)
     d = basis.matrix_dim
     full = basis.dimension == d * (d + 1) // 2
     trivial = has_trivial_centralizer(mats + extras, settings=settings)

@@ -19,6 +19,8 @@ from .linalg import (
     orthonormal_rows,
     require_hermitian_stack,
     require_symmetric,
+    smat,
+    svec,
     sym_eig,
 )
 
@@ -32,10 +34,10 @@ class SpanBasis:
     matrix_dim:
         Ambient matrix size d (elements are d x d).
     rows:
-        The basis as the orthogonalizer returns it: orthonormal vectorized
-        matrices, shape (dimension, d*d). A row kept with singular value sigma
-        is symmetric only to about eps/sigma, so a combination of rows may need
-        symmetrizing before a check at ``sym_tol``.
+        The basis in svec coordinates (see :func:`~bellcert.linalg.svec`):
+        orthonormal rows of shape (dimension, d(d+1)/2). The coordinates
+        cover Sym(d) and nothing else, so every combination of rows is a
+        symmetric matrix.
     tol:
         Relative residual threshold used for membership decisions.
     """
@@ -50,10 +52,10 @@ class SpanBasis:
 
     @property
     def basis(self) -> np.ndarray:
-        """The basis matrices, shape (dimension, d, d): a read-only view of ``rows``."""
-        view = self.rows.reshape(-1, self.matrix_dim, self.matrix_dim)
-        view.flags.writeable = False
-        return view
+        """The basis matrices, shape (dimension, d, d): read-only, exactly symmetric."""
+        mats = smat(self.rows)
+        mats.flags.writeable = False
+        return mats
 
 
 # relative singular-value cutoff for the commutant's null space
@@ -80,7 +82,7 @@ def span_basis(
     s = settings or DEFAULTS
     stack, d = _validated_family(mats, s)
     tol = s.membership_tol
-    return SpanBasis(matrix_dim=d, rows=orthonormal_rows(stack, tol), tol=tol)
+    return SpanBasis(matrix_dim=d, rows=orthonormal_rows(svec(stack), tol), tol=tol)
 
 
 def contains(
@@ -98,28 +100,25 @@ def contains(
     a = require_symmetric(m, settings=settings)
     if a.shape[0] != b.matrix_dim:
         raise DimMismatch(f"matrix is {a.shape[0]}x{a.shape[0]}, span is over {b.matrix_dim}")
-    coeffs = b.rows @ a.ravel()
-    residual = float(np.linalg.norm(a.ravel() - coeffs @ b.rows))
-    member = residual <= b.tol * max(1.0, float(np.linalg.norm(a)))
+    v = svec(a)
+    coeffs = b.rows @ v
+    residual = float(np.linalg.norm(v - coeffs @ b.rows))
+    member = residual <= b.tol * max(1.0, float(np.linalg.norm(v)))
     return member, coeffs, residual
 
 
 def jordan_closure(
-    generators: Sequence[np.ndarray],
-    extra_generators: Sequence[np.ndarray] = (),
-    *,
-    settings: Settings | None = None,
+    generators: Sequence[np.ndarray], *, settings: Settings | None = None
 ) -> tuple[SpanBasis, int]:
-    """Close span{I, generators, extra_generators} under the Jordan product.
+    """Close span{I, generators} under the Jordan product.
 
     Parameters
     ----------
     generators:
         Symmetric matrices (binary observables in the main use case).
-    extra_generators:
-        Optional additional symmetric seeds merged before iterating.
     settings:
-        Seeds are validated at ``sym_tol``; the span tolerance is ``membership_tol``.
+        Generators are validated at ``sym_tol``; the span tolerance is
+        ``membership_tol``.
 
     Returns
     -------
@@ -129,31 +128,27 @@ def jordan_closure(
         strictly grew. For binary generators this is at most ceil(2*log2 d),
         since each sweep at least doubles the reachable word length.
 
-    Raises SolverStall if the basis outgrows dim Sym(d) = d(d+1)/2, which
-    no closure can: rows that drift off the symmetric matrices let rounding
-    noise pass as new directions.
+    Each sweep offers the Jordan product of every pair of basis matrices not
+    offered before, in svec coordinates, to one orthogonalization. Raises
+    SolverStall if the basis outgrows dim Sym(d) = d(d+1)/2, which no closure
+    can: it would mean rounding noise passed as new directions.
     """
     s = settings or DEFAULTS
     tol = s.membership_tol
-    if not len(generators):
-        raise EmptyInput("need at least one matrix")
-    seeds = require_hermitian_stack([*generators, *extra_generators], s.sym_tol)
-    d = seeds.shape[1]
-    q = orthonormal_rows(np.concatenate([np.eye(d)[None], seeds]), tol)
+    seeds, d = _validated_family(generators, s)
+    q = orthonormal_rows(svec(np.concatenate([np.eye(d)[None], seeds])), tol)
     iterations = 0
     fresh_from = 0
     full = d * (d + 1) // 2
     while len(q) < full:
-        mats = q.reshape(-1, d, d)
+        mats = smat(q)
         n = len(mats)
-        # row i times the rows after it, skipping pairs of rows that both
-        # predate the last sweep (already offered); one batch per row, never
-        # the whole n x n product tensor
-        products: list[np.ndarray] = []
-        for i in range(n):
-            right = mats[max(i, fresh_from) :]
-            products.extend((0.5 * (mats[i] @ right + right @ mats[i])).reshape(-1, d * d))
-        q2, added = extend_orthonormal_rows(q, products, tol)
+        # pairs i <= j with j fresh: a pair of rows that both predate the
+        # last sweep was offered then; for symmetric a and b, a*b is the
+        # symmetric part of ab
+        i, j = np.nonzero(np.arange(n)[:, None] <= np.arange(fresh_from, n))
+        ab = mats[i] @ mats[fresh_from + j]
+        q2, added = extend_orthonormal_rows(q, svec(0.5 * (ab + ab.transpose(0, 2, 1))), tol)
         if added == 0:
             break
         if len(q2) > full:

@@ -1,14 +1,18 @@
 """Dense symmetric linear algebra used everywhere else in the package.
 
 Every factorization is a LAPACK call through numpy: ``eigh`` for symmetric
-eigendecompositions and a blocked project-and-SVD kernel for orthogonalization.
-Eigenvalues come out descending. Eigenvectors are LAPACK's own, so their signs
-and the basis chosen within a repeated eigenvalue's eigenspace carry no
-meaning; every caller depends only on eigenvalues and eigenspaces.
+eigendecompositions and one project-and-SVD per offer of rows for
+orthogonalization. Spans of symmetric matrices are kept in svec coordinates
+(:func:`svec`, :func:`smat`). Eigenvalues come out descending. Eigenvectors
+are LAPACK's own, so their signs and the basis chosen within a repeated
+eigenvalue's eigenspace carry no meaning; every caller depends only on
+eigenvalues and eigenspaces.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -137,25 +141,45 @@ def sgn_map(h: np.ndarray, *, settings: Settings | None = None) -> SignImage:
     return SignImage(0.5 * (m + m.T), bool(np.any(small)))
 
 
-# candidate rows orthogonalized per SVD: bounds the scratch array of one
-# extension so that a large batch of candidates is never stacked at once
-BLOCK_ROWS = 64
+@cache
+def _triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # upper-triangle indices of a d x d matrix and their svec weights
+    i, j = np.triu_indices(d)
+    return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
 
 
-def _extend(q: np.ndarray, rows: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, int]:
+def svec(a: np.ndarray) -> np.ndarray:
+    """Symmetric matrices (..., d, d) as vectors (..., d(d+1)/2).
+
+    The upper triangle, row by row, with off-diagonal entries times sqrt(2):
+    an isometry of Sym(d) onto R^{d(d+1)/2}, so svec(A) . svec(B) = Tr(AB).
+    Only the upper triangle is read.
+    """
+    i, j, w = _triangle(a.shape[-1])
+    return a[..., i, j] * w
+
+
+def smat(v: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`svec`: exactly symmetric matrices (..., d, d)."""
+    d = (math.isqrt(8 * v.shape[-1] + 1) - 1) // 2
+    i, j, w = _triangle(d)
+    out = np.empty((*v.shape[:-1], d, d))
+    out[..., i, j] = out[..., j, i] = v / w
+    return out
+
+
+def _extend(q: np.ndarray, rows: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     # the one kernel behind both public entry points, which stay separate
     # functions so that each is timed and counted under its own name
-    # largest row norm from one C-level pass over the squared norms: no stacked
-    # copy of the rows, and no per-row Python call even for single-row offers
-    thresh = tol * max(1.0, float(np.sqrt(max(map(np.vdot, rows, rows), default=0.0))))
-    start = q.shape[0]
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        block = np.array(rows[lo : lo + BLOCK_ROWS], dtype=float).reshape(-1, q.shape[1])
-        for _ in range(2):
-            block -= (block @ q.T) @ q
-        _, sv, vt = np.linalg.svd(block, full_matrices=False)
-        q = np.vstack([q, vt[sv > thresh]])
-    return q, q.shape[0] - start
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), q.shape[1])
+    if not len(rows):
+        return q, 0
+    thresh = tol * max(1.0, float(np.linalg.norm(rows, axis=1).max()))
+    for _ in range(2):
+        rows = rows - (rows @ q.T) @ q
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    new = vt[sv > thresh]
+    return np.concatenate([q, new]), len(new)
 
 
 def orthonormal_rows(rows: np.ndarray, tol: float) -> np.ndarray:
@@ -169,14 +193,14 @@ def orthonormal_rows(rows: np.ndarray, tol: float) -> np.ndarray:
 
 
 def extend_orthonormal_rows(
-    q: np.ndarray, rows: Sequence[np.ndarray], tol: float
+    q: np.ndarray, rows: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int]:
     """Grow an orthonormal row set with the directions new rows add to its span.
 
-    Candidates are taken in order, in blocks of at most ``BLOCK_ROWS`` rows.
-    Each block is projected off the current set twice; the right singular
-    vectors of the residual whose singular value exceeds
-    ``tol * max(1, largest candidate row norm)`` join the set.
+    All candidate rows (a 2-d array) are projected off the current set twice,
+    together; the right singular vectors of the residual whose singular value
+    exceeds ``tol * max(1, largest candidate row norm)`` join the set, in
+    order of decreasing singular value.
 
     Returns the extended orthonormal array and the number of rows added.
     """

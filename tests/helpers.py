@@ -90,7 +90,7 @@ def random_schmidt_coeffs(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def gram_schmidt_rows(rows, tol: float) -> np.ndarray:
-    """Row-by-row Gram-Schmidt reference for the blocked orthogonalizer.
+    """Row-by-row Gram-Schmidt reference for the orthogonalizer.
 
     Rows are taken in order and orthogonalized twice against the rows kept so
     far; a row is kept when its residual exceeds tol * max(1, largest row norm).

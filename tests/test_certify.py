@@ -1,5 +1,6 @@
 """End-to-end certification pipeline: strategy builders, reports, plans."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -239,6 +240,20 @@ class TestCertificateReport:
         )
         with pytest.raises(BadParams):
             certificate_report(stripped)
+
+    @pytest.mark.parametrize("base", [0, 6])
+    def test_rejects_base_questions_out_of_range(self, base):
+        strat = binary_certification_strategy(simplex_observables(3)[0])
+        moved = dataclasses.replace(strat, meta={**strat.meta, "base_questions": base})
+        with pytest.raises(BadParams, match=f"base_questions = {base} is inconsistent"):
+            certificate_report(moved)
+
+    def test_rejects_a_non_binary_bob_measurement(self, rng):
+        strat = binary_certification_strategy(simplex_observables(3)[0])
+        three = ProjectiveMeasurement(tuple(random_projective_measurement(rng, 3, 3)))
+        mixed = dataclasses.replace(strat, bob=(*strat.bob, three), bob_labels=())
+        with pytest.raises(BadParams, match="certificate reports need binary Bob measurements"):
+            certificate_report(mixed)
 
 
 def _random_plan_input(rng):

@@ -357,6 +357,31 @@ class TestJordanClosureCommand:
         assert "full-algebra: True" in out
         assert "trivial-centralizer: True" in out
 
+    def test_extra_generators_merge_before_iterating(self, tmp_path, capsys):
+        obs = _write_json(tmp_path / "obs.json", {"matrices": [encode_matrix(Z)]})
+        extra = _write_json(tmp_path / "extra.json", {"matrices": [encode_matrix(X)]})
+        assert main(["jordan-closure", "--observables", obs]) == 0
+        assert "dimension: 2" in capsys.readouterr().out
+        assert main(["jordan-closure", "--observables", obs, "--extra", extra]) == 0
+        assert "dimension: 3" in capsys.readouterr().out
+
+    def test_extras_alone_are_closed(self, tmp_path, capsys):
+        obs = _write_json(tmp_path / "obs.json", {"matrices": []})
+        extra = _write_json(tmp_path / "extra.json", {"matrices": [encode_matrix(X)]})
+        assert main(["jordan-closure", "--observables", obs, "--extra", extra]) == 0
+        assert "dimension: 2" in capsys.readouterr().out
+
+    def test_closes_a_d9_family_within_the_symmetric_matrices(self, tmp_path, capsys):
+        # the closure has dimension 37; rounding noise accepted as
+        # directions would outgrow dim Sym(9) = 45 and exit 2
+        rng = np.random.default_rng(102)
+        refs = [random_reflection(rng, 9, r) for r in (6, 5, 8)]
+        path = _write_json(tmp_path / "obs.json", {"matrices": [encode_matrix(m) for m in refs]})
+        assert main(["jordan-closure", "--observables", path]) == 0
+        out = capsys.readouterr().out
+        assert "dimension: 37" in out
+        assert "full-algebra: False" in out
+
 
 class TestMatrixInputsAreChecked:
     @pytest.mark.parametrize(

@@ -7,12 +7,13 @@ from bellcert.config import DEFAULTS
 from bellcert.errors import BadParams, DimMismatch, EmptyInput, NotSymmetric
 from bellcert.jordan import cut_point_observables, span_basis
 from bellcert.linalg import (
-    BLOCK_ROWS,
     extend_orthonormal_rows,
     orthonormal_rows,
     require_hermitian_stack,
     require_symmetric,
     sgn_map,
+    smat,
+    svec,
     sym_eig,
 )
 
@@ -283,9 +284,10 @@ def test_blocked_kernel_matches_gram_schmidt_on_dependent_rows(rng):
 
 def test_blocked_kernel_matches_gram_schmidt_across_blocks(rng):
     base = [random_symmetric(rng, 12) for _ in range(40)]
-    coeffs = rng.standard_normal((2 * BLOCK_ROWS + 7, len(base)))
+    # one offer of 2 * 64 + 7 rows, orthogonalized as a whole
+    coeffs = rng.standard_normal((2 * 64 + 7, len(base)))
     rows = [sum(c * b for c, b in zip(row, base)).ravel() for row in coeffs]
-    assert len(rows) > BLOCK_ROWS
+    assert len(rows) == 135
     q = _assert_same_span(rows, 1e-8)
     assert q.shape[0] == 40
 
@@ -315,3 +317,24 @@ def test_blocked_kernel_span_is_independent_of_row_order(rng):
     p = _assert_same_span([mats[i] for i in perm], 1e-8)
     assert np.allclose(p.T @ p, q.T @ q, atol=1e-10)
 
+
+# ------------------------------------------------------------- svec / smat
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+def test_svec_is_an_isometry_of_the_symmetric_matrices(rng, d):
+    a, b = random_symmetric(rng, d), random_symmetric(rng, d)
+    assert svec(a).shape == (d * (d + 1) // 2,)
+    assert abs(svec(a) @ svec(b) - np.trace(a @ b)) < 1e-13
+    assert np.max(np.abs(smat(svec(a)) - a)) < 1e-15
+
+
+def test_svec_and_smat_act_on_stacks(rng):
+    stack = np.array([[random_symmetric(rng, 4) for _ in range(3)] for _ in range(2)])
+    v = svec(stack)
+    assert v.shape == (2, 3, 10)
+    assert np.array_equal(v[1, 2], svec(stack[1, 2]))
+    back = smat(v)
+    assert back.shape == stack.shape
+    assert np.array_equal(back, back.swapaxes(-1, -2))
+    assert np.max(np.abs(back - stack)) < 1e-15

@@ -593,3 +593,47 @@ class TestCheatingExample:
         # the dishonest effects are genuinely non-projective
         assert rep.projection_defect > 0.1
         assert rep.overlap == pytest.approx((10.0 * np.sqrt(2.0) - 9.0) / 48.0, abs=1e-14)
+
+
+class TestRejectedInputs:
+    """Each validation branch raises its class with its message."""
+
+    def test_empty_schmidt_state(self):
+        with pytest.raises(BadParams, match="need at least one Schmidt coefficient"):
+            SchmidtState(np.array([]))
+        with pytest.raises(BadParams, match="dimension must be >= 1"):
+            SchmidtState.maximally_entangled(0)
+
+    def test_projections_that_do_not_sum_to_identity(self):
+        with pytest.raises(
+            InvalidMeasurement, match=r"measurement 0: projections do not sum to identity \(1.00e\+00\)"
+        ):
+            strategies.require_projective_stack([[np.diag([1.0, 0.0])]])
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (1, 1, 2, 2, 2)])
+    def test_stack_of_the_wrong_rank(self, shape):
+        stack = np.broadcast_to(np.eye(2), shape)
+        with pytest.raises(DimMismatch, match=r"expected a \(k, L, d, d\) stack, got shape"):
+            strategies.require_projective_stack(stack)
+
+    def test_strategy_label_count(self):
+        meas = ProjectiveMeasurement.from_observable(Z)
+        with pytest.raises(BadParams, match="label count does not match measurement count"):
+            Strategy(SchmidtState.maximally_entangled(2), (meas,), (meas,), alice_labels=("a", "b"))
+
+    def test_strategy_measurement_dimension(self):
+        meas = ProjectiveMeasurement.from_observable(Z)
+        with pytest.raises(DimMismatch, match="measurement dimension 2 != state dimension 3"):
+            Strategy(SchmidtState.maximally_entangled(3), (meas,), (meas,))
+
+    def test_correlation_operator_size(self):
+        state = SchmidtState.maximally_entangled(2)
+        with pytest.raises(DimMismatch, match="operator dimension does not match the state"):
+            correlation(state, np.eye(3), Z)
+        with pytest.raises(DimMismatch, match="operator dimension does not match the state"):
+            correlation(state, Z, np.eye(3))
+
+    def test_degenerate_pair_observable_size(self):
+        _, refs, first, second = degenerate_pair_3d()
+        with pytest.raises(DimMismatch, match="observable dimension does not match the state"):
+            verify_degenerate_pair(SchmidtState.maximally_entangled(2), refs, first, second)
