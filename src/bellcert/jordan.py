@@ -190,18 +190,34 @@ def has_trivial_centralizer(
 ) -> bool:
     """Whether only multiples of the identity commute with every generator.
 
-    The commutant is computed as the null space of the stacked operators
-    S -> SG - GS over all real d x d matrices; triviality means nullity 1,
-    with singular values below 1e-9 relative to the largest counted as zero.
+    The commutant is the null space of the stacked operators S -> SG - GS
+    over all real d x d matrices. For symmetric G this map sends Sym(d) to
+    Skew(d) and Skew(d) to Sym(d), so in orthonormal coordinates of both
+    (svec on Sym, sqrt(2) times the strict upper triangle on Skew) the
+    operator for k generators is two blocks: Sym -> Skew, of shape
+    (k d(d-1)/2, d(d+1)/2), and Skew -> Sym, of shape (k d(d+1)/2, d(d-1)/2).
+    Each block is one batched product over an orthonormal basis of its
+    domain, and together their singular values are those of the whole
+    operator. Singular values above 1e-9 times max(1, the largest) count
+    toward the rank; triviality means nullity d^2 - rank = 1.
     """
     gens, d = _validated_family(generators, settings or DEFAULTS)
-    eye = np.eye(d)
-    blocks = [np.kron(g, eye) - np.kron(eye, g) for g in gens]
-    stacked = np.vstack(blocks)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    nullity = int(np.sum(sv <= _CENTRALIZER_TOL * max(1.0, smax)))
-    return nullity == 1
+    k, n_sym, n_skew = len(gens), d * (d + 1) // 2, d * (d - 1) // 2
+    i, j = np.triu_indices(d, 1)
+    skew = np.zeros((n_skew, d, d))
+    skew[np.arange(n_skew), i, j] = np.sqrt(0.5)
+    skew[np.arange(n_skew), j, i] = -np.sqrt(0.5)
+    # for symmetric G: [S, G] = SG - (SG)^T and [K, G] = KG + (KG)^T
+    sg = (smat(np.eye(n_sym)).reshape(-1, d) @ gens).reshape(k, n_sym, d, d)
+    kg = (skew.reshape(-1, d) @ gens).reshape(k, n_skew, d, d)
+    to_skew = np.sqrt(2.0) * (sg - sg.swapaxes(-1, -2))[..., i, j]
+    to_sym = svec(kg + kg.swapaxes(-1, -2))
+    sv = np.concatenate([
+        np.linalg.svd(to_skew.swapaxes(1, 2).reshape(k * n_skew, n_sym), compute_uv=False),
+        np.linalg.svd(to_sym.swapaxes(1, 2).reshape(k * n_sym, n_skew), compute_uv=False),
+    ])
+    rank = int(np.sum(sv > _CENTRALIZER_TOL * max(1.0, sv.max(initial=0.0))))
+    return d * d - rank == 1
 
 
 def degeneracy_possible(d: int, n: int, maximally_entangled: bool = False) -> bool:

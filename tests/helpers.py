@@ -137,6 +137,20 @@ def jordan_closure_reference(gens, tol: float = DEFAULTS.membership_tol):
     return q, sweeps
 
 
+def commutant_nullity_reference(gens, tol: float = 1e-9) -> int:
+    """Kronecker reference for has_trivial_centralizer: the commutant's dimension.
+
+    kron(G, I) - kron(I, G) is S -> GS - SG on row-major vec(S); the blocks of
+    every generator are stacked into one (k d^2, d^2) matrix, and its singular
+    values at most tol * max(1, largest) are counted.
+    """
+    d = gens[0].shape[0]
+    eye = np.eye(d)
+    stacked = np.vstack([np.kron(g, eye) - np.kron(eye, g) for g in gens])
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    return int(np.sum(sv <= tol * max(1.0, sv[0])))
+
+
 def fourier_duals_loop(projs) -> list[np.ndarray]:
     """Reference loops for A^(j) = sum_a omega^(aj) P_a, j = 1..L-1."""
     L = len(projs)

@@ -21,7 +21,9 @@ from bellcert.simplex import simplex_observables
 from helpers import (
     X,
     Z,
+    commutant_nullity_reference,
     jordan_closure_reference,
+    random_orthogonal,
     random_reflection,
     random_symmetric,
 )
@@ -283,6 +285,65 @@ class TestCentralizer:
         a = np.diag([1.0, -1.0, 1.0])
         b = np.diag([1.0, 1.0, -1.0])
         assert not has_trivial_centralizer([a, b])
+
+    @staticmethod
+    def _families(rng, d):
+        """Generic, block-reducible, commuting and single-generator families of size d."""
+        u = random_orthogonal(rng, d)
+        yield [random_symmetric(rng, d) for _ in range(3)]
+        yield [random_reflection(rng, d) for _ in range(2)]
+        if d >= 3:
+            cut = int(rng.integers(1, d - 1))
+            blocks = [np.zeros((d, d)) for _ in range(3)]
+            for b in blocks:
+                b[:cut, :cut] = random_symmetric(rng, cut)
+                b[cut:, cut:] = random_symmetric(rng, d - cut)
+            yield [u @ b @ u.T for b in blocks]
+        yield [(u * rng.choice([-1.0, 1.0], size=d)) @ u.T for _ in range(3)]
+        # one generator: the Sym -> Skew block is wide, with fewer singular
+        # values than columns
+        yield [random_symmetric(rng, d)]
+        yield [random_reflection(rng, d)]
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_the_kronecker_reference(self, rng, d):
+        for _ in range(4):
+            for gens in self._families(rng, d):
+                scale = 10.0 ** rng.uniform(-3, 3)
+                gens = [scale * g for g in gens]
+                expected = commutant_nullity_reference(gens) == 1
+                assert has_trivial_centralizer(gens) is expected
+
+    def test_dimension_one_is_irreducible(self):
+        assert has_trivial_centralizer([np.eye(1)])
+        assert has_trivial_centralizer([-np.eye(1)])
+        assert has_trivial_centralizer([np.eye(1), 3.0 * np.eye(1)])
+
+    @staticmethod
+    def _near_reducible(eps):
+        # (X, Z) on a 2-block and (1, -1) on a 1-block, coupled by eps: the
+        # commutator's smallest nonzero singular value is sqrt(1.5) * eps * 1.255
+        # against a cutoff of 1e-9 * 2 sqrt(2) * 1.255
+        u = random_orthogonal(np.random.default_rng(25), 3)
+        a = np.zeros((3, 3))
+        b = np.zeros((3, 3))
+        a[:2, :2], a[2, 2], a[0, 2], a[2, 0] = X, 1.0, eps, eps
+        b[:2, :2], b[2, 2] = Z, -1.0
+        return [1.255 * u @ a @ u.T, 1.255 * u @ b @ u.T]
+
+    def test_just_below_the_cutoff_counts_as_commuting(self):
+        # sigma = 3.40e-9 against a cutoff of 3.55e-9
+        gens = self._near_reducible(2.212e-9)
+        assert commutant_nullity_reference(gens) == 2
+        assert commutant_nullity_reference(gens, tol=0.95e-9) == 1
+        assert not has_trivial_centralizer(gens)
+
+    def test_just_above_the_cutoff_counts_as_irreducible(self):
+        # sigma = 3.69e-9 against a cutoff of 3.55e-9
+        gens = self._near_reducible(2.4e-9)
+        assert commutant_nullity_reference(gens) == 1
+        assert commutant_nullity_reference(gens, tol=1.05e-9) == 2
+        assert has_trivial_centralizer(gens)
 
 
 class TestDegeneracyPossible:
