@@ -208,7 +208,7 @@ def _cmd_correlations(args, settings: Settings) -> int:
 
 
 def _cmd_posthoc_check(args, settings: Settings) -> int:
-    state = state_from_json(_load_json(args.state))
+    state = state_from_json(_load_json(args.state), settings=settings)
     refs = measurements_from_json(_load_json(args.alice), settings=settings)
     target = target_from_json(_load_json(args.target), settings=settings)
     results = posthoc_check(state, refs, target, settings=settings)

@@ -7,42 +7,29 @@ the exact witness P = D^2, which exists exactly when D^-1 conj(O)^l D lies in
 span{I, A_x^j}: one least-squares solve decides that, and it decides every
 question of the certification pipeline, whose reference family spans every
 symmetric matrix. Otherwise, ruling such a P in or out is a small
-semidefinite feasibility problem over the span. Every stage of that search
-works on one Frobenius-orthonormal basis of the Hermitian combinations of the
-check's generators, so a verdict depends on the span alone, not on how the
-references list it. One log-det barrier decides it deterministically: the
-central path of the best minimum eigenvalue over the span's unit ball, whose
-points give a positive definite witness and whose dual gives a Farkas
-certificate. Feasible instances are refined to the minimum-trace certificate
-Q = D^-1 P D^-1 with the same damped-Newton core, over the same basis carried
-into that frame by congruence, and the closed-form robustness bounds consume
-those certificates.
-
-The solver core takes a real symmetric stack (the binary check) and a complex
-Hermitian one (the order-L check) alike, over real coefficients, so every
-witness, Farkas certificate and Q is a d x d matrix.
+semidefinite feasibility problem over the span, which the convex core in
+solver.py decides. Feasible instances are refined to the minimum-trace
+certificate Q = D^-1 P D^-1 with the same damped-Newton core, over the same
+basis carried into that frame by congruence, and the closed-form robustness
+bounds consume those certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import solver
 from .config import DEFAULTS, Settings, json_numbers
-from .errors import (
-    BadParams,
-    DimMismatch,
-    Infeasible,
-    SolverStall,
-    TrivialRegion,
-)
-from .linalg import extend_orthonormal_rows
+from .errors import BadParams, Infeasible, SolverStall, TrivialRegion
 from .strategies import (
     ProjectiveMeasurement,
     SchmidtState,
+    frame_generators,
     generalized_observables,
+    question_span,
     require_binary_observables,
     require_order_l,
 )
@@ -125,256 +112,20 @@ class FeasibilityResult:
 
 
 # --------------------------------------------------------------------------
-# core solver: is some Hermitian combination of the generators positive definite?
-
-# Central-path schedule shared by the margin search and the minimum-trace
-# barrier: mu shrinks by _MU_SHRINK after each centering, down to N * mu =
-# _MU_FLOOR for block size N (_MU_FLOOR * Tr Q for the minimum-trace barrier).
-_MU_SHRINK = 0.15
-_MU_FLOOR = 5e-10
-# Centring: Newton decrement <= _DECREMENT_TOL within _MAX_NEWTON steps, line
-# search halving down to _STEP_FLOOR, Armijo fraction, Newton-system ridge.
-_MAX_NEWTON = 80
-_DECREMENT_TOL = 2e-11
-_ARMIJO = 1e-4
-_STEP_FLOOR = 1e-14
-_RIDGE = 1e-13
-# Numerical rank: singular values at or below this times max(1, largest)
-# count as zero.
-_RANK_CUTOFF = 1e-12
-
-
-def _rank(sv: np.ndarray) -> int:
-    return int(np.sum(sv > _RANK_CUTOFF * np.max(sv, initial=1.0)))
-
-
-def _hermitian_basis(
-    gens: np.ndarray, scale: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A basis of the Hermitian real combinations of gens, as (coef, sigma, B).
-
-    gens is a real or complex (m, n, n) stack. B is Frobenius-orthonormal
-    (the dot product of the float views), coef (m, r) has orthonormal
-    columns and sum_k coef[k, j] gens[k] = sigma_j B_j, so a dependency among
-    the generators adds no direction. With scale, the sums are of
-    diag(scale) gens[k] diag(scale) instead; which combinations are
-    Hermitian is still read off the unscaled gens.
-    """
-    m, n = gens.shape[:2]
-    asym = (gens - gens.conj().transpose(0, 2, 1)).reshape(m, -1).view(float)
-    # the thin factor already holds every row of vt unless asym.T is wide
-    _, sv, vt = np.linalg.svd(asym.T, full_matrices=m > asym.shape[1])
-    null = vt[_rank(sv):].T
-    mats = (null.T @ gens.reshape(m, -1)).reshape(-1, n, n)
-    mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-    if scale is not None:
-        mats = scale[:, None] * mats * scale
-    u, sigma, vt = np.linalg.svd(mats.reshape(-1, n * n).view(float), full_matrices=False)
-    r = _rank(sigma)
-    basis = vt[:r].view(mats.dtype).reshape(-1, n, n)
-    return null @ u[:, :r], sigma[:r], 0.5 * (basis + basis.conj().transpose(0, 2, 1))
-
-
-def _lambda_min(m: np.ndarray) -> float:
-    # solver-internal: m is Hermitian by construction
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def _farkas(z: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
-    """Project z onto the orthogonal complement of span{basis}, at unit trace.
-
-    basis is Frobenius-orthonormal. Returns None unless the projection is
-    positive definite, i.e. unless it is a certificate that no real
-    combination of the basis is positive definite.
-    """
-    herm = 0.5 * (z + z.conj().T)
-    flat = basis.reshape(len(basis), -1).view(float)
-    z = herm - np.tensordot(flat @ herm.ravel().view(float), basis, axes=1)
-    if _lambda_min(z) <= 0.0:
-        return None
-    return z / np.trace(z).real
-
-
-def _best_sign(b: np.ndarray) -> tuple[float, float, np.ndarray | None]:
-    """The one-direction case: max of lambda_min(+b) and lambda_min(-b).
-
-    Returns (value, sign, certificate). When b is indefinite, the
-    certificate weights its extreme eigenvectors so that Tr(Z b) = 0.
-    """
-    vals, vecs = np.linalg.eigh(b)
-    lo, hi = float(vals[0]), float(vals[-1])
-    cert = None
-    if lo < 0.0 < hi:
-        u, w = vecs[:, 0], vecs[:, -1]
-        cert = (hi * np.outer(u, u.conj()) - lo * np.outer(w, w.conj())) / (hi - lo)
-    if lo >= -hi:
-        return lo, 1.0, cert
-    return -hi, -1.0, cert
-
-
-def _margin_search(
-    sigma: np.ndarray, basis: np.ndarray
-) -> Iterator[tuple[float, np.ndarray, float, np.ndarray | None]]:
-    """Search span{basis} (Frobenius-orthonormal) for a positive definite element.
-
-    Runs in coordinates w with M(w) = sum_k w_k sigma_k B_k, the generators'
-    combination at coef @ w (of norm |w|) for _hermitian_basis's coef.
-    Yields (lambda_min(M) / |w|, w, bound, dual): first at the projection
-    of I onto the span (bound inf, no dual), then at each centre of max s
-    s.t. blockdiag(M(w) - s I, [[I, w], [w^T, 1]]) > 0, where with N the
-    total block size s + N mu bounds max_{|w| <= 1} lambda_min(M(w)) and
-    the unit-trace dual Y = mu (M(w) - s I)^-1 has Tr(Y B_k) -> 0 as mu -> 0.
-    Ends once N mu reaches _MU_FLOOR.
-    """
-    n, r = basis.shape[1], len(sigma)
-    traces = np.einsum("kaa->k", basis).real
-    if traces @ traces > 0.0:
-        u0 = traces / float(traces @ traces)  # unit trace
-        lam = _lambda_min(np.tensordot(u0, basis, axes=1))
-        yield lam / float(np.linalg.norm(u0 / sigma)), u0 / sigma, np.inf, None
-    dirs = sigma[:, None, None] * basis
-    size = n + r + 1
-    stack = np.zeros((r + 1, size, size), dtype=basis.dtype)
-    stack[:r, :n, :n] = dirs
-    j = np.arange(r)
-    stack[j, n + j, -1] = stack[j, -1, n + j] = 1.0
-    stack[r, :n, :n] = -np.eye(n)
-    base = np.diag(np.r_[np.zeros(n), np.ones(r + 1)])
-    x = np.append(np.zeros(r), -1.0)
-    for x, mu in _central_path(x, -np.eye(r + 1)[r], base, stack, 1.0 / size):
-        w, s = x[:r], float(x[r])
-        m_w = np.tensordot(w, dirs, axes=1)
-        point = w if w.any() else np.eye(r)[0]  # a centre at w = 0 has no direction
-        margin = _lambda_min(np.tensordot(point, dirs, axes=1)) / float(np.linalg.norm(point))
-        yield margin, point, s + size * mu, mu * np.linalg.inv(m_w - s * np.eye(n))
-        if size * mu <= _MU_FLOOR:
-            return
-
-
-def _best_margin(
-    sigma: np.ndarray, basis: np.ndarray, settings: Settings
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """The margin search over span{basis}, as (margin, w, certificate).
-
-    No direction gives (-inf, None, I / n), and one _best_sign's answer. With
-    more, _margin_search (w is in its coordinates) runs until a margin above
-    feas_tol, a dual that _farkas projects to a certificate, or a bound at
-    most feas_tol.
-    """
-    tol = settings.feas_tol
-    n = basis.shape[1]
-    if len(sigma) == 0:
-        return float("-inf"), None, np.eye(n) / n
-    if len(sigma) == 1:
-        value, sign, cert = _best_sign(sigma[0] * basis[0])
-        return value, np.array([sign]), cert
-    cert = None
-    for value, w, bound, dual in _margin_search(sigma, basis):
-        if (
-            value > tol
-            or (dual is not None and (cert := _farkas(dual, basis)) is not None)
-            or bound <= tol
-        ):
-            break
-    return value, w, cert
-
-
-def _complement_certificate(basis: np.ndarray, settings: Settings) -> np.ndarray | None:
-    """A Farkas certificate for span{basis} found on its orthogonal complement.
-
-    Searches the complement in the symmetric (for a complex basis,
-    Hermitian) matrices, spanned by E_ab + E_ba (and i(E_ab - E_ba)), for a
-    positive definite element and returns it at unit trace; None if the
-    search's bound drops to feas_tol first.
-    """
-    n = basis.shape[1]
-    units = np.eye(n * n).reshape(-1, n, n)
-    herm = units + units.transpose(0, 2, 1)
-    if np.iscomplexobj(basis):
-        herm = np.concatenate([herm, 1j * (units - units.transpose(0, 2, 1))])
-    rows, added = extend_orthonormal_rows(
-        basis.reshape(len(basis), -1).view(float),
-        herm.reshape(len(herm), -1).view(float),
-        _RANK_CUTOFF,
-    )
-    if added == 0:
-        return None
-    comp = rows[len(basis) :].view(basis.dtype).reshape(-1, n, n)
-    comp = 0.5 * (comp + comp.conj().transpose(0, 2, 1))
-    for value, w, bound, _ in _margin_search(np.ones(len(comp)), comp):
-        if value > 0.0 and (cert := _farkas(np.tensordot(w, comp, axes=1), basis)) is not None:
-            return cert
-        if bound <= settings.feas_tol:
-            break
-    return None
-
-
-def _solve_pd_in_span(
-    gens: Sequence[np.ndarray], *, settings: Settings
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Decide whether some real combination of gens is positive definite.
-
-    gens is a real or complex stack; only its Hermitian (for real gens,
-    symmetric) combinations are searched, over _hermitian_basis. A margin
-    below -feas_tol that _best_margin leaves without a certificate takes
-    one from the span's complement, or raises SolverStall. Returns
-    (lambda_min at the returned unit-norm coefficient vector, that vector
-    over the ORIGINAL generators or None, Farkas certificate or None).
-    """
-    coef, sigma, basis = _hermitian_basis(np.asarray(gens))
-    value, w, cert = _best_margin(sigma, basis, settings)
-    if value < -settings.feas_tol and cert is None:
-        cert = _complement_certificate(basis, settings)
-        if cert is None:
-            raise SolverStall(
-                f"margin search ended at lambda_min {value:.3e} without a certificate"
-            )
-    return value, None if w is None else coef @ (w / np.linalg.norm(w)), cert
-
-
-# --------------------------------------------------------------------------
 # the two public feasibility checks
-
-
-def _span(state: SchmidtState, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Span elements S_k of a question ops = [target, *references]: D^2, then D A D.
-
-    Every operator, the target included, must be d x d for the state's d
-    (DimMismatch otherwise); the target itself adds no span element.
-    """
-    d = state.dim
-    bad = [np.shape(a) for a in ops if np.shape(a) != (d, d)]
-    if bad:
-        raise DimMismatch(f"operator of shape {bad[0]} does not match the state's dimension {d}")
-    dm = state.matrix
-    refs = np.array(ops[1:]).reshape(-1, d, d)
-    return np.concatenate([(dm @ dm)[None], dm @ refs @ dm])
-
-
-def _generators(span: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The generators of a check's witness, from its frame W and span S_k.
-
-    A real W (the binary check, W = O) gives W S_k. A complex W =
-    conj(U)^power gives W^dag S_k and i W^dag S_k, interleaved, so that real
-    coefficients cover the complex span of the W^dag S_k.
-    """
-    if np.isrealobj(w):
-        return w @ span
-    base = w.conj().T @ span
-    return np.stack([base, 1j * base], axis=1).reshape(-1, *base.shape[1:])
 
 
 def _feasibility_result(
     gens: np.ndarray, span: np.ndarray, power: int, settings: Settings
 ) -> FeasibilityResult:
-    """Decide one check over its _generators and record the outcome.
+    """Decide one check over its frame_generators and record the outcome.
 
     On the binary check (one generator per S_k) c is the solver's real
     coefficient vector t and the witness is H = sum_k c_k S_k. On the
     order-L check c pairs t's entries into complex numbers and the witness
     is P = sum_k c_k W^dag S_k, so that W P = sum_k c_k S_k.
     """
-    value, t, certificate = _solve_pd_in_span(gens, settings=settings)
+    value, t, certificate = solver.solve_pd_in_span(gens, settings=settings)
     tol = settings.feas_tol
     verdict = "feasible" if value > tol else "infeasible" if value < -tol else "marginal"
     if verdict != "feasible":
@@ -403,7 +154,7 @@ def _decide(
     the [I, *references] matrix are built once for every frame.
     """
     s = settings
-    span = _span(state, ops)
+    span = question_span(state, ops)
     d, lam = state.dim, state.coeffs
     refs = np.concatenate([np.eye(d)[None], np.array(ops[1:]).reshape(-1, d, d)])
     refs = refs.reshape(len(refs), -1).T
@@ -415,11 +166,11 @@ def _decide(
             member = np.tensordot(c, span, axes=1)
             p = w.conj().T @ member
             if np.max(np.abs(p - p.conj().T)) <= s.sym_tol * np.max(np.abs(p)):
-                value = _lambda_min(0.5 * (p + p.conj().T)) / float(np.linalg.norm(c))
+                value = solver.lambda_min(0.5 * (p + p.conj().T)) / float(np.linalg.norm(c))
                 if value > s.feas_tol:
                     witness = member if np.isrealobj(w) else p
                     return FeasibilityResult("feasible", value, witness, c, s.feas_tol, power)
-        return _feasibility_result(_generators(span, w), span, power, s)
+        return _feasibility_result(frame_generators(span, w), span, power, s)
 
     return [decide(power, w) for power, w in frames]
 
@@ -464,8 +215,8 @@ def sign_reachable(
     Raises SolverStall only when the barrier's Newton loop fails.
     """
     s = settings or DEFAULTS
-    _, sigma, basis = _hermitian_basis(target @ np.asarray(questions))
-    return _best_margin(sigma, basis, s)[0] > s.feas_tol
+    _, sigma, basis = solver.hermitian_basis(target @ np.asarray(questions))
+    return solver.best_margin(sigma, basis, s)[0] > s.feas_tol
 
 
 def posthoc_feasible_general(
@@ -541,7 +292,7 @@ def posthoc_check(
     quantified = []
     for r in results:
         trace_q, q = min_trace_Q(state, powers, target, outputs, r.power, settings=s)
-        quantified.append(replace(r, trace_q=trace_q, lambda_min_q=_lambda_min(q)))
+        quantified.append(replace(r, trace_q=trace_q, lambda_min_q=solver.lambda_min(q)))
     return quantified
 
 
@@ -609,14 +360,15 @@ def min_trace_Q(
     p = w @ feasibility.witness if binary else feasibility.witness
     q0 = p / np.outer(state.coeffs, state.coeffs)
     q0 = 0.5 * (q0 + q0.conj().T)
-    q0 /= _lambda_min(q0)
+    q0 /= solver.lambda_min(q0)
     eye = np.eye(n, dtype=q0.dtype)
     near = s.membership_tol * max(1.0, np.sqrt(n))
     if np.linalg.norm(q0 - eye) <= near:
         return float(n), eye
 
     # Q-frame directions D^-1 M D^-1 over the Hermitian combinations M
-    _, _, basis = _hermitian_basis(_generators(_span(state, ops), w), 1.0 / state.coeffs)
+    gens = frame_generators(question_span(state, ops), w)
+    _, _, basis = solver.hermitian_basis(gens, 1.0 / state.coeffs)
     # Tr B_k = <B_k, I> are I's coordinates in the orthonormal basis. I can
     # lie in the span with a witness other than D^2: the exact one is passed
     # over when its margin is at most feas_tol.
@@ -626,95 +378,16 @@ def min_trace_Q(
 
     # start at 2 q0 (lambda_min(Q) = 2 > 1), projected onto the basis
     c = basis.reshape(len(basis), -1).view(float) @ (2.0 * q0).ravel().view(float)
-    if _lambda_min(np.tensordot(c, basis, axes=1)) <= 1.0:
+    if solver.lambda_min(np.tensordot(c, basis, axes=1)) <= 1.0:
         raise SolverStall("the witness's projection onto the Q frame is not above I")
 
     # central path of Tr Q - mu log det(Q - I), stopped relative to Tr Q
     mu = max(1.0, float(traces @ c) / n)
-    for c, mu in _central_path(c, traces, -np.eye(n), basis, mu):
-        if n * mu <= _MU_FLOOR * max(1.0, float(traces @ c)):
+    for c, mu in solver.central_path(c, traces, -np.eye(n), basis, mu):
+        if n * mu <= solver.MU_FLOOR * max(1.0, float(traces @ c)):
             break
     q = np.tensordot(c, basis, axes=1)
     return float(traces @ c), 0.5 * (q + q.conj().T)
-
-
-def barrier_derivatives(k: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of -log det(S0 + sum_i c_i B_i) with respect to c.
-
-    ``k`` is the inverse of that slack at the current point and ``mats``
-    stacks the symmetric or Hermitian directions B_i, shape (m, n, n), over
-    real c. Returns (g, H) with g_i = -Tr(K B_i) and H_ij = Tr(K B_i K B_j) =
-    <K B_i, (K B_j)^T>, both real and from one stacked K B_i; H is a single
-    GEMM.
-    """
-    m = len(mats)
-    km = k @ mats
-    hess = km.reshape(m, -1) @ km.transpose(0, 2, 1).reshape(m, -1).T
-    return -np.einsum("iaa->i", km).real, hess.real
-
-
-def _central_path(
-    x: np.ndarray, cost: np.ndarray, base: np.ndarray, stack: np.ndarray, mu: float
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Central path of cost @ x - mu log det S(x), S(x) = base + sum_i x_i stack[i].
-
-    Yields (x, mu) at each centre: damped Newton from a strictly feasible x,
-    whose line search keeps S(x) positive definite and stops on no strict
-    decrease. Resumed, it shrinks mu and first takes the tangent step, exact
-    where the path is linear in mu. Raises SolverStall if a centring fails.
-    """
-    flat = stack.reshape(len(stack), -1)
-    slack = base + (x @ flat).reshape(base.shape)
-    logdet = _logdet(slack)
-
-    def search(dx: np.ndarray, slope: float) -> bool:
-        """Move x to the first x + alpha dx, alpha = 1, 1/2, ..., with Armijo decrease."""
-        nonlocal x, slack, logdet
-        f_cur = float(cost @ x) - mu * logdet
-        alpha = 1.0
-        while alpha > _STEP_FLOOR:
-            trial = x + alpha * dx
-            trial_slack = base + (trial @ flat).reshape(base.shape)
-            trial_logdet = _logdet(trial_slack)
-            if trial_logdet is not None and (
-                float(cost @ trial) - mu * trial_logdet < f_cur - _ARMIJO * alpha * slope
-            ):
-                x, slack, logdet = trial, trial_slack, trial_logdet
-                return True
-            alpha *= 0.5
-        return False
-
-    while True:
-        for _newton in range(_MAX_NEWTON):
-            try:
-                g_bar, h_bar = barrier_derivatives(np.linalg.inv(slack), stack)
-                grad = cost + mu * g_bar
-                hess = 0.5 * mu * (h_bar + h_bar.T) + _RIDGE * np.eye(x.size)
-                # the Newton step and H^-1 g_bar from one factorization
-                step, tangent = np.linalg.solve(hess, np.column_stack([-grad, g_bar])).T
-            except np.linalg.LinAlgError as exc:
-                raise SolverStall("barrier Newton system is singular") from exc
-            decrement = float(-grad @ step)
-            if decrement <= _DECREMENT_TOL or not search(step, decrement):
-                break
-        else:
-            raise SolverStall("barrier Newton loop did not converge")
-        yield x, mu
-        # hess ~ mu h_bar, so this is (1 - sigma) h_bar^-1 g_bar
-        tangent *= (1.0 - _MU_SHRINK) * mu
-        mu *= _MU_SHRINK
-        slope = -float((cost + mu * g_bar) @ tangent)
-        if slope > 0.0:
-            search(tangent, slope)
-
-
-def _logdet(m: np.ndarray) -> float | None:
-    """log det M via Cholesky; None when M is not positive definite."""
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
-    return float(2.0 * np.sum(np.log(np.diag(chol).real)))
 
 
 # --------------------------------------------------------------------------
@@ -757,13 +430,18 @@ class RobustnessParams:
         return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
+def _require_finite_and_whole_n(values: dict) -> None:
+    """The rule both bounds share: every input finite, and n a whole number >= 1."""
+    # NaN passes every `< 0` test after this one
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise BadParams(f"{name} must be finite, got {value!r}")
+    if values["n"] < 1 or values["n"] != int(values["n"]):
+        raise BadParams(f"n must be a whole number >= 1, got {values['n']!r}")
+
+
 def _validate_robustness(p: RobustnessParams) -> None:
-    # NaN passes every `< 0` test below
-    for f in fields(p):
-        if not np.isfinite(getattr(p, f.name)):
-            raise BadParams(f"{f.name} must be finite, got {getattr(p, f.name)!r}")
-    if p.n < 1 or p.n != int(p.n):
-        raise BadParams("need a whole number n >= 1 of reference observables")
+    _require_finite_and_whole_n(asdict(p))
     if p.lambda_min_gram <= 0.0:
         raise BadParams("Gram minimum eigenvalue must be positive")
     if p.lambda_min_q <= 0.0 or p.trace_q < p.lambda_min_q:
@@ -815,8 +493,10 @@ def vector_recovery_bound(
 
     ||v - v_ref|| <= (4n/lG)^(1/4) * sqrt(eps*r + delta) * sqrt(r),  r = ||v_ref||.
     """
-    if n < 1:
-        raise BadParams("need at least one reference vector")
+    _require_finite_and_whole_n(
+        dict(n=n, lambda_min_gram=lambda_min_gram, epsilon=epsilon, delta=delta,
+             reference_norm=reference_norm)
+    )
     if lambda_min_gram <= 0.0:
         raise BadParams("Gram minimum eigenvalue must be positive")
     if epsilon < 0.0 or delta < 0.0:

@@ -161,13 +161,14 @@ def read_strategy(path: str | Path, *, settings: Settings | None = None) -> Stra
 # readers for command-line inputs
 
 
-def state_from_json(raw: dict) -> SchmidtState:
+def state_from_json(raw: dict, *, settings: Settings | None = None) -> SchmidtState:
     """Accept {"schmidt_coeffs": [...]} or a full strategy dictionary.
 
-    A format-2 strategy is rebuilt at the default tolerances for its state.
+    A format-2 strategy is rebuilt at ``settings`` for its state, as
+    measurements_from_json rebuilds it for its Alice family.
     """
     if _strategy_format(raw) == 2:
-        return strategy_from_json_dict(raw).state
+        return strategy_from_json_dict(raw, settings=settings).state
     coeffs = _field(raw, "schmidt_coeffs", list, "a state")
     if not _all_numbers(coeffs):
         raise BadParams("Schmidt coefficients must be JSON numbers")

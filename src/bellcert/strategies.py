@@ -1,4 +1,4 @@
-"""States, measurements, and correlation data for bipartite strategies.
+"""States, measurements, correlations and post-hoc question spans for bipartite strategies.
 
 A strategy is a Schmidt-diagonal pure state together with one projective
 measurement per question on each side. In the Schmidt basis a joint
@@ -352,6 +352,34 @@ def correlation_table(strategy: Strategy) -> CorrelationTable:
     a = (dm @ np.array(alice).reshape(-1, d, d) @ dm).reshape(-1, d * d)
     b = np.array(bob).reshape(-1, d * d)
     return CorrelationTable(rows, cols, (a @ b.T).astype(complex))
+
+
+def question_span(state: SchmidtState, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Span elements S_k of a question ops = [target, *references]: D^2, then D A D.
+
+    Every operator, the target included, must be d x d for the state's d
+    (DimMismatch otherwise); the target itself adds no span element.
+    """
+    d = state.dim
+    bad = [np.shape(a) for a in ops if np.shape(a) != (d, d)]
+    if bad:
+        raise DimMismatch(f"operator of shape {bad[0]} does not match the state's dimension {d}")
+    dm = state.matrix
+    refs = np.array(ops[1:]).reshape(-1, d, d)
+    return np.concatenate([(dm @ dm)[None], dm @ refs @ dm])
+
+
+def frame_generators(span: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The generators of a check's witness, from its frame W and span S_k.
+
+    A real W (the binary check, W = O) gives W S_k. A complex W =
+    conj(U)^power gives W^dag S_k and i W^dag S_k, interleaved, so that real
+    coefficients cover the complex span of the W^dag S_k.
+    """
+    if np.isrealobj(w):
+        return w @ span
+    base = w.conj().T @ span
+    return np.stack([base, 1j * base], axis=1).reshape(-1, *base.shape[1:])
 
 
 def brute_force_correlation(strategy: Strategy) -> CorrelationTable:

@@ -517,6 +517,25 @@ class TestCertifiedStrategyFile:
         assert printed[0] == printed[1]
         assert printed[0][0] == 0 and printed[0][1].err == ""
 
+    def test_posthoc_check_rebuilds_the_state_at_the_given_tolerances(self, tmp_path, capsys):
+        # O^2 = I only within 2.37e-9: certify accepts the target at
+        # --tol-eig 1e-7, and so must the --state file that names it
+        o = pair_observables(4)[(0, 1)].copy()
+        o[0, 1] += 3e-9
+        o[1, 0] += 3e-9
+        assert 2e-9 < np.max(np.abs(o @ o - np.eye(4))) < 1e-7
+        target = _write_json(tmp_path / "t.json", {"matrix": encode_matrix(o)})
+        out_dir = tmp_path / "out"
+        tol = ["--tol-eig", "1e-7"]
+        assert main(["certify", "--target", target, "--out", str(out_dir), *tol]) == 0
+        strategy = str(out_dir / "strategy.json")
+        capsys.readouterr()
+        argv = ["posthoc-check", "--state", strategy, "--alice", strategy, "--target", target]
+        assert main([*argv, *tol]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(argv) == 2
+        assert "squares to I within 2.37e-09" in capsys.readouterr().err
+
     def test_the_file_at_d16_is_under_16_kb(self, tmp_path):
         # the measurement list this file used to hold took 1.46 MB
         pair = {"matrix": encode_matrix(pair_observables(16)[(0, 1)])}

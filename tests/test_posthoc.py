@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bellcert import posthoc
+from bellcert import posthoc, solver
 from bellcert.cli import main
 from bellcert.certify import (
     binary_certification_strategy,
@@ -36,14 +36,9 @@ from bellcert.errors import (
 from bellcert.jordan import contains, span_basis
 from bellcert.linalg import sgn_map
 from bellcert.posthoc import (
-    _DECREMENT_TOL,
-    _MU_SHRINK,
     RobustnessParams,
-    _central_path,
-    _hermitian_basis,
     analytic_family_2d,
     analytic_family_region,
-    barrier_derivatives,
     min_trace_Q,
     posthoc_check,
     posthoc_feasible_binary,
@@ -58,6 +53,13 @@ from bellcert.simplex import (
     maximal_independent_subset,
     pair_observables,
     simplex_observables,
+)
+from bellcert.solver import (
+    _DECREMENT_TOL,
+    _MU_SHRINK,
+    barrier_derivatives,
+    central_path,
+    hermitian_basis,
 )
 from bellcert.strategies import (
     ProjectiveMeasurement,
@@ -400,7 +402,7 @@ class TestMarginSearch:
     def test_shifted_family_is_decided_with_a_certificate(self, index, alpha):
         gens = _boundary_family(index)
         gens[0] += alpha * np.eye(gens.shape[1])
-        value, _, certificate = posthoc._solve_pd_in_span(gens, settings=DEFAULTS)
+        value, _, certificate = solver.solve_pd_in_span(gens, settings=DEFAULTS)
         assert value <= DEFAULTS.feas_tol
         if value < -DEFAULTS.feas_tol:
             assert_farkas_certificate(certificate, gens)
@@ -412,15 +414,15 @@ class TestMarginSearch:
     )
     def test_complement_supplies_the_certificate(self, index, alpha, monkeypatch):
         searched = []
-        complement = posthoc._complement_certificate
+        complement = solver._complement_certificate
         monkeypatch.setattr(
-            posthoc,
+            solver,
             "_complement_certificate",
             lambda *args, **kw: searched.append(1) or complement(*args, **kw),
         )
         gens = _boundary_family(index)
         gens[0] += alpha * np.eye(gens.shape[1])
-        value, _, certificate = posthoc._solve_pd_in_span(gens, settings=DEFAULTS)
+        value, _, certificate = solver.solve_pd_in_span(gens, settings=DEFAULTS)
         assert searched == [1]
         assert value < -DEFAULTS.feas_tol
         assert_farkas_certificate(certificate, gens)
@@ -441,9 +443,9 @@ class TestMarginSearch:
         assert np.linalg.eigvalsh(pz)[0] < -0.05
         overlap = np.einsum("kij,ij->k", w.conj(), pz).real / np.vdot(pz, pz).real
         mats = w - overlap[:, None, None] * pz
-        basis = _hermitian_basis(mats)[2]
+        basis = hermitian_basis(mats)[2]
         assert len(basis) == 7  # W less the direction of P_W(Z0)
-        assert_farkas_certificate(posthoc._complement_certificate(basis, DEFAULTS), mats)
+        assert_farkas_certificate(solver._complement_certificate(basis, DEFAULTS), mats)
 
     def test_centre_at_zero_reports_a_finite_margin(self):
         # every span element is diagonal and exactly traceless, so each
@@ -572,13 +574,13 @@ class TestGeneralFeasibility:
         # an order-4 question against an unrelated measurement: each power
         # fails the exact witness and goes to the solver, over the one span
         calls = []
-        span = posthoc._span
+        span = posthoc.question_span
 
         def counting(state, ops):
             calls.append(len(ops))
             return span(state, ops)
 
-        monkeypatch.setattr(posthoc, "_span", counting)
+        monkeypatch.setattr(posthoc, "question_span", counting)
         d, outputs = 5, 4
         target, other = (
             generalized_observables(
@@ -698,12 +700,20 @@ class TestExactWitness:
         def refuse(*args, **kwargs):
             raise AssertionError("a span basis was built")
 
-        monkeypatch.setattr(posthoc, "_hermitian_basis", refuse)
+        monkeypatch.setattr(solver, "hermitian_basis", refuse)
+        # positive controls: posthoc's own call (sign_reachable) and the
+        # solver's (the Hadamard direction's search) are both refused
+        for search in (
+            lambda: sign_reachable(np.array([np.eye(2), Z]), Z),
+            lambda: posthoc_feasible_binary(ME2, [X], HADAMARD_DIR),
+        ):
+            with pytest.raises(AssertionError, match="a span basis was built"):
+                search()
 
     @staticmethod
     def _direct(gens):
         """The solver's answer alone, as (verdict, value, coefficients)."""
-        value, t, _ = posthoc._solve_pd_in_span(gens, settings=DEFAULTS)
+        value, t, _ = solver.solve_pd_in_span(gens, settings=DEFAULTS)
         tol = DEFAULTS.feas_tol
         return "feasible" if value > tol else "infeasible" if value < -tol else "marginal", value, t
 
@@ -805,7 +815,7 @@ class TestHermitianBasis:
         target = random_reflection(rng, 2, 1)
         dm = st.matrix
         gens = target @ np.array([dm @ dm] + [dm @ a @ dm for a in refs])
-        coef, sigma, basis = _hermitian_basis(gens)
+        coef, sigma, basis = hermitian_basis(gens)
         assert coef.shape == (6, 2) and sigma.shape == (2,) and basis.shape == (2, 2, 2)
         assert np.allclose(coef.T @ coef, np.eye(2), atol=1e-12)
         flat = basis.reshape(2, -1)
@@ -821,11 +831,11 @@ class TestHermitianBasis:
         # the Hadamard direction against {X}: one symmetric direction, and its
         # listing twice or with +/- I (which repeats D^2) adds no other
         gens = np.array(_binary_generators(ME2, [X], HADAMARD_DIR))
-        _, sigma, basis = _hermitian_basis(gens)
+        _, sigma, basis = hermitian_basis(gens)
         assert len(sigma) == 1
         for extra in ([X], [X, X], [np.eye(2)], [-np.eye(2), X]):
             more = np.array(_binary_generators(ME2, [X, *extra], HADAMARD_DIR))
-            coef, sigma2, basis2 = _hermitian_basis(more)
+            coef, sigma2, basis2 = hermitian_basis(more)
             assert len(sigma2) == 1 and coef.shape == (len(more), 1)
             assert np.allclose(np.outer(basis2, basis2), np.outer(basis, basis), atol=1e-12)
             result = posthoc_feasible_binary(ME2, [X, *extra], HADAMARD_DIR)
@@ -879,7 +889,11 @@ class TestMinTraceCertificate:
             calls.append(len(mats))
             return barrier_derivatives(k, mats)
 
-        monkeypatch.setattr(posthoc, "barrier_derivatives", counted)
+        monkeypatch.setattr(solver, "barrier_derivatives", counted)
+        # positive control: the README's d = 3 instance runs the barrier
+        min_trace_Q(ME3, simplex_observables(3), pair_observables(3)[(0, 1)])
+        assert calls
+        calls.clear()
         return calls
 
     @pytest.mark.parametrize("d", [4, 8, 10])
@@ -1205,7 +1219,7 @@ class TestCentralPath:
         cost = np.einsum("kaa->k", mats)
         x0 = np.eye(m)[0] * 2.0
         seen = []
-        for x, mu in _central_path(x0, cost, -np.eye(n), mats, 1.0):
+        for x, mu in central_path(x0, cost, -np.eye(n), mats, 1.0):
             seen.append((x.copy(), mu))
             if len(seen) == 10:
                 break
@@ -1335,6 +1349,15 @@ class TestVectorRecoveryBound:
             vector_recovery_bound(1, 1.0, -0.01, 0.0, 1.0)
         with pytest.raises(BadParams):
             vector_recovery_bound(1, 1.0, 0.01, 0.0, 0.0)
+        # the rule robustness_bound keeps: every input finite, n whole
+        with pytest.raises(BadParams, match="n must be a whole number"):
+            vector_recovery_bound(2.5, 1.0, 0.01, 0.0, 1.0)
+        for value in (np.nan, np.inf, -np.inf):
+            for i in range(5):
+                args = [1, 1.0, 0.1, 0.1, 1.0]
+                args[i] = value
+                with pytest.raises(BadParams, match="must be finite"):
+                    vector_recovery_bound(*args)
 
 
 class TestResultPayload:
