@@ -39,6 +39,7 @@ from .serialize import (
     measurements_from_json,
     read_strategy,
     state_from_json,
+    strategy_from_json_dict,
     table_rows,
     table_to_csv,
     target_from_json,
@@ -208,8 +209,17 @@ def _cmd_correlations(args, settings: Settings) -> int:
 
 
 def _cmd_posthoc_check(args, settings: Settings) -> int:
-    state = state_from_json(_load_json(args.state), settings=settings)
-    refs = measurements_from_json(_load_json(args.alice), settings=settings)
+    raw_state = _load_json(args.state)
+    rebuilt = None
+    if isinstance(raw_state, dict) and raw_state.get("format") == 2:
+        rebuilt = strategy_from_json_dict(raw_state, settings=settings)
+    state = rebuilt.state if rebuilt is not None else state_from_json(raw_state, settings=settings)
+    raw_alice = _load_json(args.alice)
+    # one certified strategy file as both inputs: its pipeline is rebuilt once
+    if rebuilt is not None and raw_alice == raw_state:
+        refs = list(rebuilt.alice)
+    else:
+        refs = measurements_from_json(raw_alice, settings=settings)
     target = target_from_json(_load_json(args.target), settings=settings)
     results = posthoc_check(state, refs, target, settings=settings)
     feasible = all(r.feasible for r in results)
@@ -232,7 +242,8 @@ def _cmd_jordan_closure(args, settings: Settings) -> int:
     basis, iterations = jordan_closure(mats + extras, settings=settings)
     d = basis.matrix_dim
     full = basis.dimension == d * (d + 1) // 2
-    trivial = has_trivial_centralizer(mats + extras, settings=settings)
+    # a family's commutant is its closure's, and Sym(d)'s is the scalars
+    trivial = full or has_trivial_centralizer(mats + extras, settings=settings)
     print(f"dimension: {basis.dimension}")
     print(f"iterations: {iterations}")
     print(f"full-algebra: {full}")

@@ -199,7 +199,10 @@ def has_trivial_centralizer(
     Each block is one batched product over an orthonormal basis of its
     domain, and together their singular values are those of the whole
     operator. Singular values above 1e-9 times max(1, the largest) count
-    toward the rank; triviality means nullity d^2 - rank = 1.
+    toward the rank; triviality means nullity d^2 - rank = 1. Used alone, it
+    can disagree with jordan_closure on a near-reducible family, which reads
+    full and non-trivial at once; ``bellcert jordan-closure`` settles that
+    by the closure.
     """
     gens, d = _validated_family(generators, settings or DEFAULTS)
     k, n_sym, n_skew = len(gens), d * (d + 1) // 2, d * (d - 1) // 2

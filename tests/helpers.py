@@ -41,6 +41,27 @@ def random_reflection(
     return (u * signs) @ u.T
 
 
+def near_reducible_family(
+    rng: np.random.Generator, d: int, cut: int, eps: float, scale: float
+) -> list[np.ndarray]:
+    """Three generators scale * U (B_k + eps C_k) U^T.
+
+    B_k is block-diagonal over the cut (its two blocks random reflections
+    with any signature), C_k random symmetric and U random orthogonal, so
+    eps couples the blocks: the family reads irreducible for eps well above
+    rounding and reducible for eps at it.
+    """
+    u = random_orthogonal(rng, d)
+    gens = []
+    for _ in range(3):
+        b = np.zeros((d, d))
+        for lo, hi in ((0, cut), (cut, d)):
+            v = random_orthogonal(rng, hi - lo)
+            b[lo:hi, lo:hi] = (v * rng.choice([-1.0, 1.0], hi - lo)) @ v.T
+        gens.append(scale * u @ (b + eps * random_symmetric(rng, d)) @ u.T)
+    return gens
+
+
 def random_projective_measurement(
     rng: np.random.Generator, d: int, outputs: int
 ) -> list[np.ndarray]:

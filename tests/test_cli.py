@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from bellcert import cli, posthoc
+from bellcert import cli, posthoc, serialize
 from bellcert.cli import main
+from bellcert.certify import certification_strategy
 from bellcert.config import Settings
+from bellcert.jordan import has_trivial_centralizer
 from bellcert.posthoc import posthoc_feasible_binary
 from bellcert.serialize import (
     decode_matrix,
@@ -26,6 +28,7 @@ from helpers import (
     X,
     Z,
     assert_same_strategy,
+    near_reducible_family,
     pipeline_target_json,
     random_projective_measurement,
     random_reflection,
@@ -382,6 +385,84 @@ class TestJordanClosureCommand:
         assert "dimension: 37" in out
         assert "full-algebra: False" in out
 
+    @staticmethod
+    def _count_centralizer_tests(monkeypatch, tmp_path, capsys) -> list:
+        calls = []
+
+        def counted(generators, *, settings=None):
+            calls.append(len(generators))
+            return has_trivial_centralizer(generators, settings=settings)
+
+        monkeypatch.setattr(cli, "has_trivial_centralizer", counted)
+        # positive control: [Z] at d = 2 closes to the diagonal matrices,
+        # not Sym(2), so its commutant is tested
+        path = _write_json(tmp_path / "control.json", {"matrices": [encode_matrix(Z)]})
+        assert main(["jordan-closure", "--observables", path]) == 0
+        assert "trivial-centralizer: False" in capsys.readouterr().out
+        assert calls == [1]
+        calls.clear()
+        return calls
+
+    def test_a_full_closure_runs_no_commutant_test(self, tmp_path, monkeypatch, capsys):
+        calls = self._count_centralizer_tests(monkeypatch, tmp_path, capsys)
+        path = _write_json(
+            tmp_path / "obs.json",
+            {"matrices": [encode_matrix(m) for m in simplex_observables(4)]},
+        )
+        assert main(["jordan-closure", "--observables", path]) == 0
+        out = capsys.readouterr().out
+        assert "dimension: 10" in out
+        assert "full-algebra: True" in out
+        assert "trivial-centralizer: True" in out
+        assert calls == []
+
+    def test_a_closure_short_of_sym_d_tests_the_family(self, tmp_path, monkeypatch, capsys):
+        # two block-diagonal reflections at d = 4: the closure stays inside
+        # Sym(2) + Sym(2), and the commutant test runs once, on the family
+        calls = self._count_centralizer_tests(monkeypatch, tmp_path, capsys)
+        zero = np.zeros((2, 2))
+        family = [np.block([[X, zero], [zero, Z]]), np.block([[Z, zero], [zero, X]])]
+        path = _write_json(tmp_path / "obs.json", {"matrices": [encode_matrix(m) for m in family]})
+        assert main(["jordan-closure", "--observables", path]) == 0
+        out = capsys.readouterr().out
+        assert "full-algebra: False" in out
+        assert "trivial-centralizer: False" in out
+        assert calls == [2]
+
+    def test_a_near_reducible_full_closure_reads_trivial(self, tmp_path, capsys):
+        # blocks 2 + 6 coupled at 2e-9, scale 0.01: the closure reaches all
+        # 36 dimensions of Sym(8), and the commutator's singular values at
+        # the coupling fall under the commutant test's own 1e-9 cutoff
+        family = near_reducible_family(np.random.default_rng(0), 8, 2, 2e-9, 0.01)
+        assert not has_trivial_centralizer(family)
+        path = _write_json(tmp_path / "obs.json", {"matrices": [encode_matrix(m) for m in family]})
+        assert main(["jordan-closure", "--observables", path]) == 0
+        out = capsys.readouterr().out
+        assert "dimension: 36" in out
+        assert "full-algebra: True" in out
+        assert "trivial-centralizer: True" in out
+
+    def test_no_full_closure_reads_a_nontrivial_commutant(self, tmp_path, capsys):
+        # 200 families of that shape at d = 3..6, the blocks coupled at
+        # 1e-13 .. 1e-3; the commutant test alone disagrees with the
+        # closure on some of the full ones
+        rng = np.random.default_rng(57)
+        path = tmp_path / "obs.json"
+        full = disagree = 0
+        for _ in range(200):
+            d = int(rng.integers(3, 7))
+            cut = int(rng.integers(1, d))
+            eps, scale = 10 ** rng.uniform(-13, -3), 10 ** rng.uniform(-3, 3)
+            family = near_reducible_family(rng, d, cut, eps, scale)
+            _write_json(path, {"matrices": [encode_matrix(m) for m in family]})
+            assert main(["jordan-closure", "--observables", str(path)]) == 0
+            out = capsys.readouterr().out
+            if "full-algebra: True" in out:
+                full += 1
+                disagree += not has_trivial_centralizer(family)
+                assert "trivial-centralizer: True" in out
+        assert full >= 50 and disagree >= 5
+
 
 class TestMatrixInputsAreChecked:
     @pytest.mark.parametrize(
@@ -535,6 +616,28 @@ class TestCertifiedStrategyFile:
         assert capsys.readouterr().err == ""
         assert main(argv) == 2
         assert "squares to I within 2.37e-09" in capsys.readouterr().err
+
+    def test_posthoc_check_rebuilds_one_strategy_file_once(self, tmp_path, monkeypatch, capsys):
+        out_dir, _ = _certify_bundle(tmp_path, pipeline_target_json(4, "pair"), monkeypatch)
+        strategy = str(out_dir / "strategy.json")
+        calls = []
+
+        def counted(target, *, settings=None):
+            calls.append(target)
+            return certification_strategy(target, settings=settings)
+
+        monkeypatch.setattr(serialize, "certification_strategy", counted)
+        # positive control: reading the file rebuilds its pipeline through the patch
+        read_strategy(strategy)
+        assert len(calls) == 1
+        calls.clear()
+        other_pair = {"matrix": encode_matrix(pair_observables(4)[(1, 2)])}
+        target = _write_json(tmp_path / "t.json", other_pair)
+        capsys.readouterr()
+        argv = ["posthoc-check", "--state", strategy, "--alice", strategy, "--target", target]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert len(calls) == 1
 
     def test_the_file_at_d16_is_under_16_kb(self, tmp_path):
         # the measurement list this file used to hold took 1.46 MB
