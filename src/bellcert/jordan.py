@@ -107,6 +107,11 @@ def contains(
     return member, coeffs, residual
 
 
+# a sweep probes only if the probe is at most this share of its pairs: a
+# closure short of Sym(d) pays for every probe on top of the full offer
+_PROBE_MAX_SHARE = 1 / 3
+
+
 def jordan_closure(
     generators: Sequence[np.ndarray], *, settings: Settings | None = None
 ) -> tuple[SpanBasis, int]:
@@ -129,7 +134,16 @@ def jordan_closure(
         since each sweep at least doubles the reachable word length.
 
     Each sweep offers the Jordan product of every pair of basis matrices not
-    offered before, in svec coordinates, to one orthogonalization. Raises
+    offered before, in svec coordinates, to one orthogonalization. It first
+    offers a probe, the last (missing + fresh) of those pairs, products of
+    the newest rows: the directions Sym(d) lacks plus one known dependency
+    per fresh b (b = sum_k a_k (b_k*b) for I = sum_k a_k b_k). A probe that
+    fills Sym(d) ends the sweep; else the full offer runs from the same
+    basis. This is exact: the probe's residual rows are rows of the full
+    offer's, so its singular values are no larger (Weyl), and a product of
+    Frobenius-unit matrices has norm at most 1, so both offers keep at one
+    threshold. A full closure may come back as another orthonormal basis of
+    Sym(d); a closure short of it keeps the full offers' rows. Raises
     SolverStall if the basis outgrows dim Sym(d) = d(d+1)/2, which no closure
     can: it would mean rounding noise passed as new directions.
     """
@@ -147,8 +161,15 @@ def jordan_closure(
         # last sweep was offered then; for symmetric a and b, a*b is the
         # symmetric part of ab
         i, j = np.nonzero(np.arange(n)[:, None] <= np.arange(fresh_from, n))
-        ab = mats[i] @ mats[fresh_from + j]
-        q2, added = extend_orthonormal_rows(q, svec(0.5 * (ab + ab.transpose(0, 2, 1))), tol)
+        j += fresh_from
+        # the probe: the last (full - n) missing + (n - fresh_from) fresh pairs
+        probe = full - fresh_from
+        starts = [len(i) - probe, 0] if probe <= _PROBE_MAX_SHARE * len(i) else [0]
+        for k in starts:
+            ab = mats[i[k:]] @ mats[j[k:]]
+            q2, added = extend_orthonormal_rows(q, svec(0.5 * (ab + ab.transpose(0, 2, 1))), tol)
+            if len(q2) == full:
+                break
         if added == 0:
             break
         if len(q2) > full:

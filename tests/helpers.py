@@ -11,7 +11,13 @@ import csv
 import numpy as np
 
 from bellcert.config import DEFAULTS
-from bellcert.linalg import orthonormal_rows
+from bellcert.linalg import (
+    extend_orthonormal_rows,
+    orthonormal_rows,
+    require_hermitian_stack,
+    smat,
+    svec,
+)
 from bellcert.simplex import pair_observables
 from bellcert.strategies import CorrelationTable, Strategy
 
@@ -154,6 +160,31 @@ def jordan_closure_reference(gens, tol: float = DEFAULTS.membership_tol):
         if len(grown) == len(q):
             break
         q = grown
+        sweeps += 1
+    return q, sweeps
+
+
+def jordan_closure_one_offer(gens, tol: float = DEFAULTS.membership_tol):
+    """Reference for jordan_closure without its probe: one offer per sweep.
+
+    Each sweep offers the Jordan product of every pair of basis rows with a
+    fresh row, in jordan_closure's order and svec coordinates, to one
+    extend_orthonormal_rows call. Returns (orthonormal svec rows, sweeps that
+    grew the span); a jordan_closure short of Sym(d) has these rows bit for bit.
+    """
+    seeds = require_hermitian_stack(gens, DEFAULTS.sym_tol)
+    d = seeds.shape[1]
+    q = orthonormal_rows(svec(np.concatenate([np.eye(d)[None], seeds])), tol)
+    sweeps = fresh_from = 0
+    while len(q) < d * (d + 1) // 2:
+        mats = smat(q)
+        n = len(mats)
+        i, j = np.nonzero(np.arange(n)[:, None] <= np.arange(fresh_from, n))
+        ab = mats[i] @ mats[fresh_from + j]
+        q2, added = extend_orthonormal_rows(q, svec(0.5 * (ab + ab.transpose(0, 2, 1))), tol)
+        if added == 0:
+            break
+        fresh_from, q = n, q2
         sweeps += 1
     return q, sweeps
 

@@ -22,7 +22,9 @@ from helpers import (
     X,
     Z,
     commutant_nullity_reference,
+    jordan_closure_one_offer,
     jordan_closure_reference,
+    near_reducible_family,
     random_orthogonal,
     random_reflection,
     random_symmetric,
@@ -146,6 +148,64 @@ class TestJordanClosure:
             basis, iterations = jordan_closure(simplex_observables(d))
             assert basis.dimension == d * (d + 1) // 2
             assert len(sweeps) == iterations
+
+    def test_a_filling_sweep_offers_its_probe_first(self, rng, monkeypatch):
+        # d = 12, three rank-6 reflections: the basis grows 4 -> 7 -> 22, and
+        # the last sweep fills Sym(12) from a probe of its 56 missing + 15
+        # fresh products, not from all 225 pairs
+        offers = []
+        extend = jordan_module.extend_orthonormal_rows
+
+        def counting(q, rows, tol):
+            offers.append((len(q), len(rows)))
+            return extend(q, rows, tol)
+
+        monkeypatch.setattr(jordan_module, "extend_orthonormal_rows", counting)
+        basis, iterations = jordan_closure([random_reflection(rng, 12, 6) for _ in range(3)])
+        assert (basis.dimension, iterations) == (78, 3)
+        assert offers == [(4, 10), (7, 18), (22, 71)]
+        # exactly reducible over 6 + 6: every probe falls short, and each
+        # basis still makes its offer of all new pairs; a probe, where the
+        # share allows one, comes first and holds (78 - fresh_from) pairs
+        offers.clear()
+        basis, _ = jordan_closure(near_reducible_family(rng, 12, 6, 0.0, 1.0))
+        assert basis.dimension < 78
+        prev = 0
+        probes = 0
+        for n in dict.fromkeys(n for n, _ in offers):
+            rows = [r for m, r in offers if m == n]
+            assert rows[-1] == n * (n + 1) // 2 - prev * (prev + 1) // 2
+            assert rows[:-1] in ([], [78 - prev])
+            probes += len(rows) - 1
+            prev = n
+        assert probes
+
+    def test_matches_the_one_offer_reference(self, rng):
+        # the probe is exact: against sweeps that make one offer of every new
+        # pair, the same dimension and growing sweeps, and wherever the
+        # closure is short of Sym(d) the same rows bit for bit
+        short = filled = 0
+        for d in range(3, 13):
+            for _ in range(3):
+                families = [
+                    near_reducible_family(
+                        rng, d, int(rng.integers(1, d)), eps, 10.0 ** rng.uniform(-3, 3)
+                    )
+                    for eps in (10.0 ** rng.uniform(-13, -3), 0.0)
+                ]
+                for rank in (int(rng.integers(1, 3)), d // 2):
+                    count = int(rng.integers(2, 4))
+                    families.append([random_reflection(rng, d, rank) for _ in range(count)])
+                for gens in families:
+                    basis, iterations = jordan_closure(gens)
+                    rows, ref_iterations = jordan_closure_one_offer(gens)
+                    assert (basis.dimension, iterations) == (len(rows), ref_iterations)
+                    if len(rows) < d * (d + 1) // 2:
+                        assert np.array_equal(basis.rows, rows)
+                        short += 1
+                    else:
+                        filled += 1
+        assert short and filled
 
     def test_closure_contains_generators_and_identity(self, rng):
         gens = [random_reflection(rng, 4) for _ in range(2)]
