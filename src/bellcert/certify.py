@@ -70,11 +70,12 @@ def _certification_strategy(
     if d < 3:
         raise BadDimension("the certification pipeline needs dimension >= 3")
     bob_mats, bob_labels = maximal_independent_subset(d)
+    bob = ProjectiveMeasurement.binary_family(bob_mats, settings=settings)
     strategy = Strategy(
         state=SchmidtState.maximally_entangled(d),
-        # T_0..T_d lead Bob's family: Alice's base questions are the same matrices
-        alice=ProjectiveMeasurement.binary_family([*bob_mats[: d + 1], *extras], settings=settings),
-        bob=ProjectiveMeasurement.binary_family(bob_mats, settings=settings),
+        # T_0..T_d lead Bob's family: Alice's base questions are the same measurements
+        alice=bob[: d + 1] + ProjectiveMeasurement.binary_family(extras, settings=settings),
+        bob=bob,
         alice_labels=tuple(f"T{j}" for j in range(d + 1)) + tuple(labels),
         bob_labels=tuple(bob_labels),
         # "kind" keeps its first place: a format-1 file writes meta in this order
@@ -304,6 +305,25 @@ class CertificateReport:
         }
 
 
+def _gram_fills_sym(gram: np.ndarray, lam: np.ndarray, d: int, s: Settings) -> bool:
+    """Whether jordan_closure's first step keeps N = d(d+1)/2 rows of svec([I; B]).
+
+    It keeps singular values above membership_tol * max(sqrt(d), max |B_k|_F),
+    and sigma_N([I; B]) >= sigma_N(B) = sqrt(lam[-N]) by interlacing (n >= N).
+    With T = tr G >= |G|_2, forming G and eigvalsh move lam[-N] by at most
+    (d^2 + n) eps T, and the SVD moves sigma_N by at most N eps |[I; B]|_F =
+    N eps sqrt(d + T); each bound is taken 8 times over. A complex family is
+    left to jordan_closure.
+    """
+    full, n = d * (d + 1) // 2, len(lam)
+    if n < full or not np.isrealobj(gram):
+        return False
+    eps, t = 8 * np.finfo(float).eps, float(np.trace(gram))
+    thresh = s.membership_tol * np.sqrt(max(d, np.max(np.diag(gram))))
+    slack = lam[-full] - (d * d + n) * eps * t
+    return slack > 0 and np.sqrt(slack) > thresh + full * eps * np.sqrt(d + t)
+
+
 def certificate_report(
     strategy: Strategy, *, settings: Settings | None = None
 ) -> CertificateReport:
@@ -313,6 +333,12 @@ def certificate_report(
     constructors do); Alice questions beyond that count are treated as
     extensions and checked post hoc, each with its minimum-trace certificate
     when feasible. Bob's measurements must all be binary.
+
+    The closure of Bob's family is read off its Gram matrix G = Tr[B_j B_k]
+    when the family is real, has n >= N = d(d+1)/2 members, and the N-th
+    largest eigenvalue of G clears jordan_closure's first-step threshold by a
+    rounding margin: jordan_closure would then return dimension N after 0
+    sweeps. Otherwise jordan_closure runs.
     """
     s = settings or DEFAULTS
     if "base_questions" not in strategy.meta:
@@ -325,11 +351,16 @@ def certificate_report(
     except InvalidMeasurement as exc:
         raise BadParams("certificate reports need binary Bob measurements") from exc
 
+    d = strategy.dim
+    full = d * (d + 1) // 2
     flat = np.array([b.ravel() for b in bob_obs])
     gram = flat @ flat.T
-    closure, closure_iters = jordan_closure(bob_obs, settings=s)
-    d = strategy.dim
-    full = closure.dimension == d * (d + 1) // 2
+    lam = np.linalg.eigvalsh(gram) if bob_obs else np.zeros(0)
+    if _gram_fills_sym(gram, lam, d, s):
+        dimension, closure_iters = full, 0
+    else:
+        closure, closure_iters = jordan_closure(bob_obs, settings=s)
+        dimension = closure.dimension
 
     extensions = []
     for label, m in zip(strategy.alice_labels[base:], strategy.alice[base:], strict=True):
@@ -342,9 +373,9 @@ def certificate_report(
         bob_questions=strategy.bob_questions,
         schmidt_kappa=strategy.state.kappa,
         schmidt_max=float(np.max(strategy.state.coeffs)),
-        gram_lambda_min=float(np.linalg.eigvalsh(gram)[0]),
-        closure_dimension=closure.dimension,
+        gram_lambda_min=float(lam[0]),
+        closure_dimension=dimension,
         closure_iterations=closure_iters,
-        full_algebra=full,
+        full_algebra=dimension == full,
         extensions=tuple(extensions),
     )

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULTS, Settings
-from .errors import BadParams, DimMismatch, EmptyInput, NotSymmetric
+from .errors import BadParams, DimMismatch, EmptyInput, NotSymmetric, SolverStall
 
 
 class EigenDecomposition(NamedTuple):
@@ -177,7 +177,15 @@ def _extend(q: np.ndarray, rows: np.ndarray, tol: float) -> tuple[np.ndarray, in
     thresh = tol * max(1.0, float(np.linalg.norm(rows, axis=1).max()))
     for _ in range(2):
         rows = rows - (rows @ q.T) @ q
-    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    try:
+        _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # gesdd may converge on the transpose: same singular values, u = these v
+        try:
+            vt, sv, _ = np.linalg.svd(rows.T, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverStall(f"SVD of a {rows.shape} residual did not converge") from exc
+        vt = vt.T
     new = vt[sv > thresh]
     return np.concatenate([q, new]), len(new)
 

@@ -282,7 +282,9 @@ def posthoc_check(
     if isinstance(target, ProjectiveMeasurement):
         # A^(1); a one-outcome target has only A^(0) = I, which require_order_l rejects
         outputs, target = target.outputs, generalized_observables(target)[:2][-1]
-    powers = [a for m in references for a in generalized_observables(m)[1:]]
+    # a binary reference's one power is its observable: no identity is built
+    powers = [a for m in references
+              for a in ([m.observable()] if m.outputs == 2 else generalized_observables(m)[1:])]
     if is_binary_question(target, powers, outputs):
         results = [posthoc_feasible_binary(state, powers, target, settings=s)]
     else:
@@ -339,9 +341,9 @@ def min_trace_Q(
         raise BadParams(f"power must lie in [1, {outputs - 1}]")
     binary = is_binary_question(target, alice_powers, outputs)
     if binary:
-        ops = require_binary_observables([target, *alice_powers], settings=s)
-        w = ops[0]
+        # validates [target, *alice_powers] first, so it raises what that raises
         feasibility = posthoc_feasible_binary(state, list(alice_powers), target, settings=s)
+        w = require_binary_observables([target], settings=s)[0]
     else:
         u = require_order_l(target, outputs, settings=s)
         ops, w = [u, *alice_powers], np.linalg.matrix_power(u.conj(), power)
@@ -367,6 +369,8 @@ def min_trace_Q(
         return float(n), eye
 
     # Q-frame directions D^-1 M D^-1 over the Hermitian combinations M
+    if binary:
+        ops = require_binary_observables([w, *alice_powers], settings=s)
     gens = frame_generators(question_span(state, ops), w)
     _, _, basis = solver.hermitian_basis(gens, 1.0 / state.coeffs)
     # Tr B_k = <B_k, I> are I's coordinates in the orthonormal basis. I can

@@ -128,9 +128,9 @@ class ProjectiveMeasurement:
         obs = require_binary_observables(observables, settings=settings)
         eye = np.eye(obs.shape[-1])
         out = []
-        for o in obs:
+        for pair in zip(0.5 * (eye + obs), 0.5 * (eye - obs)):
             m = object.__new__(cls)  # validated above, so __post_init__ is skipped
-            object.__setattr__(m, "projections", (0.5 * (eye + o), 0.5 * (eye - o)))
+            object.__setattr__(m, "projections", pair)
             out.append(m)
         return tuple(out)
 

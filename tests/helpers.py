@@ -18,8 +18,8 @@ from bellcert.linalg import (
     smat,
     svec,
 )
-from bellcert.simplex import pair_observables
-from bellcert.strategies import CorrelationTable, Strategy
+from bellcert.simplex import pair_observables, simplex_vectors
+from bellcert.strategies import CorrelationTable, Strategy, require_binary_observables
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -201,6 +201,33 @@ def commutant_nullity_reference(gens, tol: float = 1e-9) -> int:
     stacked = np.vstack([np.kron(g, eye) - np.kron(eye, g) for g in gens])
     sv = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(sv <= tol * max(1.0, sv[0])))
+
+
+def simplex_observables_loop(d: int) -> list[np.ndarray]:
+    """Reference loop for simplex_observables: 2 v v^T - I, one np.outer per vector."""
+    eye = np.eye(d)
+    return [2.0 * np.outer(v, v) - eye for v in simplex_vectors(d)]
+
+
+def pair_observables_loop(d: int) -> dict[tuple[int, int], np.ndarray]:
+    """Reference loop for pair_observables: 2 w w^T - I, one np.outer per pair j < k."""
+    vs = simplex_vectors(d)
+    eye = np.eye(d)
+    scale = np.sqrt(d / (2.0 * (d + 1.0)))
+    out = {}
+    for j in range(d + 1):
+        for k in range(j + 1, d + 1):
+            w = scale * (vs[j] - vs[k])
+            out[(j, k)] = 2.0 * np.outer(w, w) - eye
+    return out
+
+
+def binary_family_loop(observables) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reference loop for binary_family: the projections (I + O)/2 and (I - O)/2,
+    formed one validated observable at a time."""
+    obs = require_binary_observables(observables)
+    eye = np.eye(obs.shape[-1])
+    return [(0.5 * (eye + o), 0.5 * (eye - o)) for o in obs]
 
 
 def fourier_duals_loop(projs) -> list[np.ndarray]:

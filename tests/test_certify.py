@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bellcert import certify
+from bellcert import certify, posthoc, strategies
 from bellcert.certify import (
     CertificateReport,
     IterativePlan,
@@ -31,7 +31,12 @@ from bellcert.errors import (
 from bellcert.jordan import contains, jordan_closure, span_basis
 from bellcert.linalg import sgn_map, sym_eig
 from bellcert.posthoc import min_trace_Q, posthoc_check
-from bellcert.simplex import degenerate_pair_3d, pair_observables, simplex_observables
+from bellcert.simplex import (
+    degenerate_pair_3d,
+    maximal_independent_subset,
+    pair_observables,
+    simplex_observables,
+)
 from bellcert.strategies import (
     ProjectiveMeasurement,
     SchmidtState,
@@ -39,7 +44,7 @@ from bellcert.strategies import (
     require_binary_observables,
 )
 
-from helpers import X, Z, random_projective_measurement, random_reflection
+from helpers import X, Z, random_projective_measurement, random_reflection, random_symmetric
 
 
 class TestSplit:
@@ -254,6 +259,169 @@ class TestCertificateReport:
         mixed = dataclasses.replace(strat, bob=(*strat.bob, three), bob_labels=())
         with pytest.raises(BadParams, match="certificate reports need binary Bob measurements"):
             certificate_report(mixed)
+
+
+def _bob_only(family) -> Strategy:
+    """Bob asks `family`; Alice asks one base question, so no extension is checked."""
+    bob = ProjectiveMeasurement.binary_family(family)
+    state = SchmidtState.maximally_entangled(bob[0].dim)
+    return Strategy(state=state, alice=bob[:1], bob=bob, meta={"base_questions": 1})
+
+
+@pytest.fixture
+def closure_calls(monkeypatch):
+    """The families certificate_report hands to jordan_closure."""
+    calls = []
+    original = certify.jordan_closure
+
+    def counted(generators, **kwargs):
+        calls.append(len(generators))
+        return original(generators, **kwargs)
+
+    monkeypatch.setattr(certify, "jordan_closure", counted)
+    return calls
+
+
+def _report_closure(family) -> tuple:
+    r = certificate_report(_bob_only(family))
+    return r.closure_dimension, r.closure_iterations, r.full_algebra
+
+
+def _closure(family) -> tuple:
+    d = family[0].shape[0]
+    basis, iterations = jordan_closure(family)
+    return basis.dimension, iterations, basis.dimension == d * (d + 1) // 2
+
+
+def _gram_rule(family) -> bool:
+    flat = np.array([b.ravel() for b in family])
+    gram = flat @ flat.T
+    return certify._gram_fills_sym(gram, np.linalg.eigvalsh(gram), family[0].shape[0], DEFAULTS)
+
+
+class TestGramClosureRule:
+    """certificate_report reads a full closure off Bob's Gram matrix and runs
+    jordan_closure otherwise; either way it reports what jordan_closure does."""
+
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_the_pipeline_family_runs_no_closure(self, closure_calls, d):
+        family = maximal_independent_subset(d)[0]
+        assert _report_closure(family) == _closure(family) == (d * (d + 1) // 2, 0, True)
+        assert closure_calls == []
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_random_reflection_families_agree(self, closure_calls, d, extra):
+        rng = np.random.default_rng(100 * d + extra)
+        for _ in range(4):
+            family = [random_reflection(rng, d) for _ in range(d * (d + 1) // 2 + extra)]
+            assert _report_closure(family) == _closure(family)
+        assert closure_calls == []
+
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_a_duplicated_member_falls_back(self, closure_calls, d):
+        rng = np.random.default_rng(d)
+        family = [random_reflection(rng, d) for _ in range(d * (d + 1) // 2)]
+        assert _report_closure(family) == _closure(family)
+        assert closure_calls == []
+        family[-1] = family[0]
+        assert _report_closure(family) == _closure(family)
+        assert closure_calls == [len(family)]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_scaled_families_agree(self, d, scale):
+        family = [scale * b for b in maximal_independent_subset(d)[0]]
+        assert _gram_rule(family)
+        assert _closure(family) == (d * (d + 1) // 2, 0, True)
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_the_rule_never_claims_what_the_closure_does_not_find(self, rng, d):
+        # one member pulled toward another: lam_N ~ delta^2 sweeps through
+        # jordan_closure's first-step threshold (membership_tol^2 d)
+        family = maximal_independent_subset(d)[0]
+        nudge = random_symmetric(rng, d)
+        taken = []
+        for delta in 10.0 ** -np.arange(2.0, 14.0, 0.5):
+            near = [*family[:-1], family[0] + delta * nudge]
+            taken.append(_gram_rule(near))
+            if taken[-1]:
+                assert _closure(near) == (d * (d + 1) // 2, 0, True)
+        assert taken[0] and not taken[-1]
+
+    def test_a_complex_bob_family_raises_as_jordan_closure_does(self, rng):
+        # a unitary change of basis keeps every projection Hermitian
+        d = 3
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        eye = np.eye(d)
+        bob = tuple(
+            ProjectiveMeasurement((0.5 * (eye + b), 0.5 * (eye - b)))
+            for b in (u @ o @ u.conj().T for o in maximal_independent_subset(d)[0])
+        )
+        strat = Strategy(
+            state=SchmidtState.maximally_entangled(d), alice=bob[:1], bob=bob,
+            meta={"base_questions": 1},
+        )
+        with pytest.raises(NotSymmetric, match="expected a real matrix, got complex entries"):
+            certificate_report(strat)
+        with pytest.raises(NotSymmetric, match="expected a real matrix, got complex entries"):
+            jordan_closure([m.observable() for m in bob])
+
+
+class TestCertifyValidatesOnce:
+    def test_a_d8_certify_validates_bob_once_and_runs_no_closure(self, monkeypatch, closure_calls):
+        d = 8
+        t0 = simplex_observables(d)[0]
+        stacks = []
+        original = strategies.require_binary_observables
+
+        def recorded(obs, **kwargs):
+            stacks.append(any(np.array_equal(o, t0) for o in obs))
+            return original(obs, **kwargs)
+
+        monkeypatch.setattr(strategies, "require_binary_observables", recorded)
+        strat = binary_certification_strategy(pair_observables(d)[(0, 1)])
+        assert stacks.count(True) == 1
+        assert strat.alice[: d + 1] == strat.bob[: d + 1]
+        report = certificate_report(strat)
+        assert closure_calls == []
+        assert (report.closure_dimension, report.closure_iterations) == (d * (d + 1) // 2, 0)
+
+    def test_min_trace_q_exact_exit_validates_the_question_once(self, monkeypatch):
+        d = 8
+        strat = binary_certification_strategy(pair_observables(d)[(0, 1)])
+        powers = [m.observable() for m in strat.bob]
+        target = strat.alice[-1].observable()
+        validated, inside = [], []
+        original_validate = posthoc.require_binary_observables
+        original_check = posthoc.posthoc_feasible_binary
+
+        def validate(obs, **kwargs):
+            validated.append((len(obs), bool(inside)))
+            return original_validate(obs, **kwargs)
+
+        def check(*args, **kwargs):
+            inside.append(1)
+            try:
+                return original_check(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(posthoc, "require_binary_observables", validate)
+        monkeypatch.setattr(posthoc, "posthoc_feasible_binary", check)
+        trace_q, q = min_trace_Q(strat.state, powers, target)
+        assert (trace_q, q.tolist()) == (float(d), np.eye(d).tolist())
+        assert [v for v in validated if v[0] == len(powers) + 1] == [(len(powers) + 1, True)]
+
+    def test_binary_references_build_no_generalized_observables(self, monkeypatch):
+        strat = binary_certification_strategy(pair_observables(4)[(0, 1)])
+        calls = []
+        original = posthoc.generalized_observables
+        monkeypatch.setattr(
+            posthoc, "generalized_observables", lambda m: calls.append(1) or original(m)
+        )
+        [result] = posthoc_check(strat.state, strat.bob, strat.alice[-1].observable())
+        assert result.feasible and calls == []
 
 
 def _random_plan_input(rng):

@@ -301,6 +301,15 @@ class TestJordanClosure:
         basis, _ = jordan_closure(refs)
         assert basis.dimension == 37
 
+    @pytest.mark.parametrize("seed", [20, 43, 84, 237])
+    def test_a_residual_gesdd_cannot_decompose_is_decomposed_transposed(self, seed):
+        # d = 12, the blocks 1 + 11 of an exactly reducible family: the last
+        # sweep's 225 x 78 residual makes gesdd raise "SVD did not converge"
+        gens = near_reducible_family(np.random.default_rng(seed), 12, 1, 0.0, 1.0)
+        basis, iterations = jordan_closure(gens)
+        assert basis.dimension == 1 + 11 * 12 // 2
+        assert iterations == 3
+
 
 class TestCutPointObservables:
     def test_distinct_eigenvalues_give_all_cuts(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellcert.config import DEFAULTS
-from bellcert.errors import BadParams, DimMismatch, EmptyInput, NotSymmetric
+from bellcert.errors import BadParams, DimMismatch, EmptyInput, NotSymmetric, SolverStall
 from bellcert.jordan import cut_point_observables, span_basis
 from bellcert.linalg import (
     extend_orthonormal_rows,
@@ -307,6 +307,43 @@ def test_blocked_kernel_matches_gram_schmidt_near_threshold():
     assert q.shape[0] == 2
     flat = np.array([m.ravel() for m in family])
     assert np.allclose(flat @ q.T @ q, flat, atol=1e-14)
+
+
+def _failing_svd(monkeypatch, failures: int) -> list:
+    """Make the first `failures` SVDs raise as gesdd does when it does not
+    converge; returns the shapes of every SVD asked for."""
+    shapes = []
+    original = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        if len(shapes) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return shapes
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (4, 6)])
+def test_an_svd_that_does_not_converge_is_taken_of_the_transpose(rng, monkeypatch, shape):
+    rows = rng.standard_normal(shape)
+    seed = orthonormal_rows(rows[:1], 1e-8)
+    want, added = extend_orthonormal_rows(seed, rows[1:], 1e-8)
+    shapes = _failing_svd(monkeypatch, 1)
+    got, got_added = extend_orthonormal_rows(seed, rows[1:], 1e-8)
+    m = shape[0] - 1
+    assert shapes == [(m, 6), (6, m)]
+    assert got_added == added
+    assert np.array_equal(got[:1], seed)
+    # the same directions, each up to sign
+    assert np.allclose(np.abs(np.sum(got * want, axis=1)), 1.0, atol=1e-12)
+
+
+def test_an_svd_that_fails_both_ways_is_a_solver_stall(rng, monkeypatch):
+    _failing_svd(monkeypatch, 2)
+    with pytest.raises(SolverStall, match=r"SVD of a \(7, 6\) residual did not converge"):
+        orthonormal_rows(rng.standard_normal((7, 6)), 1e-8)
 
 
 def test_blocked_kernel_span_is_independent_of_row_order(rng):

@@ -9,11 +9,22 @@ fails this suite and not only ``python -m pytest perfbench``.
 import ast
 import importlib
 import inspect
+import json
+import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from bellcert import certify, cli
+from bellcert.jordan import jordan_closure
+from bellcert.linalg import smat
+
+from helpers import pipeline_target_json, random_projective_measurement, random_reflection
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _module_constant(path: Path, name: str):
@@ -121,3 +132,75 @@ def test_every_run_entry_point_takes_its_arguments(module, name, positional, key
 )
 def test_the_scan_finds_each_form(source, expected):
     assert entry_point_calls(source) == expected
+
+
+def self_timed_layers() -> list[tuple[str, str]]:
+    """(module, function) of every per-layer metric in BENCHMARK.json that is a self time."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"].removesuffix(".self_s") for m in bench["per_layer"]]
+    return [tuple(n.split(".")) for n, m in zip(names, bench["per_layer"]) if n != m["name"]]
+
+
+def _write(path: Path, payload) -> str:
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _probe_inputs(tmp_path: Path) -> tuple[list[list[str]], tuple]:
+    """The library equivalents of run.py's probe jobs plus one closure job.
+
+    CLI argument lists for certify of a binary target and of a 3-outcome
+    measurement at d = 4, an order-3 posthoc-check at d = 5 and a
+    jordan-closure at d = 8, and the arguments of an iterative plan at d = 4
+    whose target needs extension rounds.
+    """
+    rng = np.random.default_rng(5)
+    argv = []
+    for kind in ("pair", "measurement"):
+        target = _write(tmp_path / f"{kind}.json", pipeline_target_json(4, kind))
+        argv.append(["certify", "--target", target, "--out", str(tmp_path / kind)])
+    refs = [random_projective_measurement(rng, 5, 3) for _ in range(2)]
+    alice = [{"projections": [p.tolist() for p in m]} for m in refs]
+    argv.append([
+        "posthoc-check",
+        "--state", _write(tmp_path / "state.json", {"schmidt_coeffs": [5 ** -0.5] * 5}),
+        "--alice", _write(tmp_path / "alice.json", alice),
+        "--target", _write(tmp_path / "target.json", alice[0]),
+        "--json",
+    ])
+    closure = {"matrices": [random_reflection(rng, 8, 4).tolist() for _ in range(3)]}
+    argv.append(["jordan-closure", "--observables", _write(tmp_path / "closure.json", closure)])
+    # the sign of a random element of the closure, cut between its top two eigenvalues
+    gens = [random_reflection(rng, 4, 2) for _ in range(3)]
+    basis, _ = jordan_closure(gens)
+    vals, vecs = np.linalg.eigh(np.tensordot(rng.standard_normal(basis.dimension), smat(basis.rows), 1))
+    target = (vecs * np.where(np.arange(4) == 3, 1.0, -1.0)) @ vecs.T
+    return argv, (gens, target)
+
+
+def test_the_probe_jobs_reach_every_self_timed_layer(tmp_path, monkeypatch, capsys):
+    """A traced layer that the probe never calls reads 0 s, and perfbench's
+    traced run rejects that as "has no span". Each traced function is rebound
+    as perfbench's Tracer rebinds it: in every bellcert module that holds it."""
+    timed = self_timed_layers()
+    assert set(timed) <= set(TRACED)
+    argv, (gens, target) = _probe_inputs(tmp_path)
+    calls: Counter = Counter()
+    for module, name in TRACED:
+        original = getattr(importlib.import_module(f"bellcert.{module}"), name)
+
+        def counted(*args, _func=original, _key=(module, name), **kwargs):
+            calls[_key] += 1
+            return _func(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and (mod_name == "bellcert" or mod_name.startswith("bellcert.")):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+    for args in argv:
+        assert cli.main(args) == 0, args
+    capsys.readouterr()
+    certify.iterative_plan(gens, target, seed=0)  # looked up now: the rebound name
+    missing = [f"{m}.{n}" for m, n in timed if not calls[(m, n)]]
+    assert missing == []

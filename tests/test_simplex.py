@@ -16,6 +16,8 @@ from bellcert.simplex import (
 )
 from bellcert.strategies import correlation
 
+from helpers import pair_observables_loop, simplex_observables_loop
+
 DIMS = (2, 3, 5, 8)
 
 
@@ -108,6 +110,16 @@ class TestPairObservables:
         for d in (3, 5):
             for t in pair_observables(d).values():
                 assert np.trace(t) == pytest.approx(2.0 - d, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", range(3, 17))
+def test_broadcast_builders_equal_the_outer_product_loops_bit_for_bit(d):
+    for got, want in zip(simplex_observables(d), simplex_observables_loop(d), strict=True):
+        assert got.tobytes() == want.tobytes() and np.array_equal(got, want)
+    pairs, loop = pair_observables(d), pair_observables_loop(d)
+    assert list(pairs) == list(loop)
+    for key, want in loop.items():
+        assert pairs[key].tobytes() == want.tobytes() and np.array_equal(pairs[key], want)
 
 
 class TestMaximalIndependentSubset:

@@ -43,6 +43,7 @@ from bellcert.simplex import (
 from helpers import (
     X,
     Z,
+    binary_family_loop,
     fourier_duals_loop,
     random_projective_measurement,
     random_reflection,
@@ -287,18 +288,21 @@ def _binary_measurement_one_by_one(o: np.ndarray) -> ProjectiveMeasurement:
 
 
 class TestBinaryFamily:
-    @pytest.mark.parametrize("d", range(3, 11))
+    @pytest.mark.parametrize("d", range(3, 17))
     def test_equals_the_one_by_one_construction_bit_for_bit(self, d):
-        # the two parties' families of the certify pipeline, with a pair target
+        # the two parties' families of the certify pipeline, with a pair target,
+        # against measurements built one at a time and against the loop form
         alice = [*simplex_observables(d), pair_observables(d)[(0, 1)]]
         for family in (alice, maximal_independent_subset(d)[0]):
             batched = ProjectiveMeasurement.binary_family(family)
             assert len(batched) == len(family)
-            for m, o in zip(batched, family):
+            loop = binary_family_loop(family)
+            for m, o, want in zip(batched, family, loop, strict=True):
                 ref = _binary_measurement_one_by_one(o)
                 assert m.outputs == 2
-                for p, q in zip(m.projections, ref.projections):
+                for p, q, r in zip(m.projections, ref.projections, want, strict=True):
                     assert p.dtype == q.dtype and np.array_equal(p, q)
+                    assert p.tobytes() == r.tobytes()
 
     def test_from_observable_is_a_family_of_one(self):
         m = ProjectiveMeasurement.from_observable(X)
