@@ -30,7 +30,7 @@ from .jordan import (
     jordan_closure,
     span_basis,
 )
-from .linalg import extend_orthonormal_rows, svec
+from .linalg import svec
 from .posthoc import FeasibilityResult, RobustnessParams, posthoc_check, sign_reachable
 from .simplex import maximal_independent_subset
 from .strategies import (
@@ -161,23 +161,34 @@ def _extension_batch(
 ) -> tuple[list[np.ndarray], SpanBasis]:
     """Cut points of one random basis of the source party's span that enlarge `into`.
 
-    The n elements of a Gaussian change of basis of the source's n questions
-    are offered in order. Each returned observable is sgn(H - rI) for such an
-    H, hence certifiable against the source party's family, and extends the
-    destination span.
+    Every cut point sgn(H - rI) of the n elements H of a Gaussian change of
+    basis of the source's n questions is offered at once: the svec rows are
+    projected off `into` twice, together, then kept in order when their
+    residual off the rows kept before exceeds into.tol * max(1, |o|_F), the
+    rule of extend_orthonormal_rows for a one-row offer (whose singular value
+    is its norm). Each returned observable is certifiable against the source
+    party's family and extends the destination span.
     """
-    q = into.rows
-    added_obs: list[np.ndarray] = []
+    d = into.matrix_dim
     # H combines the questions, not their orthonormal rows: a row kept with
     # singular value sigma is off by about eps/sigma, and cut points of such
     # combinations drift out of the closure within a few rounds
-    for h in np.tensordot(rng.standard_normal((len(source),) * 2), source, axes=1):
-        for o in cut_point_observables(h, settings=settings):
-            q2, added = extend_orthonormal_rows(q, svec(o)[None], into.tol)
-            if added:
-                q = q2
-                added_obs.append(o)
-    return added_obs, SpanBasis(into.matrix_dim, q, into.tol)
+    hs = np.tensordot(rng.standard_normal((len(source),) * 2), source, axes=1)
+    cands = [o for h in hs for o in cut_point_observables(h, settings=settings)]
+    rows = svec(np.array(cands).reshape(-1, d, d))
+    thresh = into.tol * np.maximum(1.0, np.linalg.norm(rows, axis=1))
+    for _ in range(2):
+        rows = rows - (rows @ into.rows.T) @ into.rows
+    new = rows[:0]
+    added_obs: list[np.ndarray] = []
+    for o, r, t in zip(cands, rows, thresh):
+        for _ in range(2):
+            r = r - (new @ r) @ new
+        norm = np.linalg.norm(r)
+        if norm > t:
+            new = np.vstack([new, r / norm])
+            added_obs.append(o)
+    return added_obs, SpanBasis(d, np.concatenate([into.rows, new]), into.tol)
 
 
 def iterative_plan(

@@ -190,20 +190,17 @@ def cut_point_observables(
     Consecutive eigenvalues closer than ``singular_tol`` (relative) are treated
     as one cluster. A scalar multiple of the identity therefore yields an empty
     list. Each returned matrix is an exact involution by construction (signs
-    are applied in the eigenbasis).
+    are applied in the eigenbasis). One eigendecomposition serves every cut:
+    the signs of all cuts are broadcast into one stacked product.
     """
     s = settings or DEFAULTS
     vals, vecs = sym_eig(h, settings=s)
-    d = vals.size
-    scale = max(1.0, float(np.max(np.abs(vals))) if d else 0.0)
-    gap_tol = s.singular_tol * scale
-    cuts = []
-    for i in range(d - 1):
-        if vals[i] - vals[i + 1] > gap_tol:
-            signs = np.where(np.arange(d) <= i, 1.0, -1.0)
-            m = (vecs * signs) @ vecs.T
-            cuts.append(0.5 * (m + m.T))
-    return cuts
+    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
+    cuts = np.flatnonzero(vals[:-1] - vals[1:] > s.singular_tol * scale)
+    # row k: +1 on the eigenvalues above cut k, -1 below it
+    signs = np.where(np.arange(vals.size) <= cuts[:, None], 1.0, -1.0)
+    m = (vecs * signs[:, None, :]) @ vecs.T
+    return list(0.5 * (m + m.transpose(0, 2, 1)))
 
 
 def has_trivial_centralizer(

@@ -2,11 +2,13 @@
 
 Every factorization is a LAPACK call through numpy: ``eigh`` for symmetric
 eigendecompositions and one project-and-SVD per offer of rows for
-orthogonalization. Spans of symmetric matrices are kept in svec coordinates
-(:func:`svec`, :func:`smat`). Eigenvalues come out descending. Eigenvectors
-are LAPACK's own, so their signs and the basis chosen within a repeated
-eigenvalue's eigenspace carry no meaning; every caller depends only on
-eigenvalues and eigenspaces.
+orthogonalization. A plan round (``certify._extension_batch``) offers its
+cut points once and keeps them in order by this rule for a one-row offer,
+whose singular value is its norm, so it needs no SVD. Spans of symmetric
+matrices are kept in svec coordinates (:func:`svec`, :func:`smat`).
+Eigenvalues come out descending. Eigenvectors are LAPACK's own, so their
+signs and the basis chosen within a repeated eigenvalue's eigenspace carry
+no meaning; every caller depends only on eigenvalues and eigenspaces.
 """
 
 from __future__ import annotations

@@ -6,17 +6,20 @@ Other oracles live in the tests.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 
 import numpy as np
 
 from bellcert.config import DEFAULTS
+from bellcert.jordan import SpanBasis
 from bellcert.linalg import (
     extend_orthonormal_rows,
     orthonormal_rows,
     require_hermitian_stack,
     smat,
     svec,
+    sym_eig,
 )
 from bellcert.simplex import pair_observables, simplex_vectors
 from bellcert.strategies import CorrelationTable, Strategy, require_binary_observables
@@ -187,6 +190,71 @@ def jordan_closure_one_offer(gens, tol: float = DEFAULTS.membership_tol):
         fresh_from, q = n, q2
         sweeps += 1
     return q, sweeps
+
+
+def cut_point_observables_loop(h, settings=DEFAULTS) -> list[np.ndarray]:
+    """Reference loop for cut_point_observables: one product per cut.
+
+    The cut after eigenvalue i (descending) is kept when the gap to the next
+    exceeds singular_tol * max(1, max |lambda|); its signs are +1 up to i.
+    """
+    vals, vecs = sym_eig(h, settings=settings)
+    d = vals.size
+    gap_tol = settings.singular_tol * max(1.0, float(np.max(np.abs(vals))))
+    cuts = []
+    for i in range(d - 1):
+        if vals[i] - vals[i + 1] > gap_tol:
+            m = (vecs * np.where(np.arange(d) <= i, 1.0, -1.0)) @ vecs.T
+            cuts.append(0.5 * (m + m.T))
+    return cuts
+
+
+def extension_batch_one_offer(source, into: SpanBasis, rng, settings=DEFAULTS):
+    """Reference for certify._extension_batch: one offer per cut point.
+
+    Draws the same Gaussian combinations H of the source questions and
+    offers each cut point of each H to its own extend_orthonormal_rows call,
+    in order. Returns (the observables kept, the grown span).
+    """
+    q = into.rows
+    kept = []
+    for h in np.tensordot(rng.standard_normal((len(source),) * 2), source, axes=1):
+        for o in cut_point_observables_loop(h, settings):
+            q2, added = extend_orthonormal_rows(q, svec(o)[None], into.tol)
+            if added:
+                q = q2
+                kept.append(o)
+    return kept, SpanBasis(into.matrix_dim, q, into.tol)
+
+
+LINALG_CALLS = ("svd", "eigh", "eigvalsh", "lstsq", "qr", "cholesky", "solve", "inv")
+
+
+@contextlib.contextmanager
+def linalg_calls():
+    """Record the numpy.linalg factorizations and solves called inside the block.
+
+    Yields a list that fills with (name, shape of the first argument), one
+    entry per call of a function in LINALG_CALLS; a count that does not
+    depend on the host's speed.
+    """
+    calls: list[tuple[str, tuple[int, ...]]] = []
+    saved = {name: getattr(np.linalg, name) for name in LINALG_CALLS}
+
+    def recorded(name, func):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return func(a, *args, **kwargs)
+
+        return wrapper
+
+    for name, func in saved.items():
+        setattr(np.linalg, name, recorded(name, func))
+    try:
+        yield calls
+    finally:
+        for name, func in saved.items():
+            setattr(np.linalg, name, func)
 
 
 def commutant_nullity_reference(gens, tol: float = 1e-9) -> int:

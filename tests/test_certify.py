@@ -29,7 +29,7 @@ from bellcert.errors import (
     Unreachable,
 )
 from bellcert.jordan import contains, jordan_closure, span_basis
-from bellcert.linalg import sgn_map, sym_eig
+from bellcert.linalg import extend_orthonormal_rows, sgn_map, svec, sym_eig
 from bellcert.posthoc import min_trace_Q, posthoc_check
 from bellcert.simplex import (
     degenerate_pair_3d,
@@ -44,7 +44,15 @@ from bellcert.strategies import (
     require_binary_observables,
 )
 
-from helpers import X, Z, random_projective_measurement, random_reflection, random_symmetric
+from helpers import (
+    X,
+    Z,
+    extension_batch_one_offer,
+    linalg_calls,
+    random_projective_measurement,
+    random_reflection,
+    random_symmetric,
+)
 
 
 class TestSplit:
@@ -569,3 +577,108 @@ class TestIterativePlan:
         plan = iterative_plan([X], X)
         assert [r.party for r in plan.rounds] == ["alice"]
         assert isinstance(plan, IterativePlan)
+
+
+def _plan_key(plan):
+    return [(r.party, np.array(r.observables).tobytes()) for r in plan.rounds]
+
+
+def _benchmark_plan_input(rng, d):
+    """Three reflections of rank d // 2 and a cut of a random closure element,
+    as the benchmark's plan slots draw them."""
+    refs = [random_reflection(rng, d, d // 2) for _ in range(3)]
+    closure, _ = jordan_closure(refs)
+    h = np.tensordot(rng.standard_normal(closure.dimension), closure.basis, axes=1)
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
+    cut = int(rng.integers(0, d - 1))
+    return refs, (vecs * np.sign(vals - 0.5 * (vals[cut] + vals[cut + 1]))) @ vecs.T
+
+
+class TestExtensionBatch:
+    """A round offers all its cut points in one batch and keeps them in
+    order by extend_orthonormal_rows' rule for a one-row offer."""
+
+    def test_plans_equal_the_one_offer_per_cut_point_plans(self, monkeypatch):
+        inputs = [(list(degenerate_pair_3d()[1]), degenerate_pair_3d()[2])]
+        inputs += [_random_plan_input(np.random.default_rng(k)) for k in range(60)]
+        plans = [iterative_plan(refs, target) for refs, target in inputs]
+        monkeypatch.setattr(certify, "_extension_batch", extension_batch_one_offer)
+        for (refs, target), plan in zip(inputs, plans, strict=True):
+            assert _plan_key(iterative_plan(refs, target)) == _plan_key(plan)
+
+    def test_the_grown_spans_stay_orthonormal(self, monkeypatch):
+        grown = []
+        original = certify._extension_batch
+
+        def recorded(*args):
+            new, span = original(*args)
+            grown.append(span)
+            return new, span
+
+        monkeypatch.setattr(certify, "_extension_batch", recorded)
+        refs, target = _random_plan_input(np.random.default_rng(98))
+        assert len(iterative_plan(refs, target).rounds) == 4
+        for span in grown:
+            gram = span.rows @ span.rows.T
+            assert np.max(np.abs(gram - np.eye(span.dimension))) <= 1e-12
+
+    def test_keeps_and_drops_as_one_row_offers_do(self, monkeypatch):
+        # diag(1, -1, 1, ..., 1) at d = 8, Givens-rotated in the plane (i, j):
+        # off the diagonal span by exactly sqrt(2) |sin 2t|, set to a factor
+        # of tol * max(1, |o|_F = sqrt(8)); a rule without the norm's share
+        # would keep the 0.5x offer, one off by 10 % would flip 0.9x or 1.1x
+        d = 8
+        into = span_basis(list(np.eye(d)[:, None] * np.eye(d)))
+        bound = into.tol * np.sqrt(d)
+
+        def rotated(factor, i, j):
+            t = 0.5 * np.arcsin(factor * bound / np.sqrt(2.0))
+            g = np.eye(d)
+            g[[i, i, j, j], [i, j, i, j]] = np.cos(t), -np.sin(t), np.sin(t), np.cos(t)
+            return g @ np.diag([1.0, -1.0] + [1.0] * (d - 2)) @ g.T
+
+        offered = [
+            rotated(0.5, 0, 1),
+            rotated(2.0, 0, 1),
+            rotated(2.0, 0, 1),
+            rotated(2.0, 1, 2),
+            rotated(0.9, 1, 3),
+            rotated(1.1, 1, 4),
+        ]
+        q, expected = into.rows, []
+        for o in offered:
+            q2, added = extend_orthonormal_rows(q, svec(o)[None], into.tol)
+            if added:
+                q, expected = q2, [*expected, o]
+        monkeypatch.setattr(certify, "cut_point_observables", lambda h, **_: offered)
+        kept, span = certify._extension_batch(
+            np.eye(d)[None], into, np.random.default_rng(0), DEFAULTS
+        )
+        assert [any(o is k for k in kept) for o in offered] == [False, True, False, True, False, True]
+        assert [id(o) for o in kept] == [id(o) for o in expected]
+        assert span.dimension == len(q) == d + 3
+
+    def test_a_round_runs_no_svd_and_one_eigh_per_combination(self):
+        rng = np.random.default_rng(3)
+        source = np.array([np.eye(6), *(random_reflection(rng, 6, 3) for _ in range(3))])
+        into = span_basis(source)
+        with linalg_calls() as calls:
+            kept, grown = certify._extension_batch(source, into, rng, DEFAULTS)
+        assert calls == [("eigh", (6, 6))] * len(source)
+        assert len(kept) == grown.dimension - into.dimension > 0
+
+    @pytest.mark.parametrize(
+        "which, svds",
+        [("degenerate-pair", 7), ("d6-rank3", 8)],
+    )
+    def test_plan_svd_counts(self, which, svds):
+        # one project-and-SVD per cut point made these 17 and 28
+        if which == "degenerate-pair":
+            _, refs, target, _ = degenerate_pair_3d()
+            refs = list(refs)
+        else:
+            refs, target = _benchmark_plan_input(np.random.default_rng(0), 6)
+        with linalg_calls() as calls:
+            plan = iterative_plan(refs, target)
+        assert [r.party for r in plan.rounds] == ["bob", "alice"]
+        assert sum(name == "svd" for name, _ in calls) == svds

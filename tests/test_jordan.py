@@ -22,6 +22,7 @@ from helpers import (
     X,
     Z,
     commutant_nullity_reference,
+    cut_point_observables_loop,
     jordan_closure_one_offer,
     jordan_closure_reference,
     near_reducible_family,
@@ -321,6 +322,26 @@ class TestCutPointObservables:
 
     def test_identity_multiple_gives_no_cuts(self):
         assert cut_point_observables(2.5 * np.eye(3)) == []
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_equals_the_per_cut_loop_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(4):
+            h = random_symmetric(rng, d)
+            cuts, loop = cut_point_observables(h), cut_point_observables_loop(h)
+            assert len(cuts) == len(loop) == d - 1
+            assert all(map(np.array_equal, cuts, loop))
+
+    def test_a_cluster_under_singular_tol_equals_the_loop(self, rng):
+        # 1 and 1 + 1e-12 are one cluster, so 5 eigenvalues give 3 cuts
+        u = random_orthogonal(rng, 5)
+        h = (u * [2.0, 1.0 + 1e-12, 1.0, -0.5, -3.0]) @ u.T
+        cuts, loop = cut_point_observables(h), cut_point_observables_loop(h)
+        assert len(cuts) == len(loop) == 3
+        assert all(map(np.array_equal, cuts, loop))
+        assert cut_point_observables(2.5 * np.eye(3)) == cut_point_observables_loop(
+            2.5 * np.eye(3)
+        ) == []
 
     def test_clustered_eigenvalues_merge(self):
         h = np.diag([1.0, 1.0 + 1e-12, -1.0])
