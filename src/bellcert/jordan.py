@@ -16,6 +16,7 @@ from .config import DEFAULTS, Settings
 from .errors import BadParams, DimMismatch, EmptyInput, SolverStall
 from .linalg import (
     extend_orthonormal_rows,
+    extension_rank,
     orthonormal_rows,
     require_hermitian_stack,
     require_symmetric,
@@ -135,17 +136,20 @@ def jordan_closure(
 
     Each sweep offers the Jordan product of every pair of basis matrices not
     offered before, in svec coordinates, to one orthogonalization. It first
-    offers a probe, the last (missing + fresh) of those pairs, products of
-    the newest rows: the directions Sym(d) lacks plus one known dependency
-    per fresh b (b = sum_k a_k (b_k*b) for I = sum_k a_k b_k). A probe that
-    fills Sym(d) ends the sweep; else the full offer runs from the same
-    basis. This is exact: the probe's residual rows are rows of the full
-    offer's, so its singular values are no larger (Weyl), and a product of
-    Frobenius-unit matrices has norm at most 1, so both offers keep at one
-    threshold. A full closure may come back as another orthonormal basis of
-    Sym(d); a closure short of it keeps the full offers' rows. Raises
-    SolverStall if the basis outgrows dim Sym(d) = d(d+1)/2, which no closure
-    can: it would mean rounding noise passed as new directions.
+    probes the last (missing + fresh) of those pairs, products of the newest
+    rows: the directions Sym(d) lacks plus one known dependency per fresh b
+    (b = sum_k a_k (b_k*b) for I = sum_k a_k b_k). The probe asks only for
+    the rank its residual adds (:func:`~bellcert.linalg.extension_rank`, an
+    SVD without vectors): a probe that fills Sym(d) ends the sweep, else the
+    full offer runs from the same basis. This is exact: the probe's residual
+    rows are rows of the full offer's, so its singular values are no larger
+    (Weyl), and a product of Frobenius-unit matrices has norm at most 1, so
+    both offers keep at one threshold. A sweep that fills Sym(d) returns the
+    standard svec basis, the identity of size d(d+1)/2, since any
+    orthonormal basis spans it; a closure short of it keeps the full offers'
+    rows. Raises SolverStall if the basis outgrows dim Sym(d) = d(d+1)/2,
+    which no closure can: it would mean rounding noise passed as new
+    directions.
     """
     s = settings or DEFAULTS
     tol = s.membership_tol
@@ -158,26 +162,33 @@ def jordan_closure(
         mats = smat(q)
         n = len(mats)
         # pairs i <= j with j fresh: a pair of rows that both predate the
-        # last sweep was offered then; for symmetric a and b, a*b is the
-        # symmetric part of ab
+        # last sweep was offered then
         i, j = np.nonzero(np.arange(n)[:, None] <= np.arange(fresh_from, n))
         j += fresh_from
+
+        def products(k: int) -> np.ndarray:
+            # svec rows of a*b for the pairs from k on: for symmetric a and
+            # b, a*b is the symmetric part of ab
+            ab = mats[i[k:]] @ mats[j[k:]]
+            return svec(0.5 * (ab + ab.transpose(0, 2, 1)))
+
         # the probe: the last (full - n) missing + (n - fresh_from) fresh pairs
         probe = full - fresh_from
-        starts = [len(i) - probe, 0] if probe <= _PROBE_MAX_SHARE * len(i) else [0]
-        for k in starts:
-            ab = mats[i[k:]] @ mats[j[k:]]
-            q2, added = extend_orthonormal_rows(q, svec(0.5 * (ab + ab.transpose(0, 2, 1))), tol)
-            if len(q2) == full:
+        grown = n
+        if probe <= _PROBE_MAX_SHARE * len(i):
+            grown += extension_rank(q, products(len(i) - probe), tol)
+        if grown < full:
+            q2, added = extend_orthonormal_rows(q, products(0), tol)
+            if added == 0:
                 break
-        if added == 0:
-            break
-        if len(q2) > full:
+            grown = len(q2)
+        if grown > full:
             raise SolverStall(
-                f"closure basis reached {len(q2)} rows, more than dim Sym({d}) = {full}"
+                f"closure basis reached {grown} rows, more than dim Sym({d}) = {full}"
             )
+        # any orthonormal basis spans a filled Sym(d): the standard one needs no rows
+        q = q2 if grown < full else np.eye(full)
         fresh_from = n
-        q = q2
         iterations += 1
     return SpanBasis(matrix_dim=d, rows=q, tol=tol), iterations
 

@@ -2,10 +2,13 @@
 
 Every factorization is a LAPACK call through numpy: ``eigh`` for symmetric
 eigendecompositions and one project-and-SVD per offer of rows for
-orthogonalization. A plan round (``certify._extension_batch``) offers its
-cut points once and keeps them in order by this rule for a one-row offer,
-whose singular value is its norm, so it needs no SVD. Spans of symmetric
-matrices are kept in svec coordinates (:func:`svec`, :func:`smat`).
+orthogonalization. An offer whose caller needs only the dimension it
+reaches (:func:`extension_rank`, the closure's probe) computes singular
+values alone, no vectors. A plan round (``certify._extension_batch``)
+offers its cut points once and keeps them in order by the rule for a
+one-row offer, whose singular value is its norm, so it needs no SVD. Spans
+of symmetric matrices are kept in svec coordinates (:func:`svec`,
+:func:`smat`).
 Eigenvalues come out descending. Eigenvectors are LAPACK's own, so their
 signs and the basis chosen within a repeated eigenvalue's eigenspace carry
 no meaning; every caller depends only on eigenvalues and eigenspaces.
@@ -170,24 +173,35 @@ def smat(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extend(q: np.ndarray, rows: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    # the one kernel behind both public entry points, which stay separate
-    # functions so that each is timed and counted under its own name
+def _residual_svd(
+    q: np.ndarray, rows: np.ndarray, tol: float, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    # the one kernel behind the three public entry points, which stay
+    # separate functions so that each is timed and counted under its own
+    # name: the rows projected off q twice, together, and the singular
+    # values of the residual (with its right singular vectors if asked for)
+    # against the threshold tol * max(1, largest row norm)
     rows = np.asarray(rows, dtype=float).reshape(len(rows), q.shape[1])
     if not len(rows):
-        return q, 0
+        return np.zeros(0), np.zeros((0, q.shape[1])), 0.0
     thresh = tol * max(1.0, float(np.linalg.norm(rows, axis=1).max()))
     for _ in range(2):
         rows = rows - (rows @ q.T) @ q
-    try:
-        _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    except np.linalg.LinAlgError:
-        # gesdd may converge on the transpose: same singular values, u = these v
+    # gesdd may converge on the transpose: same singular values, u = these v
+    for a in (rows, rows.T):
         try:
-            vt, sv, _ = np.linalg.svd(rows.T, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverStall(f"SVD of a {rows.shape} residual did not converge") from exc
-        vt = vt.T
+            out = np.linalg.svd(a, full_matrices=False, compute_uv=vectors)
+        except np.linalg.LinAlgError:
+            continue
+        if not vectors:
+            return out, None, thresh
+        u, sv, vt = out
+        return sv, vt if a is rows else u.T, thresh
+    raise SolverStall(f"SVD of a {rows.shape} residual did not converge")
+
+
+def _extend(q: np.ndarray, rows: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    sv, vt, thresh = _residual_svd(q, rows, tol, vectors=True)
     new = vt[sv > thresh]
     return np.concatenate([q, new]), len(new)
 
@@ -215,3 +229,14 @@ def extend_orthonormal_rows(
     Returns the extended orthonormal array and the number of rows added.
     """
     return _extend(np.asarray(q, dtype=float), rows, tol)
+
+
+def extension_rank(q: np.ndarray, rows: np.ndarray, tol: float) -> int:
+    """How many rows :func:`extend_orthonormal_rows` would add, without the rows.
+
+    The same residual, threshold and retry on the transpose, but the SVD
+    computes singular values only, a fraction of the cost of one with
+    vectors. For a caller that needs only the dimension an offer reaches.
+    """
+    sv, _, thresh = _residual_svd(np.asarray(q, dtype=float), rows, tol, vectors=False)
+    return int(np.sum(sv > thresh))

@@ -212,7 +212,10 @@ def sign_reachable(
     symmetric positive definite; a marginal answer counts as not reachable.
     A search that ends at or below feas_tol has proved the negative answer
     (by its bound or a Farkas certificate), so no complement search runs.
-    Raises SolverStall only when the barrier's Newton loop fails.
+    When I's projection off the span is positive definite, the search's
+    first iterate proves it (the dual I/n projects to a certificate) and no
+    Newton step runs. Raises SolverStall only when the barrier's Newton loop
+    fails.
     """
     s = settings or DEFAULTS
     _, sigma, basis = solver.hermitian_basis(target @ np.asarray(questions))

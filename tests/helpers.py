@@ -234,16 +234,18 @@ LINALG_CALLS = ("svd", "eigh", "eigvalsh", "lstsq", "qr", "cholesky", "solve", "
 def linalg_calls():
     """Record the numpy.linalg factorizations and solves called inside the block.
 
-    Yields a list that fills with (name, shape of the first argument), one
-    entry per call of a function in LINALG_CALLS; a count that does not
-    depend on the host's speed.
+    Yields a list that fills with (name, shape of the first argument,
+    compute_uv), one entry per call of a function in LINALG_CALLS; a count
+    that does not depend on the host's speed. compute_uv is whether an svd
+    asked for singular vectors, and None for every other function.
     """
-    calls: list[tuple[str, tuple[int, ...]]] = []
+    calls: list[tuple[str, tuple[int, ...], bool | None]] = []
     saved = {name: getattr(np.linalg, name) for name in LINALG_CALLS}
 
     def recorded(name, func):
         def wrapper(a, *args, **kwargs):
-            calls.append((name, np.shape(a)))
+            uv = kwargs.get("compute_uv", True) if name == "svd" else None
+            calls.append((name, np.shape(a), uv))
             return func(a, *args, **kwargs)
 
         return wrapper

@@ -664,7 +664,7 @@ class TestExtensionBatch:
         into = span_basis(source)
         with linalg_calls() as calls:
             kept, grown = certify._extension_batch(source, into, rng, DEFAULTS)
-        assert calls == [("eigh", (6, 6))] * len(source)
+        assert calls == [("eigh", (6, 6), None)] * len(source)
         assert len(kept) == grown.dimension - into.dimension > 0
 
     @pytest.mark.parametrize(
@@ -681,4 +681,4 @@ class TestExtensionBatch:
         with linalg_calls() as calls:
             plan = iterative_plan(refs, target)
         assert [r.party for r in plan.rounds] == ["bob", "alice"]
-        assert sum(name == "svd" for name, _ in calls) == svds
+        assert sum(name == "svd" for name, *_ in calls) == svds

@@ -25,6 +25,7 @@ from helpers import (
     cut_point_observables_loop,
     jordan_closure_one_offer,
     jordan_closure_reference,
+    linalg_calls,
     near_reducible_family,
     random_orthogonal,
     random_reflection,
@@ -110,6 +111,24 @@ class TestSpanBasis:
             span_basis([EYE2, np.eye(3)])
 
 
+def _record_offers(monkeypatch) -> list[tuple[int, int]]:
+    """Record (basis rows, offered rows) of every offer jordan_closure makes,
+    through both orthogonalizer entry points: the rank-only probe and the
+    offer that returns rows."""
+    offers = []
+
+    def recorded(func):
+        def wrapper(q, rows, tol):
+            offers.append((len(q), len(rows)))
+            return func(q, rows, tol)
+
+        return wrapper
+
+    for name in ("extend_orthonormal_rows", "extension_rank"):
+        monkeypatch.setattr(jordan_module, name, recorded(getattr(jordan_module, name)))
+    return offers
+
+
 class TestJordanClosure:
     def test_single_observable_closes_to_its_own_span(self):
         basis, iterations = jordan_closure([Z])
@@ -134,14 +153,7 @@ class TestJordanClosure:
         # a sweep runs only while the span is short of d(d+1)/2: seeds that
         # already span need none, and a spanning family needs exactly one
         # sweep per growth step, with no final sweep that finds nothing
-        sweeps = []
-        extend = jordan_module.extend_orthonormal_rows
-
-        def counting(q, rows, tol):
-            sweeps.append(len(rows))
-            return extend(q, rows, tol)
-
-        monkeypatch.setattr(jordan_module, "extend_orthonormal_rows", counting)
+        sweeps = _record_offers(monkeypatch)
         _, iterations = jordan_closure([X, Z])
         assert (iterations, len(sweeps)) == (0, 0)
         for d in (3, 4, 5):
@@ -154,14 +166,7 @@ class TestJordanClosure:
         # d = 12, three rank-6 reflections: the basis grows 4 -> 7 -> 22, and
         # the last sweep fills Sym(12) from a probe of its 56 missing + 15
         # fresh products, not from all 225 pairs
-        offers = []
-        extend = jordan_module.extend_orthonormal_rows
-
-        def counting(q, rows, tol):
-            offers.append((len(q), len(rows)))
-            return extend(q, rows, tol)
-
-        monkeypatch.setattr(jordan_module, "extend_orthonormal_rows", counting)
+        offers = _record_offers(monkeypatch)
         basis, iterations = jordan_closure([random_reflection(rng, 12, 6) for _ in range(3)])
         assert (basis.dimension, iterations) == (78, 3)
         assert offers == [(4, 10), (7, 18), (22, 71)]
@@ -180,6 +185,17 @@ class TestJordanClosure:
             probes += len(rows) - 1
             prev = n
         assert probes
+
+    def test_a_filling_probe_computes_no_vectors(self, rng):
+        # the family above: the probe only needs the rank of its (71, 78)
+        # residual, and a filled Sym(12) comes back as the standard basis
+        gens = [random_reflection(rng, 12, 6) for _ in range(3)]
+        with linalg_calls() as calls:
+            basis, _ = jordan_closure(gens)
+        svds = [(shape, uv) for name, shape, uv in calls if name == "svd"]
+        assert svds[-1] == ((71, 78), False)
+        assert all(uv for _, uv in svds[:-1])
+        assert np.array_equal(basis.rows, np.eye(78))
 
     def test_matches_the_one_offer_reference(self, rng):
         # the probe is exact: against sweeps that make one offer of every new

@@ -8,6 +8,7 @@ from bellcert.errors import BadParams, DimMismatch, EmptyInput, NotSymmetric, So
 from bellcert.jordan import cut_point_observables, span_basis
 from bellcert.linalg import (
     extend_orthonormal_rows,
+    extension_rank,
     orthonormal_rows,
     require_hermitian_stack,
     require_symmetric,
@@ -338,12 +339,33 @@ def test_an_svd_that_does_not_converge_is_taken_of_the_transpose(rng, monkeypatc
     assert np.array_equal(got[:1], seed)
     # the same directions, each up to sign
     assert np.allclose(np.abs(np.sum(got * want, axis=1)), 1.0, atol=1e-12)
+    # the rank-only entry point retries the same way
+    shapes.clear()
+    assert extension_rank(seed, rows[1:], 1e-8) == added
+    assert shapes == [(m, 6), (6, m)]
 
 
 def test_an_svd_that_fails_both_ways_is_a_solver_stall(rng, monkeypatch):
-    _failing_svd(monkeypatch, 2)
+    shapes = _failing_svd(monkeypatch, 2)
     with pytest.raises(SolverStall, match=r"SVD of a \(7, 6\) residual did not converge"):
         orthonormal_rows(rng.standard_normal((7, 6)), 1e-8)
+    shapes.clear()
+    with pytest.raises(SolverStall, match=r"SVD of a \(7, 6\) residual did not converge"):
+        extension_rank(np.zeros((0, 6)), rng.standard_normal((7, 6)), 1e-8)
+
+
+def test_extension_rank_counts_the_rows_an_offer_adds(rng):
+    # the rank-only probe against the offer that returns rows: dependent,
+    # independent and empty offers, from an empty and a partial set
+    base = rng.standard_normal((3, 8))
+    for q in (np.zeros((0, 8)), orthonormal_rows(base, 1e-8)):
+        for rows in (
+            rng.standard_normal((4, 8)),
+            rng.standard_normal((5, 3)) @ base,
+            np.vstack([base, 2.0 * base[:1]]),
+            np.zeros((0, 8)),
+        ):
+            assert extension_rank(q, rows, 1e-8) == extend_orthonormal_rows(q, rows, 1e-8)[1]
 
 
 def test_blocked_kernel_span_is_independent_of_row_order(rng):

@@ -293,6 +293,29 @@ def _binary_generators(state, refs, target):
     return [target @ s for s in [dm @ dm] + [dm @ a @ dm for a in refs]]
 
 
+def _barrier_calls(monkeypatch) -> list:
+    """Record the size of every solver.barrier_derivatives call: one per Newton step."""
+    calls = []
+
+    def counted(k, mats):
+        calls.append(len(mats))
+        return barrier_derivatives(k, mats)
+
+    monkeypatch.setattr(solver, "barrier_derivatives", counted)
+    return calls
+
+
+def _identity_complement_is_pd(gens) -> bool:
+    """Whether I minus its projection onto the symmetric combinations of gens
+    is positive definite, from an SVD of the directions."""
+    dirs = symmetric_directions(gens)
+    n = dirs.shape[1]
+    _, sv, vt = np.linalg.svd(dirs.reshape(len(dirs), -1), full_matrices=False)
+    q = vt[sv > 1e-12 * sv[0]]
+    z = np.eye(n).ravel() - (q @ np.eye(n).ravel()) @ q
+    return bool(np.linalg.eigvalsh(z.reshape(n, n))[0] > 0.0)
+
+
 class TestFarkasCertificate:
     def test_hadamard_direction(self):
         result = posthoc_feasible_binary(ME2, [X], HADAMARD_DIR)
@@ -319,6 +342,31 @@ class TestFarkasCertificate:
         assert result.verdict == "infeasible"
         assert_farkas_certificate(result.certificate, _binary_generators(me4, [r], o))
         assert np.max(np.abs(result.certificate - np.eye(4) / 4)) <= 1e-15
+
+    def test_only_a_span_whose_identity_complement_is_not_pd_runs_the_barrier(
+        self, monkeypatch
+    ):
+        # the draws of test_random_instances with two or more directions: the
+        # first iterate's dual I/n settles the verdict exactly when I's
+        # projection off the span is positive definite; otherwise the
+        # barrier runs and its dual gives the certificate
+        calls = _barrier_calls(monkeypatch)
+        rng = np.random.default_rng(909)
+        seen = {True: 0, False: 0}
+        for trial in range(150):
+            d = 2 + trial % 3
+            state = SchmidtState(random_schmidt_coeffs(rng, d))
+            refs = [random_reflection(rng, d) for _ in range(1 + trial % d)]
+            target = random_reflection(rng, d)
+            calls.clear()
+            result = posthoc_feasible_binary(state, refs, target)
+            gens = _binary_generators(state, refs, target)
+            if result.verdict == "infeasible" and len(symmetric_directions(gens)) >= 2:
+                pd = _identity_complement_is_pd(gens)
+                assert bool(calls) != pd
+                assert_farkas_certificate(result.certificate, gens)
+                seen[pd] += 1
+        assert seen[True] and seen[False]
 
     def test_random_instances(self):
         # acceptance-09-style draws: random states, references and reflection
@@ -849,6 +897,26 @@ class TestSignReachable:
         assert sign_reachable(questions, -Z)
         assert not sign_reachable(questions, HADAMARD_DIR)
 
+    def test_the_degenerate_pair_is_settled_at_the_first_iterate(self, monkeypatch):
+        # the plan's first question: the degenerate pair's target against
+        # {I, T_0..T_3}. I's projection off the span is positive definite, so
+        # the first iterate's dual I/n is already a Farkas certificate and
+        # no Newton step runs
+        _, refs, target, _ = degenerate_pair_3d()
+        questions = np.array([np.eye(3), *refs])
+        calls = _barrier_calls(monkeypatch)
+        assert not sign_reachable(questions, target)
+        assert calls == []
+        _, sigma, basis = hermitian_basis(target @ questions)
+        assert len(sigma) >= 2
+        _, _, z = solver.best_margin(sigma, basis, DEFAULTS)
+        assert calls == []
+        # re-checked independently, against the products themselves
+        gens = list(target @ questions)
+        assert np.linalg.eigvalsh(z)[0] > 0.1
+        assert_farkas_certificate(z, gens)
+        assert _identity_complement_is_pd(gens)
+
 
 class TestMinTraceCertificate:
     @pytest.mark.parametrize("hermitian", [False, True])
@@ -883,13 +951,7 @@ class TestMinTraceCertificate:
 
     @staticmethod
     def _count_barrier_derivatives(monkeypatch) -> list:
-        calls = []
-
-        def counted(k, mats):
-            calls.append(len(mats))
-            return barrier_derivatives(k, mats)
-
-        monkeypatch.setattr(solver, "barrier_derivatives", counted)
+        calls = _barrier_calls(monkeypatch)
         # positive control: the README's d = 3 instance runs the barrier
         min_trace_Q(ME3, simplex_observables(3), pair_observables(3)[(0, 1)])
         assert calls

@@ -12,13 +12,15 @@ from bellcert.config import Settings
 SRC = Path(bellcert.__file__).resolve().parent
 
 # kernels that take a plain number by design: the stacked Hermitian
-# validator and the orthogonalizer
+# validator and the orthogonalizer's entry points
 KERNELS = frozenset(
     {
         "require_hermitian_stack",
         "orthonormal_rows",
         "extend_orthonormal_rows",
+        "extension_rank",
         "_extend",
+        "_residual_svd",
     }
 )
 
