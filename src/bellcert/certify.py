@@ -316,25 +316,6 @@ class CertificateReport:
         }
 
 
-def _gram_fills_sym(gram: np.ndarray, lam: np.ndarray, d: int, s: Settings) -> bool:
-    """Whether jordan_closure's first step keeps N = d(d+1)/2 rows of svec([I; B]).
-
-    It keeps singular values above membership_tol * max(sqrt(d), max |B_k|_F),
-    and sigma_N([I; B]) >= sigma_N(B) = sqrt(lam[-N]) by interlacing (n >= N).
-    With T = tr G >= |G|_2, forming G and eigvalsh move lam[-N] by at most
-    (d^2 + n) eps T, and the SVD moves sigma_N by at most N eps |[I; B]|_F =
-    N eps sqrt(d + T); each bound is taken 8 times over. A complex family is
-    left to jordan_closure.
-    """
-    full, n = d * (d + 1) // 2, len(lam)
-    if n < full or not np.isrealobj(gram):
-        return False
-    eps, t = 8 * np.finfo(float).eps, float(np.trace(gram))
-    thresh = s.membership_tol * np.sqrt(max(d, np.max(np.diag(gram))))
-    slack = lam[-full] - (d * d + n) * eps * t
-    return slack > 0 and np.sqrt(slack) > thresh + full * eps * np.sqrt(d + t)
-
-
 def certificate_report(
     strategy: Strategy, *, settings: Settings | None = None
 ) -> CertificateReport:
@@ -345,11 +326,10 @@ def certificate_report(
     extensions and checked post hoc, each with its minimum-trace certificate
     when feasible. Bob's measurements must all be binary.
 
-    The closure of Bob's family is read off its Gram matrix G = Tr[B_j B_k]
-    when the family is real, has n >= N = d(d+1)/2 members, and the N-th
-    largest eigenvalue of G clears jordan_closure's first-step threshold by a
-    rounding margin: jordan_closure would then return dimension N after 0
-    sweeps. Otherwise jordan_closure runs.
+    A strategy the pipeline built (its ``target`` is set) has Bob's family
+    maximal_independent_subset(d), which spans Sym(d) by construction: its
+    closure is reported as jordan_closure returns it, dimension N = d(d+1)/2
+    after 0 sweeps. For any other strategy jordan_closure runs.
     """
     s = settings or DEFAULTS
     if "base_questions" not in strategy.meta:
@@ -365,9 +345,8 @@ def certificate_report(
     d = strategy.dim
     full = d * (d + 1) // 2
     flat = np.array([b.ravel() for b in bob_obs])
-    gram = flat @ flat.T
-    lam = np.linalg.eigvalsh(gram) if bob_obs else np.zeros(0)
-    if _gram_fills_sym(gram, lam, d, s):
+    lam = np.linalg.eigvalsh(flat @ flat.T) if bob_obs else np.zeros(0)
+    if strategy.target is not None:
         dimension, closure_iters = full, 0
     else:
         closure, closure_iters = jordan_closure(bob_obs, settings=s)

@@ -119,22 +119,22 @@ def _margin_search(
     Runs in coordinates w with M(w) = sum_k w_k sigma_k B_k, the generators'
     combination at coef @ w (of norm |w|) for hermitian_basis's coef.
     Yields (lambda_min(M) / |w|, w, bound, dual): first at the projection
-    of I onto the span (bound inf, dual I/n), then at each centre of max s
+    of I onto the span, or at B_0 when the span is traceless and so
+    orthogonal to I (bound inf, dual I/n), then at each centre of max s
     s.t. blockdiag(M(w) - s I, [[I, w], [w^T, 1]]) > 0, where with N the
     total block size s + N mu bounds max_{|w| <= 1} lambda_min(M(w)) and
     the unit-trace dual Y = mu (M(w) - s I)^-1 has Tr(Y B_k) -> 0 as mu -> 0.
     I/n is that dual's mu -> inf end, the analytic centre, so when its
     projection off the span is positive definite it is already a Farkas
-    certificate and no Newton step is needed. A span with no trace has no
-    first iterate. Ends once N mu reaches MU_FLOOR.
+    certificate and no Newton step is needed. Ends once N mu reaches MU_FLOOR.
     """
     n, r = basis.shape[1], len(sigma)
     traces = np.einsum("kaa->k", basis).real
-    if traces @ traces > 0.0:
-        u0 = traces / float(traces @ traces)  # unit trace
-        lam = lambda_min(np.tensordot(u0, basis, axes=1))
-        dual = np.eye(n, dtype=basis.dtype) / n
-        yield lam / float(np.linalg.norm(u0 / sigma)), u0 / sigma, np.inf, dual
+    norm2 = float(traces @ traces)
+    u0 = traces / norm2 if norm2 > 0.0 else np.eye(r)[0]  # unit trace, or B_0
+    lam = lambda_min(np.tensordot(u0, basis, axes=1))
+    dual = np.eye(n, dtype=basis.dtype) / n
+    yield lam / float(np.linalg.norm(u0 / sigma)), u0 / sigma, np.inf, dual
     dirs = sigma[:, None, None] * basis
     size = n + r + 1
     stack = np.zeros((r + 1, size, size), dtype=basis.dtype)
@@ -165,7 +165,7 @@ def best_margin(
     most feas_tol. Its first iterate's dual is I/n: when I's projection off
     the span is positive definite, the search stops there, before any
     Newton step, with that projection at unit trace as the certificate and
-    the margin at I's projection onto the span.
+    the margin at I's projection onto the span (at B_0 for a traceless span).
     """
     tol = settings.feas_tol
     n = basis.shape[1]

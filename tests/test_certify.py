@@ -51,7 +51,6 @@ from helpers import (
     linalg_calls,
     random_projective_measurement,
     random_reflection,
-    random_symmetric,
 )
 
 
@@ -301,61 +300,69 @@ def _closure(family) -> tuple:
     return basis.dimension, iterations, basis.dimension == d * (d + 1) // 2
 
 
-def _gram_rule(family) -> bool:
-    flat = np.array([b.ravel() for b in family])
-    gram = flat @ flat.T
-    return certify._gram_fills_sym(gram, np.linalg.eigvalsh(gram), family[0].shape[0], DEFAULTS)
+def _pipeline_strategies(d: int) -> list[Strategy]:
+    rng = np.random.default_rng(d)
+    meas = ProjectiveMeasurement(tuple(random_projective_measurement(rng, d, 3)))
+    return [
+        binary_certification_strategy(random_reflection(rng, d)),
+        measurement_certification_strategy(meas),
+    ]
 
 
-class TestGramClosureRule:
-    """certificate_report reads a full closure off Bob's Gram matrix and runs
-    jordan_closure otherwise; either way it reports what jordan_closure does."""
+class TestClosureFromConstruction:
+    """certificate_report takes a pipeline strategy's closure from its
+    construction and runs jordan_closure for every other strategy; either
+    way it reports what jordan_closure does."""
+
+    @pytest.mark.parametrize("d", range(3, 33))
+    def test_the_pipeline_family_fills_sym_after_no_sweep(self, d):
+        assert _closure(maximal_independent_subset(d)[0]) == (d * (d + 1) // 2, 0, True)
 
     @pytest.mark.parametrize("d", range(3, 17))
-    def test_the_pipeline_family_runs_no_closure(self, closure_calls, d):
-        family = maximal_independent_subset(d)[0]
-        assert _report_closure(family) == _closure(family) == (d * (d + 1) // 2, 0, True)
+    def test_pipeline_strategies_run_no_closure(self, closure_calls, d):
+        want = _closure(maximal_independent_subset(d)[0])
+        for strat in _pipeline_strategies(d):
+            r = certificate_report(strat)
+            assert (r.closure_dimension, r.closure_iterations, r.full_algebra) == want
         assert closure_calls == []
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_a_replaced_strategy_runs_the_closure(self, closure_calls, d):
+        strat = binary_certification_strategy(simplex_observables(d)[0])
+        r = certificate_report(dataclasses.replace(strat))
+        assert (r.closure_dimension, r.closure_iterations, r.full_algebra) == _closure(
+            maximal_independent_subset(d)[0]
+        )
+        assert closure_calls == [d * (d + 1) // 2]
 
     @pytest.mark.parametrize("extra", [0, 3])
     @pytest.mark.parametrize("d", range(3, 8))
-    def test_random_reflection_families_agree(self, closure_calls, d, extra):
+    def test_random_reflection_families_agree(self, d, extra):
         rng = np.random.default_rng(100 * d + extra)
         for _ in range(4):
             family = [random_reflection(rng, d) for _ in range(d * (d + 1) // 2 + extra)]
             assert _report_closure(family) == _closure(family)
-        assert closure_calls == []
 
     @pytest.mark.parametrize("d", range(3, 8))
-    def test_a_duplicated_member_falls_back(self, closure_calls, d):
+    def test_a_duplicated_member_agrees(self, closure_calls, d):
         rng = np.random.default_rng(d)
         family = [random_reflection(rng, d) for _ in range(d * (d + 1) // 2)]
         assert _report_closure(family) == _closure(family)
-        assert closure_calls == []
         family[-1] = family[0]
         assert _report_closure(family) == _closure(family)
-        assert closure_calls == [len(family)]
+        assert closure_calls == [len(family)] * 2
 
-    @pytest.mark.parametrize("scale", [1e-3, 1e3])
-    @pytest.mark.parametrize("d", [3, 5, 8])
-    def test_scaled_families_agree(self, d, scale):
-        family = [scale * b for b in maximal_independent_subset(d)[0]]
-        assert _gram_rule(family)
-        assert _closure(family) == (d * (d + 1) // 2, 0, True)
-
-    @pytest.mark.parametrize("d", [3, 6])
-    def test_the_rule_never_claims_what_the_closure_does_not_find(self, rng, d):
-        # one member pulled toward another: lam_N ~ delta^2 sweeps through
-        # jordan_closure's first-step threshold (membership_tol^2 d)
-        family = maximal_independent_subset(d)[0]
-        nudge = random_symmetric(rng, d)
-        taken = []
-        for delta in 10.0 ** -np.arange(2.0, 14.0, 0.5):
-            near = [*family[:-1], family[0] + delta * nudge]
-            taken.append(_gram_rule(near))
-            if taken[-1]:
-                assert _closure(near) == (d * (d + 1) // 2, 0, True)
-        assert taken[0] and not taken[-1]
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_a_pipeline_report_runs_no_svd(self, d):
+        # the Gram matrix; the exact witness's lstsq and margin, once for the
+        # check and once for min_trace_Q's re-solve; two eigvalsh of the
+        # minimum-trace step
+        n = d * (d + 1) // 2
+        strat = binary_certification_strategy(pair_observables(d)[(0, 1)])
+        with linalg_calls() as calls:
+            certificate_report(strat)
+        eig, solve = ("eigvalsh", (d, d), None), ("lstsq", (d * d, n + 1), None)
+        assert calls == [("eigvalsh", (n, n), None), solve, eig, solve, eig, eig, eig]
 
     def test_a_complex_bob_family_raises_as_jordan_closure_does(self, rng):
         # a unitary change of basis keeps every projection Hermitian

@@ -334,12 +334,14 @@ class TestFarkasCertificate:
         assert len(symmetric_directions(gens)) >= 2
         assert_farkas_certificate(result.certificate, gens)
 
-    def test_traceless_family_gets_the_normalized_identity(self):
+    def test_traceless_family_gets_the_normalized_identity(self, monkeypatch):
+        # the span is orthogonal to I, so the first iterate's dual I/n settles it
+        calls = _barrier_calls(monkeypatch)
         o = np.diag([1.0, 1.0, -1.0, -1.0])
         r = np.diag([1.0, -1.0, 1.0, -1.0])
         me4 = SchmidtState.maximally_entangled(4)
         result = posthoc_feasible_binary(me4, [r], o)
-        assert result.verdict == "infeasible"
+        assert result.verdict == "infeasible" and calls == []
         assert_farkas_certificate(result.certificate, _binary_generators(me4, [r], o))
         assert np.max(np.abs(result.certificate - np.eye(4) / 4)) <= 1e-15
 
@@ -495,14 +497,16 @@ class TestMarginSearch:
         assert len(basis) == 7  # W less the direction of P_W(Z0)
         assert_farkas_certificate(solver._complement_certificate(basis, DEFAULTS), mats)
 
-    def test_centre_at_zero_reports_a_finite_margin(self):
+    def test_centre_at_zero_reports_a_finite_margin(self, monkeypatch):
         # every span element is diagonal and exactly traceless, so each
-        # centre of the search sits at the zero combination
+        # centre of the search would sit at the zero combination; the first
+        # iterate's dual I/n settles the span before any centre
+        calls = _barrier_calls(monkeypatch)
         o = np.diag([1.0, 1.0, -1.0, -1.0])
         refs = [np.diag([1.0, -1.0, 1.0, -1.0]), np.diag([1.0, -1.0, -1.0, 1.0])]
         me4 = SchmidtState.maximally_entangled(4)
         result = posthoc_feasible_binary(me4, refs, o)
-        assert result.verdict == "infeasible"
+        assert result.verdict == "infeasible" and calls == []
         assert np.isfinite(result.lambda_min_achieved)
         assert_farkas_certificate(result.certificate, _binary_generators(me4, refs, o))
         assert np.max(np.abs(result.certificate - np.eye(4) / 4)) <= 1e-15
